@@ -21,11 +21,15 @@ class NumericalFailure(ArithmeticError):
     """
 
     def __init__(self, message, batch_index=None, layer=None):
+        super().__init__(message)
         self.batch_index = batch_index
         self.layer = layer
-        parts = [message]
-        if batch_index is not None:
-            parts.append(f"batch={batch_index}")
-        if layer is not None:
-            parts.append(f"layer={layer}")
-        super().__init__(" ".join(parts))
+
+    def __str__(self):
+        # Rendered on demand so context stamped on after the raise shows.
+        parts = [str(self.args[0])]
+        if self.batch_index is not None:
+            parts.append(f"batch={self.batch_index}")
+        if self.layer is not None:
+            parts.append(f"layer={self.layer}")
+        return " ".join(parts)

@@ -169,13 +169,6 @@ class AdaptiveKTrace:
         out.sort(key=lambda r: (r[0], r[1]))
         return out
 
-    def all_values(self):
-        flat = []
-        for layer_pairs in self._pairs:
-            for _, k_cur, k_next in layer_pairs:
-                flat.extend((k_cur, k_next))
-        return np.asarray(flat)
-
 
 def _as_matrix(D):
     if isinstance(D, FeatureBatch):
@@ -195,26 +188,43 @@ def _check_batch(state, D_t, Y_t):
     return D, Y
 
 
-def _accumulate(state, D, t):
-    """Fold the labeled batch into the pseudo-incomplete rate.
+def _step(state, D_t, Y_t, D_next, pick_k):
+    """Advance one head by the shared recursion of all three styles.
 
-    In paper_strict mode the very first batch is skipped, reproducing
-    the literal listing where eta_dag stays at eta_0 when t == 1.
+    The sequence: absorb D_t into eta_dag (skipped at t == 1 in
+    paper_strict mode, reproducing the literal listing where eta_dag
+    stays at eta_0), let the style pick (k_cur, k_next) =
+    pick_k(D, eta_dag), absorb k_next * D_next^T D_next into the complete
+    rate, and move the head by the drift (1 - k_cur) G_t + k_next G_next.
+    The forward term is skipped when D_next is None or k_next == 0.
+
+    A NumericalFailure raised on the way is stamped with the batch index
+    and, when D_t is a FeatureBatch, with its layer.
+
+    Returns:
+        (new_state, (k_cur, k_next)).
     """
-    if t == 1 and state.style.init_mode == "paper_strict":
-        return state.eta_dag
-    return woodbury_update(state.eta_dag, D, 1.0, batch_index=t)
-
-
-def _weight_update(theta, eta_next, D, Y, G_next, k_cur, k_next, t):
-    G_t = D.T @ D
-    drift = (1.0 - k_cur) * G_t
-    if G_next is not None and k_next != 0.0:
-        drift = drift + k_next * G_next
-    theta_new = theta - eta_next @ (drift @ theta - D.T @ Y)
-    if not np.all(np.isfinite(theta_new)):
-        raise NumericalFailure("weight update is non-finite", batch_index=t)
-    return theta_new
+    D, Y = _check_batch(state, D_t, Y_t)
+    t = state.t + 1
+    try:
+        eta_dag = state.eta_dag
+        if not (t == 1 and state.style.init_mode == "paper_strict"):
+            eta_dag = woodbury_update(eta_dag, D, 1.0, batch_index=t)
+        k_cur, k_next = pick_k(D, eta_dag)
+        eta = eta_dag
+        drift = (1.0 - k_cur) * (D.T @ D)
+        if D_next is not None and k_next != 0.0:
+            DN = _as_matrix(D_next)
+            eta = woodbury_update(eta_dag, DN, k_next, batch_index=t)
+            drift = drift + k_next * (DN.T @ DN)
+        theta = state.theta - eta @ (drift @ state.theta - D.T @ Y)
+        if not np.all(np.isfinite(theta)):
+            raise NumericalFailure("weight update is non-finite")
+    except NumericalFailure as exc:
+        exc.batch_index, exc.layer = t, getattr(D_t, "layer", None)
+        raise
+    new_state = dataclasses.replace(state, theta=theta, eta_dag=eta_dag, eta=eta, t=t)
+    return new_state, (k_cur, k_next)
 
 
 def step_ridge(state, D_t, Y_t):
@@ -227,11 +237,7 @@ def step_ridge(state, D_t, Y_t):
     """
     if state.style.kind != "ridge":
         raise ContractError(f"step_ridge needs a ridge style, got {state.style.kind!r}")
-    D, Y = _check_batch(state, D_t, Y_t)
-    t = state.t + 1
-    eta_dag = _accumulate(state, D, t)
-    theta = _weight_update(state.theta, eta_dag, D, Y, None, 0.0, 0.0, t)
-    return dataclasses.replace(state, theta=theta, eta_dag=eta_dag, eta=eta_dag, t=t)
+    return _step(state, D_t, Y_t, None, lambda D, eta_dag: (0.0, 0.0))[0]
 
 
 def step_kf(state, D_t, Y_t, D_next=None):
@@ -246,19 +252,9 @@ def step_kf(state, D_t, Y_t, D_next=None):
     """
     if state.style.kind != "kf":
         raise ContractError(f"step_kf needs a kf style, got {state.style.kind!r}")
-    D, Y = _check_batch(state, D_t, Y_t)
-    t = state.t + 1
-    eta_dag = _accumulate(state, D, t)
-    if D_next is None:
-        eta_next = eta_dag
-        theta = _weight_update(state.theta, eta_next, D, Y, None,
-                               float(state.style.k), 0.0, t)
-    else:
-        DN = _as_matrix(D_next)
-        k = float(state.style.k)
-        eta_next = woodbury_update(eta_dag, DN, k, batch_index=t)
-        theta = _weight_update(state.theta, eta_next, D, Y, DN.T @ DN, k, k, t)
-    return dataclasses.replace(state, theta=theta, eta_dag=eta_dag, eta=eta_next, t=t)
+    k = float(state.style.k)
+    pair = (k, 0.0 if D_next is None else k)
+    return _step(state, D_t, Y_t, D_next, lambda D, eta_dag: pair)[0]
 
 
 def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
@@ -293,6 +289,8 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
         )
     b = D.shape[0]
     P = D @ eta @ D.T + sigma * np.eye(b)
+    if not np.all(np.isfinite(P)):
+        raise NumericalFailure("projected covariance is non-finite")
 
     if fast == "trace_only":
         value = kappa * (np.trace(P) / b)
@@ -343,51 +341,24 @@ def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
         raise ContractError(
             f"step_kf_bayes needs a kf_bayes style, got {state.style.kind!r}"
         )
-    D, Y = _check_batch(state, D_t, Y_t)
-    t = state.t + 1
     style = state.style
-    eta_dag = _accumulate(state, D, t)
 
-    if style.k_source == "previous_complete" and state.eta is not None:
-        k_basis = state.eta
-    else:
-        k_basis = eta_dag
+    def pick_k(D, eta_dag):
+        if k_override is not None:
+            return float(k_override[0]), float(k_override[1])
+        basis = eta_dag
+        if style.k_source == "previous_complete" and state.eta is not None:
+            basis = state.eta
 
-    pair = None
-    if k_override is not None:
-        k_cur, k_next = (float(k_override[0]), float(k_override[1]))
-    else:
-        k_cur = compute_adaptive_k(D, k_basis, style.kappa, style.sigma,
+        def clamped(block):
+            k = compute_adaptive_k(block, basis, style.kappa, style.sigma,
                                    fast=style.fast_k, rng=rng)
-        k_cur = float(np.clip(k_cur, K_CLAMP_LO, K_CLAMP_HI))
-        if D_next is None:
-            k_next = 0.0
-        else:
-            k_next = compute_adaptive_k(D_next, k_basis, style.kappa,
-                                        style.sigma, fast=style.fast_k,
-                                        rng=rng)
-            k_next = float(np.clip(k_next, K_CLAMP_LO, K_CLAMP_HI))
-        pair = (k_cur, k_next)
+            return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
 
-    if D_next is None:
-        eta_next = eta_dag
-        theta = _weight_update(state.theta, eta_next, D, Y, None, k_cur, 0.0, t)
-    else:
-        DN = _as_matrix(D_next)
-        eta_next = woodbury_update(eta_dag, DN, k_next, batch_index=t)
-        theta = _weight_update(state.theta, eta_next, D, Y, DN.T @ DN, k_cur, k_next, t)
+        return clamped(D), (0.0 if D_next is None else clamped(D_next))
 
-    new_state = dataclasses.replace(
-        state, theta=theta, eta_dag=eta_dag, eta=eta_next, t=t
-    )
-    return new_state, pair
-
-
-_STEP_DISPATCH = {
-    "ridge": step_ridge,
-    "kf": step_kf,
-    "kf_bayes": step_kf_bayes,
-}
+    new_state, pair = _step(state, D_t, Y_t, D_next, pick_k)
+    return new_state, (None if k_override is not None else pair)
 
 
 class ContinualModel:
@@ -510,16 +481,14 @@ def _ridge_heads(X, y, config, weights):
     ]
 
 
-def _ensemble_accuracy(X_te, y_te, thetas, config, weights, class_mask=None):
-    feats = extract_features(np.asarray(X_te, dtype=float), weights, config, t=0)
-    logits = [fb.D @ th for fb, th in zip(feats, thetas)]
-    probs = ensemble_decision(logits, mode="mean")
+def _predict(feats, thetas, class_mask=None):
+    """Ensemble class predictions from per-layer design matrices."""
+    probs = ensemble_decision([D @ th for D, th in zip(feats, thetas)], mode="mean")
     if class_mask is not None:
         blocked = np.full_like(probs, -np.inf)
         blocked[:, class_mask] = probs[:, class_mask]
         probs = blocked
-    pred = probs.argmax(axis=1)
-    return float(np.mean(pred == np.asarray(y_te)))
+    return probs.argmax(axis=1)
 
 
 def fit_baseline(kind, tasks, test, config):
@@ -549,34 +518,27 @@ def fit_baseline(kind, tasks, test, config):
         raise ContractError("baselines require task annotations")
 
     weights = init_random_weights(config)
+    feats = [fb.D for fb in extract_features(test.X, weights, config, t=0)]
     y_te = np.asarray(test.y)
-    Q = len(tasks)
-    per_task = np.zeros(Q)
+    task_rows = [np.isin(y_te, np.asarray(tk.classes, dtype=int)) for tk in tasks]
 
     if kind == "separate":
-        for q, tk in enumerate(tasks):
-            thetas = _ridge_heads(tk.X, tk.y, config, weights)
-            mask = np.asarray(tk.classes, dtype=int)
-            rows = np.isin(y_te, mask)
-            per_task[q] = _ensemble_accuracy(
-                test.X[rows], y_te[rows], thetas, config, weights, class_mask=mask
-            )
+        per_task = np.array([
+            np.mean(_predict([D[rows] for D in feats],
+                             _ridge_heads(tk.X, tk.y, config, weights),
+                             class_mask=np.asarray(tk.classes, dtype=int))
+                    == y_te[rows])
+            for tk, rows in zip(tasks, task_rows)
+        ])
         return BaselineResult(kind, float(per_task.mean()), per_task)
 
     if kind == "offline":
         X = np.vstack([tk.X for tk in tasks])
         y = np.concatenate([tk.y for tk in tasks])
-        thetas = _ridge_heads(X, y, config, weights)
     elif kind == "non_incremental":
-        thetas = _ridge_heads(tasks[0].X, tasks[0].y, config, weights)
-    else:  # fine_tune: each refit overwrites the previous weights
-        for tk in tasks:
-            thetas = _ridge_heads(tk.X, tk.y, config, weights)
-
-    accuracy = _ensemble_accuracy(test.X, y_te, thetas, config, weights)
-    for q, tk in enumerate(tasks):
-        rows = np.isin(y_te, np.asarray(tk.classes, dtype=int))
-        per_task[q] = _ensemble_accuracy(
-            test.X[rows], y_te[rows], thetas, config, weights
-        )
-    return BaselineResult(kind, accuracy, per_task)
+        X, y = tasks[0].X, tasks[0].y
+    else:  # fine_tune: each refit overwrites the previous, so only the last counts
+        X, y = tasks[-1].X, tasks[-1].y
+    hit = _predict(feats, _ridge_heads(X, y, config, weights)) == y_te
+    per_task = np.array([np.mean(hit[rows]) for rows in task_rows])
+    return BaselineResult(kind, float(np.mean(hit)), per_task)

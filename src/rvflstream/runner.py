@@ -56,7 +56,6 @@ class RunConfig:
     baselines: bool = True
     shuffle_within: bool = True
     out_dir: Path | None = None
-    repeats: int = 1
     raw: dict = field(default_factory=dict)
 
 
@@ -103,7 +102,6 @@ def validate_config(tree):
         split = TaskSplitSpec(
             Q=int(split_tree.get("Q", 1)),
             order_seed=int(seeds["order"]),
-            batches_per_class=split_tree.get("batches_per_class"),
         )
     except ContractError as exc:
         raise ConfigError(f"split: {exc}") from exc
@@ -142,9 +140,6 @@ def validate_config(tree):
     ensemble = tree.get("ensemble", "mean")
     if ensemble not in ("mean", "median"):
         raise ConfigError(f"ensemble must be 'mean' or 'median', got {ensemble!r}")
-    repeats = int(tree.get("repeats", 1))
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
 
     out = tree.get("out")
     raw = dict(tree)
@@ -160,7 +155,6 @@ def validate_config(tree):
         baselines=bool(tree.get("baselines", True)),
         shuffle_within=bool(tree.get("shuffle_within", True)),
         out_dir=Path(out) if out else None,
-        repeats=repeats,
         raw=raw,
     )
 

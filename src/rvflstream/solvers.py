@@ -62,8 +62,8 @@ def woodbury_update(eta, D, c, batch_index=None):
 
     Raises:
         ContractError: on shape mismatch or negative c.
-        NumericalFailure: if the inner b x b system cannot be solved or
-            the result contains non-finite entries.
+        NumericalFailure: if the inner b x b system is non-finite or
+            cannot be solved, or the result contains non-finite entries.
     """
     eta = np.asarray(eta, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -80,6 +80,11 @@ def woodbury_update(eta, D, c, batch_index=None):
 
     P = D @ eta
     S = np.eye(D.shape[0]) + c * (P @ D.T)
+    if not np.all(np.isfinite(S)):
+        raise NumericalFailure(
+            "inner system of the Woodbury correction is non-finite",
+            batch_index=batch_index,
+        )
     try:
         Z = solve_spd(S, P)
     except np.linalg.LinAlgError as exc:

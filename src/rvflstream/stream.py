@@ -56,21 +56,14 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskSplitSpec:
-    """How to carve a dataset into Q class-disjoint tasks.
-
-    batches_per_class is informational stream density used by config
-    echoes; the batch size itself is a separate runner parameter.
-    """
+    """How to carve a dataset into Q class-disjoint tasks."""
 
     Q: int
     order_seed: int = 0
-    batches_per_class: int | None = None
 
     def __post_init__(self):
         if self.Q < 1:
             raise ContractError(f"Q must be >= 1, got {self.Q}")
-        if self.batches_per_class is not None and self.batches_per_class < 1:
-            raise ContractError("batches_per_class must be >= 1 when given")
 
     def classes_per_task(self, m):
         if m % self.Q != 0:

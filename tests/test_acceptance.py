@@ -561,7 +561,7 @@ def _materialize_idx(root, name, tmp_path):
 def _write_idx_subset(ds, rows_per_class, images_path, labels_path, seed):
     """Bake a deterministic per-class subsample back into idx files."""
     rng = np.random.default_rng(seed)
-    y = ds.Y.argmax(axis=1)
+    y = ds.y
     keep = []
     for c in range(ds.m):
         idx = np.flatnonzero(y == c)
@@ -666,3 +666,59 @@ def test_per_batch_cost_does_not_grow_with_stream_length():
         f"per-batch cost grew: first-decile mean {first * 1e6:.1f}us, "
         f"last-decile mean {last * 1e6:.1f}us"
     )
+
+
+# ---------------------------------------------------------------------------
+# The idx -> subset -> runner path of test 8, on a tiny generated fixture.
+# ---------------------------------------------------------------------------
+
+def _write_idx(images, labels, images_path, labels_path):
+    n, rows, cols = images.shape
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">iiii", 2051, n, rows, cols))
+        f.write(images.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">ii", 2049, n))
+        f.write(labels.tobytes())
+
+
+def test_idx_subset_round_trips_through_the_runner(tmp_path):
+    """_write_idx_subset keeps exact pixels and a per-class quota, and
+    the baked files run end to end through dataset.kind: idx."""
+    from rvflstream.stream import load_idx
+
+    rng = np.random.default_rng(8)
+    paths = {}
+    for split, per_class in (("train", 12), ("test", 6)):
+        labels = np.repeat(np.arange(4, dtype=np.uint8), per_class)
+        images = rng.integers(0, 256, (labels.size, 6, 6), dtype=np.uint8)
+        images[:, 0, :] = labels[:, None] * 60  # a class-revealing row
+        full = (tmp_path / f"{split}-images", tmp_path / f"{split}-labels")
+        _write_idx(images, labels, *full)
+        ds = load_idx(*full, split=split)
+        paths[split] = (tmp_path / f"{split}-sub-images",
+                        tmp_path / f"{split}-sub-labels")
+        _write_idx_subset(ds, 5, *paths[split], seed=3)
+
+        sub = load_idx(*paths[split], split=split)
+        assert np.bincount(sub.y).tolist() == [5] * 4
+        matches = (sub.X[:, None, :] == ds.X[None, :, :]).all(axis=2)
+        assert np.all(matches.any(axis=1))
+        assert np.array_equal(sub.y, ds.y[matches.argmax(axis=1)])
+
+    report = run_experiment(validate_config({
+        "dataset": {"kind": "idx",
+                    "train_images": str(paths["train"][0]),
+                    "train_labels": str(paths["train"][1]),
+                    "test_images": str(paths["test"][0]),
+                    "test_labels": str(paths["test"][1])},
+        "split": {"Q": 2},
+        "batch_size": 4,
+        "network": {"L": 2, "N": 8},
+        "style": {"kind": "kf_bayes"},
+        "seeds": {"weights": 1, "order": 2},
+    }))
+    assert (report.resolved["s"], report.resolved["m"]) == (36, 4)
+    assert report.resolved["T"] == 5
+    assert report.boundary_audit["ok"]
+    assert np.isfinite(report.final["acc"])

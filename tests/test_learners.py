@@ -242,6 +242,13 @@ class TestAdaptiveK:
         # diag(inv diag(1,4)) = (1, 1/4): the pick is one of 1 or 4.
         assert a in (pytest.approx(1.0), pytest.approx(4.0))
 
+    def test_non_finite_projection_is_numerical_failure(self):
+        D = np.array([[1e170, 1.0]])
+        for fast in (None, "random_pick", "trace_only"):
+            with np.errstate(over="ignore"), \
+                    pytest.raises(NumericalFailure, match="non-finite"):
+                compute_adaptive_k(D, np.eye(2), 1.0, 1e-5, fast=fast)
+
     def test_shape_guards(self):
         with pytest.raises(ContractError):
             compute_adaptive_k(np.ones((0, 2)), np.eye(2), 1.0, 0.0)
@@ -394,6 +401,28 @@ class TestContinualModel:
         model.observe(X2, Y, None)
         mu2, _ = model._norm
         assert np.array_equal(mu, mu2)
+
+    def test_head_failure_names_batch_and_layer(self):
+        rng = np.random.default_rng(5)
+        model = self.small(style_kw={"kind": "kf_bayes"})
+        X = rng.standard_normal((3, 4, 3))
+        Y = np.eye(2)[rng.integers(0, 2, (3, 4))]
+        Y[1][0, 0] = np.inf
+        model.observe(X[0], Y[0], X[1])
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure) as info:
+            model.observe(X[1], Y[1], X[2])
+        assert (info.value.batch_index, info.value.layer) == (2, 1)
+        assert "batch=2 layer=1" in str(info.value)
+
+    def test_adaptive_k_failure_names_batch_and_layer(self):
+        # Only the unlabeled next batch overflows, so the absorb of the
+        # current batch succeeds and k_next's projection fails.
+        model = self.small(style_kw={"kind": "kf_bayes"})
+        Y = np.eye(2)[[0, 1, 0, 1]]
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as info:
+            model.observe(np.ones((4, 3)), Y, np.full((4, 3), 1e170))
+        assert "projected covariance" in str(info.value)
+        assert (info.value.batch_index, info.value.layer) == (1, 1)
 
     def test_predict_proba_shape(self):
         rng = np.random.default_rng(4)

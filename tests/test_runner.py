@@ -88,7 +88,6 @@ class TestValidateConfig:
         assert cfg.eval_every == "batch"
         assert cfg.ensemble == "mean"
         assert cfg.baselines is True
-        assert cfg.repeats == 1
 
 
 class TestLoadConfig:
@@ -306,3 +305,23 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_features_are_exit_3(self, tmp_path, capsys):
+        # Finite inputs whose Gram overflows: the inner b x b system goes
+        # non-finite and must surface as a numerical failure.
+        rng = np.random.default_rng(0)
+        for name in ("train", "test"):
+            X = rng.uniform(1, 2, (8, 3)) * 1e170
+            labels = np.arange(8) % 2
+            np.savetxt(tmp_path / f"{name}.csv", np.column_stack([X, labels]),
+                       fmt="%.17g", delimiter=",")
+        tree = base_tree(dataset={"kind": "csv",
+                                  "train": str(tmp_path / "train.csv"),
+                                  "test": str(tmp_path / "test.csv")},
+                         split={"Q": 1})
+        p = self.write_cfg(tmp_path, tree)
+        with np.errstate(over="ignore"):
+            code = cli.main(["run", "--config", str(p),
+                             "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "batch=1 layer=1" in capsys.readouterr().err

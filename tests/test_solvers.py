@@ -7,7 +7,7 @@ Expected values marked "hand" were computed on paper from the 1x1 or
 import numpy as np
 import pytest
 
-from rvflstream.errors import ContractError
+from rvflstream.errors import ContractError, NumericalFailure
 from rvflstream.solvers import (
     bregman_quadratic,
     offline_kf_fit,
@@ -80,6 +80,12 @@ class TestWoodburyUpdate:
         eta = np.linalg.inv(random_psd(rng, 5) + np.eye(5))
         out = woodbury_update(eta, rng.standard_normal((2, 5)), 1.7)
         assert np.array_equal(out, out.T)
+
+    def test_non_finite_inner_system_is_numerical_failure(self):
+        D = np.array([[1e170, 1.0]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalFailure, match="batch=7"):
+            woodbury_update(np.eye(2), D, 1.0, batch_index=7)
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ContractError):
