@@ -17,6 +17,14 @@ Each learner keeps a pseudo-incomplete rate eta_dag that accumulates the
 labeled batches only; the complete rate eta additionally absorbs the
 k-weighted Gram of the upcoming unlabeled batch and is rebuilt from
 eta_dag every step. State size never grows with t.
+
+No step builds a d x d Gram: each data term is applied to theta through
+its b x d block. Fixed pairs (ridge, kf and an overridden kf_bayes) form
+the complete rate with a second Woodbury correction and move theta by
+it, the reference form the k = 1 pin checks bit for bit. An adaptive
+kf_bayes step applies the complete rate implicitly through its b x b
+inner system and keeps only the upcoming block and k_next; eta is built
+from them when it is read.
 """
 
 import dataclasses
@@ -33,7 +41,7 @@ from .network import (
     init_random_weights,
     softmax,
 )
-from .solvers import offline_ridge_fit, solve_spd, woodbury_update
+from .solvers import _solve_inner, offline_ridge_fit, solve_spd, woodbury_update
 
 # Adaptive k values are clamped here; the sigma floor in the trace
 # formula guards the inverse but not extreme traces on degenerate
@@ -100,16 +108,22 @@ class SubLearnerState:
     """Everything one layer's learner carries between batches.
 
     theta starts at zero (theta_{l,0} = theta_{l,1} = 0) and eta_dag at
-    (lam * I)^{-1}. eta is the complete rate produced by the most recent
-    step; it is None before the first step. t counts consumed batches.
+    (lam * I)^{-1}. t counts consumed batches. eta is the complete rate
+    produced by the most recent step; it is None before the first step.
+
+    A fixed-pair step stores eta as a matrix. An adaptive step applies
+    it implicitly and stores only the upcoming block D_next and k_next,
+    O(b * d); reading eta then builds
+    woodbury_update(eta_dag, D_next, k_next) afresh on every read.
     """
 
     theta: np.ndarray
     eta_dag: np.ndarray
-    eta: np.ndarray | None
     t: int
     lam: float
     style: RegStyle
+    _eta: np.ndarray | None = None
+    _forward: tuple | None = None
 
     @classmethod
     def initial(cls, d, m, lam, style):
@@ -118,11 +132,17 @@ class SubLearnerState:
         return cls(
             theta=np.zeros((d, m)),
             eta_dag=np.eye(d) / lam,
-            eta=None,
             t=0,
             lam=float(lam),
             style=style,
         )
+
+    @property
+    def eta(self):
+        if self._forward is None:
+            return self._eta
+        D_next, k_next = self._forward
+        return woodbury_update(self.eta_dag, D_next, k_next, batch_index=self.t)
 
     @property
     def d(self):
@@ -188,15 +208,24 @@ def _check_batch(state, D_t, Y_t):
     return D, Y
 
 
-def _step(state, D_t, Y_t, D_next, pick_k):
+def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     """Advance one head by the shared recursion of all three styles.
 
     The sequence: absorb D_t into eta_dag (skipped at t == 1 in
     paper_strict mode, reproducing the literal listing where eta_dag
-    stays at eta_0), let the style pick (k_cur, k_next) =
-    pick_k(D, eta_dag), absorb k_next * D_next^T D_next into the complete
-    rate, and move the head by the drift (1 - k_cur) G_t + k_next G_next.
-    The forward term is skipped when D_next is None or k_next == 0.
+    stays at eta_0), take (k_cur, k_next) from the fixed pair or, when
+    pair is None, adapt both from eta_dag, and move the head by
+    theta -= eta [((1 - k_cur) G_t + k_next G_next) theta - D_t^T Y_t]
+    with the complete rate eta. The forward term is skipped when D_next
+    is None or k_next == 0.
+
+    A fixed pair forms eta with a second Woodbury correction and applies
+    G_next as a matrix. An adaptive step applies eta implicitly,
+
+        eta g = eta_dag g - k_next V^T S^{-1} (V g),
+        V = D_next eta_dag,  S = I + k_next V D_next^T,
+
+    and stores (D_next, k_next) for SubLearnerState.eta to build on read.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -205,25 +234,39 @@ def _step(state, D_t, Y_t, D_next, pick_k):
         (new_state, (k_cur, k_next)).
     """
     D, Y = _check_batch(state, D_t, Y_t)
+    DN = None if D_next is None else _as_matrix(D_next)
+    theta = state.theta
     t = state.t + 1
     try:
         eta_dag = state.eta_dag
         if not (t == 1 and state.style.init_mode == "paper_strict"):
             eta_dag = woodbury_update(eta_dag, D, 1.0, batch_index=t)
-        k_cur, k_next = pick_k(D, eta_dag)
-        eta = eta_dag
-        drift = (1.0 - k_cur) * (D.T @ D)
-        if D_next is not None and k_next != 0.0:
-            DN = _as_matrix(D_next)
+        if pair is None:
+            k_cur, k_next, V = _adaptive_pair(state, eta_dag, D, DN, rng)
+        else:
+            k_cur, k_next = pair
+        # The current side of the drift minus the cross term, through
+        # the b x d block instead of the Gram G_t.
+        grad = D.T @ ((1.0 - k_cur) * (D @ theta) - Y)
+        eta, forward = eta_dag, None
+        if DN is None or k_next == 0.0:
+            step = eta_dag @ grad
+        elif pair is None:
+            g = grad + DN.T @ (k_next * (DN @ theta))
+            S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
+            step = eta_dag @ g - k_next * (V.T @ _solve_inner(S, V @ g))
+            eta, forward = None, (DN, k_next)
+        else:
             eta = woodbury_update(eta_dag, DN, k_next, batch_index=t)
-            drift = drift + k_next * (DN.T @ DN)
-        theta = state.theta - eta @ (drift @ state.theta - D.T @ Y)
+            step = eta @ (k_next * ((DN.T @ DN) @ theta) + grad)
+        theta = theta - step
         if not np.all(np.isfinite(theta)):
             raise NumericalFailure("weight update is non-finite")
     except NumericalFailure as exc:
         exc.batch_index, exc.layer = t, getattr(D_t, "layer", None)
         raise
-    new_state = dataclasses.replace(state, theta=theta, eta_dag=eta_dag, eta=eta, t=t)
+    new_state = dataclasses.replace(state, theta=theta, eta_dag=eta_dag, t=t,
+                                    _eta=eta, _forward=forward)
     return new_state, (k_cur, k_next)
 
 
@@ -237,7 +280,7 @@ def step_ridge(state, D_t, Y_t):
     """
     if state.style.kind != "ridge":
         raise ContractError(f"step_ridge needs a ridge style, got {state.style.kind!r}")
-    return _step(state, D_t, Y_t, None, lambda D, eta_dag: (0.0, 0.0))[0]
+    return _step(state, D_t, Y_t, None, (0.0, 0.0))[0]
 
 
 def step_kf(state, D_t, Y_t, D_next=None):
@@ -253,8 +296,34 @@ def step_kf(state, D_t, Y_t, D_next=None):
     if state.style.kind != "kf":
         raise ContractError(f"step_kf needs a kf style, got {state.style.kind!r}")
     k = float(state.style.k)
-    pair = (k, 0.0 if D_next is None else k)
-    return _step(state, D_t, Y_t, D_next, lambda D, eta_dag: pair)[0]
+    return _step(state, D_t, Y_t, D_next, (k, 0.0 if D_next is None else k))[0]
+
+
+def _k_from_projection(proj, kappa, sigma, fast, rng):
+    """The b x b rule of compute_adaptive_k on proj = D eta D^T."""
+    b = proj.shape[0]
+    P = proj + sigma * np.eye(b)
+    if not np.all(np.isfinite(P)):
+        raise NumericalFailure("projected covariance is non-finite")
+
+    if fast == "trace_only":
+        value = kappa * (np.trace(P) / b)
+    elif fast == "random_pick":
+        if rng is None:
+            rng = np.random.default_rng(0)
+        inv = solve_spd(P, np.eye(b))
+        j = int(rng.integers(b))
+        value = kappa / inv[j, j]
+    else:
+        inv = solve_spd(P, np.eye(b))
+        trace = float(np.trace(inv))
+        if not np.isfinite(trace):
+            raise NumericalFailure("trace of inverted projection is non-finite")
+        value = kappa * (b / trace)
+
+    if not np.isfinite(value):
+        raise NumericalFailure("adaptive k is non-finite")
+    return float(value)
 
 
 def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
@@ -287,29 +356,33 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
         raise ContractError(
             f"D must have {eta.shape[0]} columns, got shape {D.shape}"
         )
+    return _k_from_projection(D @ eta @ D.T, kappa, sigma, fast, rng)
+
+
+def _adaptive_pair(state, eta_dag, D, DN, rng):
+    """Clamped adaptive (k_cur, k_next) and V = D_next eta_dag.
+
+    Both projections come from one stacked [D; D_next] @ basis product.
+    The basis is eta_dag, or the previous complete rate under
+    k_source="previous_complete"; with eta_dag its lower rows are V.
+    V is None at the end of the stream, where k_next is 0.
+    """
+    style = state.style
+    basis = state.eta if style.k_source == "previous_complete" else None
+    if basis is None:
+        basis = eta_dag
+
+    def clamped(proj):
+        k = _k_from_projection(proj, style.kappa, style.sigma, style.fast_k, rng)
+        return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
+
     b = D.shape[0]
-    P = D @ eta @ D.T + sigma * np.eye(b)
-    if not np.all(np.isfinite(P)):
-        raise NumericalFailure("projected covariance is non-finite")
-
-    if fast == "trace_only":
-        value = kappa * (np.trace(P) / b)
-    elif fast == "random_pick":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        inv = solve_spd(P, np.eye(b))
-        j = int(rng.integers(b))
-        value = kappa / inv[j, j]
-    else:
-        inv = solve_spd(P, np.eye(b))
-        trace = float(np.trace(inv))
-        if not np.isfinite(trace):
-            raise NumericalFailure("trace of inverted projection is non-finite")
-        value = kappa * (b / trace)
-
-    if not np.isfinite(value):
-        raise NumericalFailure("adaptive k is non-finite")
-    return float(value)
+    M = (D if DN is None else np.vstack([D, DN])) @ basis
+    k_cur = clamped(M[:b] @ D.T)
+    if DN is None:
+        return k_cur, 0.0, None
+    k_next = clamped(M[b:] @ DN.T)
+    return k_cur, k_next, (M[b:] if basis is eta_dag else DN @ eta_dag)
 
 
 def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
@@ -319,7 +392,8 @@ def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
     k_cur from the labeled batch D_t and k_next from the unlabeled
     D_next, then clamped to [1e-6, 1e6]. The complete rate absorbs
     k_next * D_next^T D_next and the drift is
-    (1 - k_cur) D_t^T D_t + k_next D_next^T D_next.
+    (1 - k_cur) D_t^T D_t + k_next D_next^T D_next. The adaptive step
+    applies the complete rate implicitly; state.eta builds it on read.
 
     At the end of a stream (D_next is None) k_cur is still recomputed
     for the labeled batch; only the forward term vanishes, so the pair
@@ -330,7 +404,8 @@ def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
         D_t, Y_t: the labeled batch.
         D_next: the upcoming unlabeled batch, or None.
         k_override: test hook; a (k_cur, k_next) pair that bypasses the
-            adaptive formula and the clamp.
+            adaptive formula and the clamp, and takes the fixed-pair
+            form of the step.
         rng: generator for the random_pick fast variant.
 
     Returns:
@@ -341,23 +416,10 @@ def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
         raise ContractError(
             f"step_kf_bayes needs a kf_bayes style, got {state.style.kind!r}"
         )
-    style = state.style
-
-    def pick_k(D, eta_dag):
-        if k_override is not None:
-            return float(k_override[0]), float(k_override[1])
-        basis = eta_dag
-        if style.k_source == "previous_complete" and state.eta is not None:
-            basis = state.eta
-
-        def clamped(block):
-            k = compute_adaptive_k(block, basis, style.kappa, style.sigma,
-                                   fast=style.fast_k, rng=rng)
-            return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
-
-        return clamped(D), (0.0 if D_next is None else clamped(D_next))
-
-    new_state, pair = _step(state, D_t, Y_t, D_next, pick_k)
+    pair = None
+    if k_override is not None:
+        pair = float(k_override[0]), float(k_override[1])
+    new_state, pair = _step(state, D_t, Y_t, D_next, pair, rng)
     return new_state, (None if k_override is not None else pair)
 
 

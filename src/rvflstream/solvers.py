@@ -5,12 +5,24 @@ rate matrix eta is carried forward through Woodbury corrections of rank
 b (the batch size). The offline solvers in this module compute the same
 quantities directly and act as exact references for what the recursions
 must reproduce step by step.
+
+The observe path factors and solves with numpy.linalg only. The pip
+wheels of numpy and scipy each bundle their own OpenBLAS with its own
+spinning thread pool, so a step that alternates numpy matmuls with
+scipy's cho_factor/cho_solve hands the CPU from one pool to the other
+on every call. On a 2-vCPU machine (numpy 2.4, scipy 1.17, two
+OpenBLAS threads each), at b=20 and d=1040, a 0.8 ms ``D @ eta`` and a
+0.23 ms cho_factor/cho_solve took 8 ms back to back, against 1.5 ms
+for the same matmul followed by numpy.linalg.solve. A kf_bayes
+layer-step there dropped from 84-98 ms to 35 ms from this change of
+solver alone. scipy.linalg serves only the LDL fallback for matrices
+that are not positive definite.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, ldl, solve_triangular
+from scipy.linalg import ldl, solve_triangular
 
 from .errors import ContractError, NumericalFailure
 
@@ -18,13 +30,16 @@ from .errors import ContractError, NumericalFailure
 def solve_spd(A, B):
     """Solve A X = B for symmetric positive (semi)definite A.
 
-    Cholesky first; falls back to an LDL^T factorization when rounding
-    pushes A off the positive definite cone.
+    A Cholesky factorization serves as the positive definiteness test,
+    and the solve stays in numpy.linalg (see the module docstring). When
+    rounding pushes A off the positive definite cone the solve falls
+    back to an LDL^T factorization.
     """
     try:
-        return cho_solve(cho_factor(A, lower=True), B)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return _ldl_solve(A, B)
+    return np.linalg.solve(A, B)
 
 
 def _ldl_solve(A, B):
@@ -58,7 +73,11 @@ def woodbury_update(eta, D, c, batch_index=None):
         batch_index: optional stream position, used only in error reports.
 
     Returns:
-        The corrected inverse, re-symmetrized to suppress drift.
+        The corrected inverse, re-symmetrized to suppress drift. It is
+        one fresh d x d array: the correction is scaled, added to eta
+        and averaged with its transpose in place, block by block, so no
+        other d x d temporary is built. The bits equal those of
+        (out + out.T) / 2 on eta - c * (P^T Z).
 
     Raises:
         ContractError: on shape mismatch or negative c.
@@ -80,25 +99,50 @@ def woodbury_update(eta, D, c, batch_index=None):
 
     P = D @ eta
     S = np.eye(D.shape[0]) + c * (P @ D.T)
+    out = P.T @ _solve_inner(S, P, batch_index)
+    out *= -c
+    out += eta
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure(
+            "Woodbury correction produced non-finite entries",
+            batch_index=batch_index,
+        )
+    _symmetrize(out)
+    return out
+
+
+def _solve_inner(S, B, batch_index=None):
+    """Solve the b x b inner system S X = B of a Woodbury correction."""
     if not np.all(np.isfinite(S)):
         raise NumericalFailure(
             "inner system of the Woodbury correction is non-finite",
             batch_index=batch_index,
         )
     try:
-        Z = solve_spd(S, P)
+        return solve_spd(S, B)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             "inner system of the Woodbury correction is not solvable",
             batch_index=batch_index,
         ) from exc
-    out = eta - c * (P.T @ Z)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailure(
-            "Woodbury correction produced non-finite entries",
-            batch_index=batch_index,
-        )
-    return (out + out.T) / 2
+
+
+def _symmetrize(out, block=96):
+    # (out + out.T) / 2 in place, one block pair at a time, so the only
+    # temporary is block x block. (a + b) * 0.5 has the bits of
+    # (a + b) / 2, and a + b == b + a, so the result is exactly
+    # symmetric. The three 96 x 96 blocks in flight fit a 256 KiB L2;
+    # at d=1040 this ran in 2.4 ms against 3.3 ms with 256 x 256 blocks
+    # and 3.6 ms for the out-of-place form.
+    d = out.shape[0]
+    for i in range(0, d, block):
+        for j in range(i, d, block):
+            upper = out[i:i + block, j:j + block]
+            lower = out[j:j + block, i:i + block]
+            avg = upper + lower.T
+            avg *= 0.5
+            upper[...] = avg
+            lower[...] = avg.T
 
 
 def bregman_quadratic(theta_a, theta_b, M):

@@ -318,6 +318,82 @@ class TestBayesStep:
         assert a[1] != b_[1]          # sources diverge from step 2 on
 
 
+def _rel(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestImplicitForwardRate:
+    @pytest.mark.parametrize("style_kw", [
+        {},
+        {"init_mode": "paper_strict"},
+        {"fast_k": "trace_only"},
+    ])
+    def test_matches_dense_replay(self, style_kw, monkeypatch):
+        # The adaptive step applies the complete rate implicitly and
+        # absorbs only D_t; replaying its pairs through k_override takes
+        # the dense form with a second Woodbury. Both must agree at
+        # every step, the closing step (no D_next) included.
+        from rvflstream import learners
+
+        woodbury, calls = learners.woodbury_update, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return woodbury(*args, **kwargs)
+
+        monkeypatch.setattr(learners, "woodbury_update", counted)
+        rng = np.random.default_rng(71)
+        d, m, b, T = 10, 3, 4, 24
+        stream = random_stream(rng, T, b, d, m)
+        adaptive = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
+        dense = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
+        for i, (D, Y) in enumerate(stream):
+            D_next = stream[i + 1][0] if i + 1 < T else None
+            calls.clear()
+            adaptive, pair = step_kf_bayes(adaptive, D, Y, D_next)
+            skipped = i == 0 and style_kw.get("init_mode") == "paper_strict"
+            assert calls == ([] if skipped else [1.0])  # the absorb only
+            dense, _ = step_kf_bayes(dense, D, Y, D_next, k_override=pair)
+            assert _rel(adaptive.theta, dense.theta) <= 1e-9, f"step {i + 1}"
+            assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
+        assert pair[1] == 0.0
+
+
+class TestOneBlasPool:
+    def test_pd_streams_never_call_scipy_linalg(self, monkeypatch):
+        # numpy and scipy wheels bundle separate OpenBLAS pools; on
+        # positive definite data no step or offline fit may touch
+        # scipy.linalg. Its only use is the LDL fallback, covered by the
+        # semidefinite solve_spd test.
+        from rvflstream import solvers
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg called on positive definite data")
+
+        for name, value in list(vars(solvers).items()):
+            if callable(value) and getattr(value, "__module__", "").startswith("scipy.linalg"):
+                monkeypatch.setattr(solvers, name, forbidden)
+
+        rng = np.random.default_rng(12)
+        config = NetworkConfig(L=2, N=6, s=4, m=3, lam=1.0, seed=2)
+        X = rng.standard_normal((5, 6, 4))
+        Y = np.eye(3)[rng.integers(0, 3, (5, 6))]
+        for style in (RegStyle(kind="ridge"), RegStyle(kind="kf", k=0.5),
+                      RegStyle(kind="kf_bayes"),
+                      RegStyle(kind="kf_bayes", k_source="previous_complete",
+                               fast_k="random_pick")):
+            model = ContinualModel(config, style)
+            for t in range(5):
+                model.observe(X[t], Y[t], X[t + 1] if t + 1 < 5 else None)
+            assert all(np.all(np.isfinite(st.theta)) for st in model.states)
+
+        train, test = make_gaussian_dataset(classes=3, dims=4, separation=4.0,
+                                            samples=10, test_samples=5, seed=3)
+        tasks = [Task(train.X, train.y, (0, 1, 2))]
+        res = fit_baseline("offline", tasks, test, config)
+        assert np.isfinite(res.accuracy)
+
+
 class TestKTrace:
     def test_rows_sorted_and_complete(self):
         trace = AdaptiveKTrace(2)
