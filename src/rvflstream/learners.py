@@ -23,12 +23,12 @@ its b x d block. Fixed pairs (ridge, kf and an overridden kf_bayes) form
 the complete rate with a second Woodbury correction and move theta by
 it, the reference form the k = 1 pin checks bit for bit. An adaptive
 kf_bayes step applies the complete rate implicitly through its b x b
-inner system and keeps only the upcoming block and k_next; eta is built
-from them when it is read.
+inner system. Every step keeps only the upcoming block and k_next; eta
+is built from them when it is read.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +111,10 @@ class SubLearnerState:
     (lam * I)^{-1}. t counts consumed batches. eta is the complete rate
     produced by the most recent step; it is None before the first step.
 
-    A fixed-pair step stores eta as a matrix. An adaptive step applies
-    it implicitly and stores only the upcoming block D_next and k_next,
-    O(b * d); reading eta then builds
-    woodbury_update(eta_dag, D_next, k_next) afresh on every read.
+    A step stores only its forward term (D_next, k_next), O(b * d), or
+    None when it had none. Reading eta then builds
+    woodbury_update(eta_dag, D_next, k_next) afresh on every read, or
+    returns eta_dag when there is no forward term.
     """
 
     theta: np.ndarray
@@ -122,7 +122,6 @@ class SubLearnerState:
     t: int
     lam: float
     style: RegStyle
-    _eta: np.ndarray | None = None
     _forward: tuple | None = None
 
     @classmethod
@@ -139,10 +138,11 @@ class SubLearnerState:
 
     @property
     def eta(self):
+        if self.t == 0:
+            return None
         if self._forward is None:
-            return self._eta
-        D_next, k_next = self._forward
-        return woodbury_update(self.eta_dag, D_next, k_next, batch_index=self.t)
+            return self.eta_dag
+        return woodbury_update(self.eta_dag, *self._forward, batch_index=self.t)
 
     @property
     def d(self):
@@ -175,10 +175,6 @@ class AdaptiveKTrace:
                 f"adaptive k must be positive, got ({k_cur}, {k_next})"
             )
         self._pairs[layer - 1].append((t, float(k_cur), float(k_next)))
-
-    def pairs(self, layer):
-        """All (t, k_cur, k_next) triples for a 1-based layer index."""
-        return list(self._pairs[layer - 1])
 
     def rows(self):
         """Flat (t, layer, k_cur, k_next) rows in batch-major order."""
@@ -223,9 +219,10 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     G_next as a matrix. An adaptive step applies eta implicitly,
 
         eta g = eta_dag g - k_next V^T S^{-1} (V g),
-        V = D_next eta_dag,  S = I + k_next V D_next^T,
+        V = D_next eta_dag,  S = I + k_next V D_next^T.
 
-    and stores (D_next, k_next) for SubLearnerState.eta to build on read.
+    Either way the new state keeps only (D_next, k_next), or None without
+    a forward term, for SubLearnerState.eta to build on read.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -248,14 +245,13 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
         # The current side of the drift minus the cross term, through
         # the b x d block instead of the Gram G_t.
         grad = D.T @ ((1.0 - k_cur) * (D @ theta) - Y)
-        eta, forward = eta_dag, None
-        if DN is None or k_next == 0.0:
+        forward = None if DN is None or k_next == 0.0 else (DN, k_next)
+        if forward is None:
             step = eta_dag @ grad
         elif pair is None:
             g = grad + DN.T @ (k_next * (DN @ theta))
             S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
             step = eta_dag @ g - k_next * (V.T @ _solve_inner(S, V @ g))
-            eta, forward = None, (DN, k_next)
         else:
             eta = woodbury_update(eta_dag, DN, k_next, batch_index=t)
             step = eta @ (k_next * ((DN.T @ DN) @ theta) + grad)
@@ -266,7 +262,7 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
         exc.batch_index, exc.layer = t, getattr(D_t, "layer", None)
         raise
     new_state = dataclasses.replace(state, theta=theta, eta_dag=eta_dag, t=t,
-                                    _eta=eta, _forward=forward)
+                                    _forward=forward)
     return new_state, (k_cur, k_next)
 
 

@@ -10,16 +10,22 @@ so the feature extraction here is a pure function of (X, weights).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, NumericalFailure
+
+
+def _sigmoid(z):
+    # exp only sees -|z| <= 0, so it cannot overflow for any z.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
 
 ACTIVATIONS = {
     "relu": lambda z: np.maximum(z, 0.0),
     "leaky_relu": lambda z: np.where(z > 0.0, z, 0.01 * z),
-    "sigmoid": expit,
+    "sigmoid": _sigmoid,
     "tanh": np.tanh,
-    "swish": lambda z: z * expit(z),
+    "swish": lambda z: z * _sigmoid(z),
 }
 
 

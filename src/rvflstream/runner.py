@@ -41,6 +41,28 @@ from .stream import (
 
 DATASET_KINDS = ("synthetic", "idx", "csv")
 
+_SYNTHETIC_KEYS = ("classes", "dims", "separation", "samples", "test_samples")
+# Required keys of the dataset section by kind; idx and csv ones are paths.
+_DATASET_KEYS = {
+    "synthetic": _SYNTHETIC_KEYS,
+    "idx": ("train_images", "train_labels", "test_images", "test_labels"),
+    "csv": ("train", "test"),
+}
+
+# The keys each config section may hold; anything else is a typo or a
+# removed option and is rejected rather than silently ignored.
+_ALLOWED_KEYS = {
+    "config": ("dataset", "split", "batch_size", "network", "style", "eval_every",
+               "ensemble", "baselines", "shuffle_within", "seeds", "out"),
+    "synthetic": ("kind",) + _DATASET_KEYS["synthetic"],
+    "idx": ("kind",) + _DATASET_KEYS["idx"],
+    "csv": ("kind",) + _DATASET_KEYS["csv"] + ("label_column", "delimiter", "m"),
+    "split": ("Q",),
+    "network": ("L", "N", "activation", "lam", "standardize"),
+    "style": ("kind", "k", "kappa", "sigma", "init_mode", "k_source", "fast_k"),
+    "seeds": ("weights", "order", "synthetic"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -65,34 +87,39 @@ def _require(tree, key, where):
     return tree[key]
 
 
+def _check_keys(tree, allowed, where):
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for key in tree:
+        if key not in allowed:
+            raise ConfigError(
+                f"{where}: unknown key {key!r}; allowed: {', '.join(allowed)}"
+            )
+    return dict(tree)
+
+
 def validate_config(tree):
     """Turn a parsed config tree into a RunConfig, checking every field."""
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
+    _check_keys(tree, _ALLOWED_KEYS["config"], "config")
+    for name in ("split", "network", "style", "seeds"):
+        _check_keys(tree.get(name, {}), _ALLOWED_KEYS[name], name)
 
-    ds = dict(_require(tree, "dataset", "config"))
+    ds = _require(tree, "dataset", "config")
+    if not isinstance(ds, dict):
+        raise ConfigError("dataset must be a mapping")
     kind = _require(ds, "kind", "dataset")
     if kind not in DATASET_KINDS:
         raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
-    if kind == "synthetic":
-        for key in ("classes", "dims", "separation", "samples", "test_samples"):
-            _require(ds, key, "dataset")
-        ds.setdefault("seed", 0)
-    elif kind == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            p = Path(_require(ds, key, "dataset"))
-            if not p.exists():
-                raise ConfigError(f"dataset.{key}: path does not exist: {p}")
-    else:
-        for key in ("train", "test"):
-            p = Path(_require(ds, key, "dataset"))
-            if not p.exists():
-                raise ConfigError(f"dataset.{key}: path does not exist: {p}")
-        ds.setdefault("label_column", -1)
-        ds.setdefault("delimiter", ",")
+    ds = _check_keys(ds, _ALLOWED_KEYS[kind], "dataset")
+    for key in _DATASET_KEYS[kind]:
+        value = _require(ds, key, "dataset")
+        if kind != "synthetic" and not Path(value).exists():
+            raise ConfigError(f"dataset.{key}: path does not exist: {value}")
 
     seeds = dict(tree.get("seeds", {}))
-    for name in ("weights", "order", "synthetic"):
+    for name in _ALLOWED_KEYS["seeds"]:
         seeds.setdefault(name, 0)
     if kind == "synthetic":
         ds["seed"] = int(seeds["synthetic"])
@@ -159,17 +186,20 @@ def validate_config(tree):
     )
 
 
-def load_config(path):
-    """Read and validate a YAML config file."""
+def _read_yaml(path, what):
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file does not exist: {path}")
+        raise ConfigError(f"{what} does not exist: {path}")
     try:
         with open(path) as f:
-            tree = yaml.safe_load(f)
+            return yaml.safe_load(f)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    return validate_config(tree)
+
+
+def load_config(path):
+    """Read and validate a YAML config file."""
+    return validate_config(_read_yaml(path, "config file"))
 
 
 def with_seed_offset(config, offset):
@@ -185,31 +215,30 @@ def with_seed_offset(config, offset):
     return replace(config, dataset=ds, network=network, split=split)
 
 
+def _make_synthetic(spec):
+    return make_gaussian_dataset(
+        classes=int(spec["classes"]),
+        dims=int(spec["dims"]),
+        separation=float(spec["separation"]),
+        samples=int(spec["samples"]),
+        test_samples=int(spec["test_samples"]),
+        seed=int(spec.get("seed", 0)),
+    )
+
+
 def _load_datasets(ds):
     kind = ds["kind"]
     if kind == "synthetic":
-        return make_gaussian_dataset(
-            classes=int(ds["classes"]),
-            dims=int(ds["dims"]),
-            separation=float(ds["separation"]),
-            samples=int(ds["samples"]),
-            test_samples=int(ds["test_samples"]),
-            seed=int(ds.get("seed", 0)),
-        )
+        return _make_synthetic(ds)
     if kind == "idx":
         train = load_idx(ds["train_images"], ds["train_labels"], split="train")
         test = load_idx(ds["test_images"], ds["test_labels"], split="test")
         m = max(train.m, test.m)
         train.m = test.m = m
         return train, test
-    train = load_csv_features(
-        ds["train"], label_column=ds.get("label_column", -1),
-        delimiter=ds.get("delimiter", ","), m=ds.get("m"), split="train",
-    )
-    test = load_csv_features(
-        ds["test"], label_column=ds.get("label_column", -1),
-        delimiter=ds.get("delimiter", ","), m=train.m, split="test",
-    )
+    opts = {key: ds[key] for key in ("label_column", "delimiter") if key in ds}
+    train = load_csv_features(ds["train"], m=ds.get("m"), split="train", **opts)
+    test = load_csv_features(ds["test"], m=train.m, split="test", **opts)
     return train, test
 
 
@@ -449,6 +478,8 @@ def compare_styles(configs, repeats=1):
     configs = list(configs)
     if not configs:
         raise ContractError("compare needs at least one config")
+    if repeats < 1:
+        raise ContractError(f"repeats must be >= 1, got {repeats}")
 
     def non_style(cfg):
         tree = dict(cfg.raw)
@@ -507,27 +538,13 @@ def render_table(rows):
 
 def bake_synthetic(spec_path, out_dir):
     """Materialize a synthetic dataset spec into CSV feature files."""
-    spec_path = Path(spec_path)
-    if not spec_path.exists():
-        raise ConfigError(f"spec file does not exist: {spec_path}")
-    try:
-        with open(spec_path) as f:
-            spec = yaml.safe_load(f)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{spec_path}: invalid YAML: {exc}") from exc
+    spec = _read_yaml(spec_path, "spec file")
     if not isinstance(spec, dict):
         raise ConfigError("synthetic spec must be a mapping")
-    for key in ("classes", "dims", "separation", "samples", "test_samples"):
+    for key in _SYNTHETIC_KEYS:
         _require(spec, key, "synthetic spec")
 
-    train, test = make_gaussian_dataset(
-        classes=int(spec["classes"]),
-        dims=int(spec["dims"]),
-        separation=float(spec["separation"]),
-        samples=int(spec["samples"]),
-        test_samples=int(spec["test_samples"]),
-        seed=int(spec.get("seed", 0)),
-    )
+    train, test = _make_synthetic(spec)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, ds in (("train", train), ("test", test)):

@@ -6,23 +6,12 @@ b (the batch size). The offline solvers in this module compute the same
 quantities directly and act as exact references for what the recursions
 must reproduce step by step.
 
-The observe path factors and solves with numpy.linalg only. The pip
-wheels of numpy and scipy each bundle their own OpenBLAS with its own
-spinning thread pool, so a step that alternates numpy matmuls with
-scipy's cho_factor/cho_solve hands the CPU from one pool to the other
-on every call. On a 2-vCPU machine (numpy 2.4, scipy 1.17, two
-OpenBLAS threads each), at b=20 and d=1040, a 0.8 ms ``D @ eta`` and a
-0.23 ms cho_factor/cho_solve took 8 ms back to back, against 1.5 ms
-for the same matmul followed by numpy.linalg.solve. A kf_bayes
-layer-step there dropped from 84-98 ms to 35 ms from this change of
-solver alone. scipy.linalg serves only the LDL fallback for matrices
-that are not positive definite.
+All factorizations and solves use numpy.linalg only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import ldl, solve_triangular
 
 from .errors import ContractError, NumericalFailure
 
@@ -30,10 +19,10 @@ from .errors import ContractError, NumericalFailure
 def solve_spd(A, B):
     """Solve A X = B for symmetric positive (semi)definite A.
 
-    A Cholesky factorization serves as the positive definiteness test,
-    and the solve stays in numpy.linalg (see the module docstring). When
-    rounding pushes A off the positive definite cone the solve falls
-    back to an LDL^T factorization.
+    A Cholesky factorization serves as the positive definiteness test.
+    When rounding pushes A off the positive definite cone, or A is only
+    semidefinite, the solve falls back to the minimum-norm least squares
+    solution, which is exact for consistent systems.
     """
     try:
         np.linalg.cholesky(A)
@@ -43,16 +32,10 @@ def solve_spd(A, B):
 
 
 def _ldl_solve(A, B):
-    # A = lu @ d @ lu.T with lu[perm] lower triangular. The block
-    # diagonal d may be exactly singular for semidefinite A, so its
-    # solve goes through least squares.
-    lu, d, perm = ldl(A, lower=True)
-    z = solve_triangular(lu[perm], np.asarray(B)[perm], lower=True)
-    w = np.linalg.lstsq(d, z, rcond=None)[0]
-    x = solve_triangular(lu[perm].T, w, lower=False)
-    out = np.empty_like(x)
-    out[perm] = x
-    return out
+    # The fallback for matrices that are not positive definite. The
+    # solve is no longer an LDL^T factorization, but perfbench/tracing.py
+    # counts fallbacks under this name, so the name stays.
+    return np.linalg.lstsq(A, B, rcond=None)[0]
 
 
 def woodbury_update(eta, D, c, batch_index=None):

@@ -8,6 +8,7 @@ never looked.
 """
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,6 +216,24 @@ def _read_be32(f, path, what):
     return struct.unpack(">i", data)[0]
 
 
+def _read_idx(path, magic, kind, unit, sizes):
+    """Check an idx file's magic; return its named sizes and uint8 payload."""
+    with open(path, "rb") as f:
+        found = _read_be32(f, path, "magic")
+        if found != magic:
+            raise FormatError(
+                f"{path}: bad {kind} magic {found} at offset 0, expected {magic}"
+            )
+        values = [_read_be32(f, path, what) for what in sizes]
+        payload = f.read()
+    expected = math.prod(values)
+    if len(payload) != expected:
+        raise FormatError(
+            f"{path}: expected {expected} {unit} bytes, got {len(payload)}"
+        )
+    return values, np.frombuffer(payload, dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path=None, split="train"):
     """Load an IDX image/label pair into a flat dataset.
 
@@ -233,46 +252,20 @@ def load_idx(images_path, labels_path=None, split="train"):
         labels_path = guess
     labels_path = Path(labels_path)
 
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic {magic} at offset 0, "
-                f"expected {IDX_IMAGE_MAGIC}"
-            )
-        count = _read_be32(f, images_path, "item count")
-        rows = _read_be32(f, images_path, "row count")
-        cols = _read_be32(f, images_path, "column count")
-        payload = f.read()
-        expected = count * rows * cols
-        if len(payload) != expected:
-            raise FormatError(
-                f"{images_path}: expected {expected} pixel bytes, got {len(payload)}"
-            )
-        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad label magic {magic} at offset 0, "
-                f"expected {IDX_LABEL_MAGIC}"
-            )
-        count_l = _read_be32(f, labels_path, "item count")
-        payload = f.read()
-        if len(payload) != count_l:
-            raise FormatError(
-                f"{labels_path}: expected {count_l} label bytes, got {len(payload)}"
-            )
-        labels = np.frombuffer(payload, dtype=np.uint8).astype(int)
-
+    (count, rows, cols), images = _read_idx(
+        images_path, IDX_IMAGE_MAGIC, "image", "pixel",
+        ("item count", "row count", "column count"),
+    )
+    (count_l,), labels = _read_idx(
+        labels_path, IDX_LABEL_MAGIC, "label", "label", ("item count",)
+    )
     if count_l != count:
         raise FormatError(
             f"image/label counts differ: {count} vs {count_l}"
         )
     return LabeledDataset(
-        X=images.astype(float) / 255.0,
-        y=labels,
+        X=images.reshape(count, rows * cols).astype(float) / 255.0,
+        y=labels.astype(int),
         m=int(labels.max()) + 1,
         split=split,
     )

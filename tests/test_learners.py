@@ -361,10 +361,10 @@ class TestImplicitForwardRate:
 
 class TestOneBlasPool:
     def test_pd_streams_never_call_scipy_linalg(self, monkeypatch):
-        # numpy and scipy wheels bundle separate OpenBLAS pools; on
-        # positive definite data no step or offline fit may touch
-        # scipy.linalg. Its only use is the LDL fallback, covered by the
-        # semidefinite solve_spd test.
+        # numpy and scipy wheels bundle separate OpenBLAS pools, so no
+        # step or offline fit may touch scipy.linalg. solvers imports
+        # none today (test_numpy_only refuses scipy altogether); this
+        # guard catches a scipy.linalg callable brought back into it.
         from rvflstream import solvers
 
         def forbidden(*args, **kwargs):

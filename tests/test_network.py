@@ -33,6 +33,11 @@ class TestActivations:
             1.0 / (1.0 + np.exp(-1.0))
         )
 
+    def test_sigmoid_saturates_without_overflow(self):
+        with np.errstate(over="raise"):
+            out = ACTIVATIONS["sigmoid"](np.array([-1000.0, 1000.0]))
+        assert np.array_equal(out, [0.0, 1.0])
+
     def test_all_registered(self):
         assert set(ACTIVATIONS) == {"relu", "leaky_relu", "sigmoid", "tanh",
                                     "swish"}

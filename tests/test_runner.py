@@ -83,6 +83,31 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="batch_size"):
             validate_config(base_tree(batch_size=0))
 
+    @pytest.mark.parametrize("section, key", [
+        ("config", "repeats"),
+        ("dataset", "seed"),
+        ("split", "batches_per_class"),
+        ("network", "lamda"),
+        ("style", "kk"),
+        ("seeds", "weight"),
+    ])
+    def test_unknown_key_rejected(self, section, key):
+        tree = base_tree()
+        (tree if section == "config" else tree[section])[key] = 1
+        with pytest.raises(ConfigError, match=f"{section}: unknown key '{key}'"):
+            validate_config(tree)
+
+    def test_dataset_keys_follow_kind(self, tmp_path):
+        for name in ("train.csv", "test.csv"):
+            (tmp_path / name).write_text("0.5,1.5,0\n1.5,0.5,1\n")
+        tree = base_tree(dataset={"kind": "csv", "m": 4,
+                                  "train": str(tmp_path / "train.csv"),
+                                  "test": str(tmp_path / "test.csv")})
+        assert validate_config(tree).dataset["m"] == 4
+        tree["dataset"]["kind"] = "idx"
+        with pytest.raises(ConfigError, match="dataset: unknown key"):
+            validate_config(tree)
+
     def test_defaults(self):
         cfg = validate_config(base_tree())
         assert cfg.eval_every == "batch"
@@ -214,6 +239,10 @@ class TestCompareStyles:
             assert row["acc_median"] is not None
             assert row["cum_regret_median"] is not None
 
+    def test_rejects_fewer_than_one_repeat(self):
+        with pytest.raises(ContractError, match="repeats"):
+            compare_styles(self.configs(), repeats=0)
+
     def test_rejects_non_style_differences(self):
         cfgs = self.configs()
         cfgs[1] = validate_config(base_tree(style={"kind": "kf"},
@@ -278,6 +307,21 @@ class TestCli:
         code = cli.main(["compare", "--configs", str(a), str(b)])
         assert code == 2
         assert "only in style" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_exit_2(self, tmp_path, capsys):
+        p = self.write_cfg(tmp_path, base_tree(style={"kind": "kf", "kk": 0.5}))
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "style: unknown key 'kk'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_zero_repeats_is_exit_2(self, tmp_path, capsys):
+        a = self.write_cfg(tmp_path, base_tree(style={"kind": "ridge"}),
+                           "a.yaml")
+        code = cli.main(["compare", "--configs", str(a), "--repeats", "0"])
+        assert code == 2
+        assert "repeats must be >= 1" in capsys.readouterr().err
 
     def test_compare_writes_table(self, tmp_path, capsys):
         a = self.write_cfg(tmp_path, base_tree(style={"kind": "ridge"}),
