@@ -22,9 +22,12 @@ No step builds a d x d Gram: each data term is applied to theta through
 its b x d block. Fixed pairs (ridge, kf and an overridden kf_bayes) form
 the complete rate with a second Woodbury correction and move theta by
 it, the reference form the k = 1 pin checks bit for bit. An adaptive
-kf_bayes step applies the complete rate implicitly through its b x b
-inner system. Every step keeps only the upcoming block and k_next; eta
-is built from them when it is read.
+kf_bayes step does only the absorb's d x d work, one stacked product
+[D_t; D_next] @ eta_dag and one write of the new eta_dag: the absorb
+returns D_t eta_dag and D_next eta_dag on the new matrix, both k come
+from them, and the complete rate is applied through its b x b inner
+system, with no d x d by d x m product. Every step keeps only the
+upcoming block and k_next; eta is built from them when it is read.
 """
 
 import dataclasses
@@ -216,10 +219,13 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     is None or k_next == 0.
 
     A fixed pair forms eta with a second Woodbury correction and applies
-    G_next as a matrix. An adaptive step applies eta implicitly,
+    G_next as a matrix. An adaptive step touches no d x d matrix beyond
+    the absorb: the absorb also returns A = D_t eta_dag and
+    V = D_next eta_dag from its one stacked product, both k come from
+    them, and with g = D_t^T u + D_next^T v the step applies eta as
 
-        eta g = eta_dag g - k_next V^T S^{-1} (V g),
-        V = D_next eta_dag,  S = I + k_next V D_next^T.
+        eta g = A^T u + V^T (v - k_next S^{-1} (V g)),
+        S = I + k_next V D_next^T.
 
     Either way the new state keeps only (D_next, k_next), or None without
     a forward term, for SubLearnerState.eta to build on read.
@@ -234,27 +240,38 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     DN = None if D_next is None else _as_matrix(D_next)
     theta = state.theta
     t = state.t + 1
+    absorb = not (t == 1 and state.style.init_mode == "paper_strict")
     try:
         eta_dag = state.eta_dag
-        if not (t == 1 and state.style.init_mode == "paper_strict"):
-            eta_dag = woodbury_update(eta_dag, D, 1.0, batch_index=t)
         if pair is None:
-            k_cur, k_next, V = _adaptive_pair(state, eta_dag, D, DN, rng)
+            ahead = D[:0] if DN is None else DN
+            if absorb:
+                eta_dag, proj = woodbury_update(eta_dag, D, 1.0, batch_index=t,
+                                                project=ahead)
+            else:
+                proj = np.vstack([D, ahead]) @ eta_dag
+            k_cur, k_next = _adaptive_pair(state, proj, D, DN, rng)
         else:
+            if absorb:
+                eta_dag = woodbury_update(eta_dag, D, 1.0, batch_index=t)
             k_cur, k_next = pair
         # The current side of the drift minus the cross term, through
         # the b x d block instead of the Gram G_t.
-        grad = D.T @ ((1.0 - k_cur) * (D @ theta) - Y)
+        u = (1.0 - k_cur) * (D @ theta) - Y
         forward = None if DN is None or k_next == 0.0 else (DN, k_next)
-        if forward is None:
-            step = eta_dag @ grad
-        elif pair is None:
-            g = grad + DN.T @ (k_next * (DN @ theta))
-            S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
-            step = eta_dag @ g - k_next * (V.T @ _solve_inner(S, V @ g))
+        if pair is None:
+            A, V = proj[:D.shape[0]], proj[D.shape[0]:]
+            step = A.T @ u
+            if forward is not None:
+                v = k_next * (DN @ theta)
+                S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
+                Vg = V @ (D.T @ u + DN.T @ v)
+                step += V.T @ (v - k_next * _solve_inner(S, Vg))
+        elif forward is None:
+            step = eta_dag @ (D.T @ u)
         else:
             eta = woodbury_update(eta_dag, DN, k_next, batch_index=t)
-            step = eta @ (k_next * ((DN.T @ DN) @ theta) + grad)
+            step = eta @ (k_next * ((DN.T @ DN) @ theta) + D.T @ u)
         theta = theta - step
         if not np.all(np.isfinite(theta)):
             raise NumericalFailure("weight update is non-finite")
@@ -355,30 +372,25 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
     return _k_from_projection(D @ eta @ D.T, kappa, sigma, fast, rng)
 
 
-def _adaptive_pair(state, eta_dag, D, DN, rng):
-    """Clamped adaptive (k_cur, k_next) and V = D_next eta_dag.
+def _adaptive_pair(state, proj, D, DN, rng):
+    """Clamped adaptive (k_cur, k_next) from the projections of the step.
 
-    Both projections come from one stacked [D; D_next] @ basis product.
-    The basis is eta_dag, or the previous complete rate under
-    k_source="previous_complete"; with eta_dag its lower rows are V.
-    V is None at the end of the stream, where k_next is 0.
+    proj holds [D; D_next] @ eta_dag. Under k_source="previous_complete"
+    the projections are taken afresh against the previous complete rate
+    instead, once one exists. k_next is 0 at the end of the stream.
     """
     style = state.style
     basis = state.eta if style.k_source == "previous_complete" else None
-    if basis is None:
-        basis = eta_dag
+    if basis is not None:
+        proj = (D if DN is None else np.vstack([D, DN])) @ basis
 
-    def clamped(proj):
-        k = _k_from_projection(proj, style.kappa, style.sigma, style.fast_k, rng)
+    def clamped(block):
+        k = _k_from_projection(block, style.kappa, style.sigma, style.fast_k, rng)
         return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
 
     b = D.shape[0]
-    M = (D if DN is None else np.vstack([D, DN])) @ basis
-    k_cur = clamped(M[:b] @ D.T)
-    if DN is None:
-        return k_cur, 0.0, None
-    k_next = clamped(M[b:] @ DN.T)
-    return k_cur, k_next, (M[b:] if basis is eta_dag else DN @ eta_dag)
+    k_cur = clamped(proj[:b] @ D.T)
+    return k_cur, (0.0 if DN is None else clamped(proj[b:] @ DN.T))
 
 
 def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):

@@ -98,6 +98,21 @@ def _check_keys(tree, allowed, where):
     return dict(tree)
 
 
+def _number(value, name, cast):
+    """value cast to int or float; a ConfigError naming the key if it is not one."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
+
+
+def _synthetic_field(spec, key, where):
+    """A required synthetic dataset field: separation a float, the rest ints."""
+    value = _require(spec, key, where)
+    return _number(value, f"{where}.{key}", float if key == "separation" else int)
+
+
 def validate_config(tree):
     """Turn a parsed config tree into a RunConfig, checking every field."""
     if not isinstance(tree, dict):
@@ -114,36 +129,45 @@ def validate_config(tree):
         raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
     ds = _check_keys(ds, _ALLOWED_KEYS[kind], "dataset")
     for key in _DATASET_KEYS[kind]:
+        if kind == "synthetic":
+            ds[key] = _synthetic_field(ds, key, "dataset")
+            continue
         value = _require(ds, key, "dataset")
-        if kind != "synthetic" and not Path(value).exists():
+        if not Path(value).exists():
             raise ConfigError(f"dataset.{key}: path does not exist: {value}")
 
     seeds = dict(tree.get("seeds", {}))
     for name in _ALLOWED_KEYS["seeds"]:
-        seeds.setdefault(name, 0)
+        seeds[name] = _number(seeds.get(name, 0), f"seeds.{name}", int)
     if kind == "synthetic":
-        ds["seed"] = int(seeds["synthetic"])
+        ds["seed"] = seeds["synthetic"]
 
     split_tree = dict(tree.get("split", {}))
     try:
         split = TaskSplitSpec(
-            Q=int(split_tree.get("Q", 1)),
-            order_seed=int(seeds["order"]),
+            Q=_number(split_tree.get("Q", 1), "split.Q", int),
+            order_seed=seeds["order"],
         )
     except ContractError as exc:
         raise ConfigError(f"split: {exc}") from exc
 
-    batch_size = int(_require(tree, "batch_size", "config"))
+    batch_size = _number(_require(tree, "batch_size", "config"), "batch_size", int)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
 
     net_tree = dict(tree.get("network", {}))
+    # One lam shared by every layer, or a list with one per layer.
+    lam = net_tree.get("lam", 1.0)
+    if isinstance(lam, list):
+        lam = [_number(v, "network.lam", float) for v in lam]
+    else:
+        lam = _number(lam, "network.lam", float)
     network = {
-        "L": int(net_tree.get("L", 3)),
-        "N": int(net_tree.get("N", 32)),
+        "L": _number(net_tree.get("L", 3), "network.L", int),
+        "N": _number(net_tree.get("N", 32), "network.N", int),
         "activation": net_tree.get("activation", "relu"),
-        "lam": net_tree.get("lam", 1.0),
-        "seed": int(seeds["weights"]),
+        "lam": lam,
+        "seed": seeds["weights"],
         "standardize": bool(net_tree.get("standardize", False)),
     }
 
@@ -151,9 +175,9 @@ def validate_config(tree):
     try:
         style = RegStyle(
             kind=style_tree.get("kind", "ridge"),
-            k=float(style_tree.get("k", 0.0)),
-            kappa=float(style_tree.get("kappa", 1.0)),
-            sigma=float(style_tree.get("sigma", 1e-5)),
+            k=_number(style_tree.get("k", 0.0), "style.k", float),
+            kappa=_number(style_tree.get("kappa", 1.0), "style.kappa", float),
+            sigma=_number(style_tree.get("sigma", 1e-5), "style.sigma", float),
             init_mode=style_tree.get("init_mode", "theorem"),
             k_source=style_tree.get("k_source", "pseudo"),
             fast_k=style_tree.get("fast_k"),
@@ -542,7 +566,7 @@ def bake_synthetic(spec_path, out_dir):
     if not isinstance(spec, dict):
         raise ConfigError("synthetic spec must be a mapping")
     for key in _SYNTHETIC_KEYS:
-        _require(spec, key, "synthetic spec")
+        _synthetic_field(spec, key, "synthetic spec")
 
     train, test = _make_synthetic(spec)
     out_dir = Path(out_dir)

@@ -8,12 +8,15 @@ drift term is assembled so those coefficients cancel structurally.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rvflstream.errors import ContractError, NumericalFailure
 from rvflstream.learners import (
+    K_CLAMP_HI,
+    K_CLAMP_LO,
     AdaptiveKTrace,
     ContinualModel,
     RegStyle,
@@ -357,6 +360,58 @@ class TestImplicitForwardRate:
             assert _rel(adaptive.theta, dense.theta) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
         assert pair[1] == 0.0
+
+
+class TestAdaptivePairFromProjections:
+    @pytest.mark.parametrize("style_kw", [
+        {},
+        {"init_mode": "paper_strict"},
+        {"fast_k": "trace_only"},
+        {"fast_k": "random_pick"},
+    ])
+    def test_pairs_follow_rule_on_new_eta_dag(self, style_kw):
+        # The adaptive step takes both k from the projections its absorb
+        # returns; they must equal the clamped rule applied afresh to
+        # the eta_dag the step leaves behind (d spans two panels).
+        rng = np.random.default_rng(72)
+        d, m, b, T = 150, 3, 4, 24
+        stream = random_stream(rng, T, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
+        step_rng, rule_rng = np.random.default_rng(5), np.random.default_rng(5)
+
+        def rule(block):
+            k = compute_adaptive_k(block, state.eta_dag, state.style.kappa,
+                                   state.style.sigma, state.style.fast_k,
+                                   rng=rule_rng)
+            return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
+
+        for i, (D, Y) in enumerate(stream):
+            D_next = stream[i + 1][0] if i + 1 < T else None
+            state, (k_cur, k_next) = step_kf_bayes(state, D, Y, D_next,
+                                                   rng=step_rng)
+            assert k_cur == pytest.approx(rule(D), rel=1e-10), f"step {i + 1}"
+            want = 0.0 if D_next is None else rule(D_next)
+            assert k_next == pytest.approx(want, rel=1e-10), f"step {i + 1}"
+        assert k_next == 0.0
+
+
+class TestStepAllocations:
+    def test_adaptive_step_builds_one_dxd_array(self):
+        # The new eta_dag is the step's only d x d allocation; the peak
+        # leaves room for panel-sized and b x d temporaries only.
+        rng = np.random.default_rng(81)
+        d, m, b = 400, 10, 20
+        stream = random_stream(rng, 3, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        state, _ = step_kf_bayes(state, *stream[0], stream[1][0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step_kf_bayes(state, *stream[1], stream[2][0])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2"
 
 
 class TestOneBlasPool:

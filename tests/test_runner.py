@@ -316,6 +316,44 @@ class TestCli:
         assert "style: unknown key 'kk'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", "eight"),
+        ("network.lam", "abc"),
+        ("network.lam", [1.0, "abc"]),
+        ("network.L", "three"),
+        ("network.N", None),
+        ("split.Q", "two"),
+        ("style.k", "half"),
+        ("style.kappa", "x"),
+        ("style.sigma", "tiny"),
+        ("seeds.weights", "w"),
+        ("seeds.order", "o"),
+        ("seeds.synthetic", "s"),
+        ("dataset.classes", "four"),
+        ("dataset.separation", "far"),
+    ])
+    def test_non_numeric_value_is_exit_2(self, tmp_path, capsys, name, value):
+        tree = base_tree()
+        section, _, key = name.rpartition(".")
+        (tree[section] if section else tree)[key] = value
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_numeric_synthetic_spec_is_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"classes": "four", "dims": 3,
+                                        "separation": 2.0, "samples": 5,
+                                        "test_samples": 2}))
+        code = cli.main(["bake-synthetic", "--spec", str(spec),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "spec.classes must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_compare_zero_repeats_is_exit_2(self, tmp_path, capsys):
         a = self.write_cfg(tmp_path, base_tree(style={"kind": "ridge"}),
                            "a.yaml")

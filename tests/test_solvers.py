@@ -9,6 +9,7 @@ import pytest
 
 from rvflstream.errors import ContractError, NumericalFailure
 from rvflstream.solvers import (
+    _PANEL,
     bregman_quadratic,
     offline_kf_fit,
     offline_ridge_dual,
@@ -94,6 +95,61 @@ class TestWoodburyUpdate:
     def test_rejects_column_mismatch(self):
         with pytest.raises(ContractError):
             woodbury_update(np.eye(2), np.ones((1, 3)), 1.0)
+
+
+class TestPanelledUpdate:
+    # The update writes eta - W^T W in row panels of solvers._PANEL rows;
+    # both widths span several panels and end on a partial one.
+    @pytest.fixture(scope="class", params=[300, 1040])
+    def system(self, request):
+        d = request.param
+        assert d > 2 * _PANEL and d % _PANEL != 0
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((d, d)) / np.sqrt(d)
+        base = A @ A.T + np.eye(d)
+        return base, np.linalg.inv(base)
+
+    @pytest.mark.parametrize("b", [1, 20])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.7])
+    def test_symmetric_and_matches_direct_inverse(self, system, b, c):
+        base, eta = system
+        d = base.shape[0]
+        D = np.random.default_rng(d + b).standard_normal((b, d))
+        out = woodbury_update(eta, D, c)
+        direct = np.linalg.inv(base + c * (D.T @ D))
+        assert np.array_equal(out, out.T)
+        assert np.linalg.norm(out - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    def test_projections_match_updated_matrix(self, system):
+        _, eta = system
+        d = eta.shape[0]
+        rng = np.random.default_rng(d + 1)
+        D, rows = rng.standard_normal((20, d)), rng.standard_normal((7, d))
+        out, proj = woodbury_update(eta, D, 1.0, project=rows)
+        want = np.vstack([D, rows]) @ out
+        assert proj.shape == (27, d)
+        assert np.linalg.norm(proj - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_indefinite_inner_system_falls_back_symmetric(self, monkeypatch):
+        # eta = -I makes S = I - D D^T indefinite, so the Cholesky test
+        # fails and the least squares solve takes over.
+        from rvflstream import solvers
+
+        ldl, calls = solvers._ldl_solve, []
+
+        def counted(A, B):
+            calls.append(A.shape)
+            return ldl(A, B)
+
+        monkeypatch.setattr(solvers, "_ldl_solve", counted)
+        d, b = 300, 4
+        eta = -np.eye(d)
+        D = np.random.default_rng(8).standard_normal((b, d))
+        out = woodbury_update(eta, D, 1.0)
+        assert calls == [(b, b)]
+        assert np.array_equal(out, out.T)
+        direct = np.linalg.inv(-np.eye(d) + D.T @ D)
+        assert np.linalg.norm(out - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 class TestOfflineRidge:
