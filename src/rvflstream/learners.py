@@ -39,12 +39,13 @@ from .errors import ContractError, NumericalFailure
 from .network import (
     FeatureBatch,
     NetworkConfig,
-    ensemble_decision,
     extract_features,
+    fuse_probs,
     init_random_weights,
     softmax,
 )
 from .solvers import _solve_inner, offline_ridge_fit, solve_spd, woodbury_update
+from .stream import one_hot
 
 # Adaptive k values are clamped here; the sigma floor in the trace
 # formula guards the inverse but not extreme traces on degenerate
@@ -157,11 +158,11 @@ class SubLearnerState:
 
 
 class AdaptiveKTrace:
-    """Ordered (k_cur, k_next) pairs per layer, one per adaptive step."""
+    """Ordered (t, layer, k_cur, k_next) rows, one per adaptive layer-step."""
 
     def __init__(self, layer_count):
         self.layer_count = layer_count
-        self._pairs = [[] for _ in range(layer_count)]
+        self._rows = []
 
     def record(self, layer, t, k_cur, k_next):
         """Store the pair used at batch t for 1-based layer index.
@@ -169,6 +170,8 @@ class AdaptiveKTrace:
         k_next is 0 exactly once per layer, on the step that closed the
         stream; every other weight comes out of the clamp positive.
         """
+        if not 1 <= layer <= self.layer_count:
+            raise ContractError(f"layer must be in 1..{self.layer_count}, got {layer}")
         if not (np.isfinite(k_cur) and np.isfinite(k_next)):
             raise NumericalFailure(
                 "adaptive k is non-finite", batch_index=t, layer=layer
@@ -177,16 +180,11 @@ class AdaptiveKTrace:
             raise ContractError(
                 f"adaptive k must be positive, got ({k_cur}, {k_next})"
             )
-        self._pairs[layer - 1].append((t, float(k_cur), float(k_next)))
+        self._rows.append((t, layer, float(k_cur), float(k_next)))
 
     def rows(self):
-        """Flat (t, layer, k_cur, k_next) rows in batch-major order."""
-        out = []
-        for layer in range(1, self.layer_count + 1):
-            for t, k_cur, k_next in self._pairs[layer - 1]:
-                out.append((t, layer, k_cur, k_next))
-        out.sort(key=lambda r: (r[0], r[1]))
-        return out
+        """The recorded rows in batch-major order, layers ascending within a batch."""
+        return sorted(self._rows, key=lambda r: (r[0], r[1]))
 
 
 def _as_matrix(D):
@@ -502,26 +500,25 @@ class ContinualModel:
                     self.k_trace.record(i + 1, t, pair[0], pair[1])
         self._pending = nxt
 
-    def logits(self, X):
-        """Per-layer raw scores D_l theta_l for ad hoc input."""
-        feats = self._features(X, 0)
-        return [fb.D @ st.theta for fb, st in zip(feats, self.states)]
-
     def eval_features(self, X):
         """Precompute per-layer design matrices for a fixed test set."""
         return [fb.D for fb in self._features(X, 0)]
 
-    def logits_from(self, eval_feats):
-        return [D @ st.theta for D, st in zip(eval_feats, self.states)]
-
     def per_learner_probs(self, X=None, eval_feats=None):
-        """Softmax outputs of every sub-learner, for regret and KL."""
-        zs = self.logits(X) if eval_feats is None else self.logits_from(eval_feats)
-        return [softmax(Z) for Z in zs]
+        """Every sub-learner's softmax outputs on X or eval_feats: (L, n, m)."""
+        feats = self.eval_features(X) if eval_feats is None else eval_feats
+        return _layer_probs(feats, [st.theta for st in self.states])
 
     def predict_proba(self, X=None, mode="mean", eval_feats=None):
-        zs = self.logits(X) if eval_feats is None else self.logits_from(eval_feats)
-        return ensemble_decision(zs, mode=mode)
+        return fuse_probs(self.per_learner_probs(X, eval_feats), mode=mode)
+
+
+def _layer_probs(feats, thetas):
+    """softmax(D_l theta_l) of every layer, written into one (L, n, m) array."""
+    Z = np.empty((len(thetas), len(feats[0]), thetas[0].shape[1]))
+    for D, theta, out in zip(feats, thetas, Z):
+        np.matmul(D, theta, out=out)
+    return softmax(Z)
 
 
 @dataclass
@@ -541,9 +538,7 @@ class BaselineResult:
 
 def _ridge_heads(X, y, config, weights):
     """Per-layer offline ridge heads for a labeled pool."""
-    m = config.m
-    Y = np.zeros((len(y), m))
-    Y[np.arange(len(y)), np.asarray(y, dtype=int)] = 1.0
+    Y = one_hot(y, config.m)
     feats = extract_features(np.asarray(X, dtype=float), weights, config, t=0)
     return [
         offline_ridge_fit(fb.D, Y, lam).theta
@@ -553,7 +548,7 @@ def _ridge_heads(X, y, config, weights):
 
 def _predict(feats, thetas, class_mask=None):
     """Ensemble class predictions from per-layer design matrices."""
-    probs = ensemble_decision([D @ th for D, th in zip(feats, thetas)], mode="mean")
+    probs = fuse_probs(_layer_probs(feats, thetas))
     if class_mask is not None:
         blocked = np.full_like(probs, -np.inf)
         blocked[:, class_mask] = probs[:, class_mask]

@@ -5,7 +5,9 @@ learning task i (0-based here; defined for j <= i). ACC averages the
 final row, backward transfer measures retention against the diagonal,
 and forward transfer compares the diagonal with independent per-task
 experts. The per-batch metrics (immediate accuracy, regret, KL) are
-pure functions of the ensemble outputs on a test set.
+pure functions of the ensemble outputs on a test set; regret and KL
+take every learner's outputs as one (L, n, m) array or a list of L
+n x m matrices.
 """
 
 from dataclasses import dataclass, field
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
+from .network import _stack_layers
 
 
 class AccuracyMatrix:
@@ -88,16 +91,10 @@ def immediate_accuracy(probs, Y_te):
 
 
 def _stack_learners(per_learner, Y_te):
-    per_learner = [np.asarray(P, dtype=float) for P in per_learner]
-    if not per_learner:
-        raise ContractError("need at least one learner output")
-    Y_te = np.asarray(Y_te, dtype=float)
-    for P in per_learner:
-        if P.shape != Y_te.shape:
-            raise ContractError(
-                f"learner output shape {P.shape} does not match targets {Y_te.shape}"
-            )
-    return per_learner, Y_te
+    P, Y_te = _stack_layers(per_learner), np.asarray(Y_te, dtype=float)
+    if P.shape[1:] != Y_te.shape:
+        raise ContractError(f"learner outputs {P.shape} do not fit targets {Y_te.shape}")
+    return P, Y_te
 
 
 def immediate_regret(per_learner, Y_te):
@@ -107,10 +104,9 @@ def immediate_regret(per_learner, Y_te):
     test rows. Identical learners cancel the L, so duplicating a
     learner leaves the value unchanged.
     """
-    per_learner, Y_te = _stack_learners(per_learner, Y_te)
-    L = len(per_learner)
-    n = Y_te.shape[0]
-    R = (sum(per_learner) - L * Y_te) / (L * n)
+    P, Y_te = _stack_learners(per_learner, Y_te)
+    L, n = P.shape[0], Y_te.shape[0]
+    R = (P.sum(axis=0) - L * Y_te) / (L * n)
     return float(np.sum(R * R))
 
 
@@ -124,10 +120,9 @@ def immediate_kl(per_learner, Y_te):
     normal double before the log, so a learner that underflows the true
     class yields a large finite divergence instead of inf.
     """
-    per_learner, Y_te = _stack_learners(per_learner, Y_te)
-    L = len(per_learner)
-    n = Y_te.shape[0]
-    P = sum(per_learner)
+    P, Y_te = _stack_learners(per_learner, Y_te)
+    L, n = P.shape[0], Y_te.shape[0]
+    P = P.sum(axis=0)
     mask = Y_te > 0
     floor = np.finfo(float).tiny
     terms = Y_te[mask] * np.log(L * Y_te[mask] / np.maximum(P[mask], floor))

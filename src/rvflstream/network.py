@@ -164,58 +164,69 @@ def extract_features(X, weights, config, t=0):
 
     act = ACTIVATIONS[config.activation]
     out = []
-    D_prev = None
-    for l in range(1, config.L + 1):
-        source = X if l == 1 else D_prev
-        H = act(source @ weights.layers[l - 1])
+    D = X
+    for l, W in enumerate(weights.layers, start=1):
+        H = act(D @ W)
         if not np.all(np.isfinite(H)):
             raise NumericalFailure(
                 "activation output is non-finite", batch_index=t, layer=l
             )
         D = np.hstack([H, X])
         out.append(FeatureBatch(D=D, layer=l, t=t))
-        D_prev = D
     return out
 
 
 def softmax(Z):
-    """Row-wise softmax, shifted by the row max for stability."""
+    """Softmax over the last axis of a b x m matrix or an (L, b, m) stack.
+
+    Shifted by the max for stability and normalised in place in one new
+    array, so the input is left unchanged.
+    """
     Z = np.asarray(Z, dtype=float)
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    P = Z - Z.max(axis=-1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=-1, keepdims=True)
+    return P
+
+
+def _stack_layers(arrays):
+    """One (L, b, m) float array from a stack or a list of L b x m matrices."""
+    try:
+        stacked = np.asarray(arrays, dtype=float)
+    except ValueError:
+        raise ContractError("all learners must produce the same shape") from None
+    if stacked.ndim != 3 or stacked.shape[0] < 1:
+        raise ContractError(f"need (L, b, m) with L >= 1, got shape {stacked.shape}")
+    return stacked
 
 
 def fuse_probs(probs, mode="mean"):
     """Fuse per-learner probability matrices into one.
 
     The ensemble is the element-wise mean (or median) across learners.
-    Median rows lose the sum-to-one property, so they are renormalized.
+    Median rows lose the sum-to-one property, so they are renormalized;
+    a row whose medians are all zero (the learners put their mass on
+    different classes) is the learners' mean row, renormalized too.
 
     Args:
-        probs: sequence of L matrices, all b x m, rows summing to one.
+        probs: an (L, b, m) array, used as it is, or a sequence of L
+            b x m matrices; rows sum to one.
         mode: "mean" or "median".
 
     Returns:
         b x m matrix whose rows are probability vectors.
     """
-    probs = list(probs)
-    if not probs:
-        raise ContractError("ensemble needs at least one learner")
     if mode not in ("mean", "median"):
         raise ContractError(f"unknown ensemble mode {mode!r}")
-    shape = np.asarray(probs[0]).shape
-    for P in probs[1:]:
-        if np.asarray(P).shape != shape:
-            raise ContractError("all learners must produce the same shape")
-
-    stacked = np.stack(probs)
+    probs = _stack_layers(probs)
     if mode == "mean":
-        return stacked.mean(axis=0)
-    med = np.median(stacked, axis=0)
+        return probs.mean(axis=0)
+    med = np.median(probs, axis=0)
+    empty = ~med.any(axis=1)
+    med[empty] = probs[:, empty].mean(axis=0)
     return med / med.sum(axis=1, keepdims=True)
 
 
 def ensemble_decision(logits, mode="mean"):
     """Softmax each learner's logits, then fuse them; see fuse_probs."""
-    return fuse_probs([softmax(Z) for Z in logits], mode=mode)
+    return fuse_probs(softmax(_stack_layers(logits)), mode=mode)

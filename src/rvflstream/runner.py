@@ -10,7 +10,7 @@ import hashlib
 import json
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,21 @@ def _number(value, name, cast):
         raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
 
 
+def _seed(value, name):
+    """A seed: a non-negative integer; a ConfigError naming the key otherwise."""
+    if (seed := _number(value, name, int)) < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
+
+
+def _flag(tree, key, default, name):
+    """A YAML boolean; a ConfigError naming the key for anything else."""
+    value = tree.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _synthetic_field(spec, key, where):
     """A required synthetic dataset field: separation a float, the rest ints."""
     value = _require(spec, key, where)
@@ -138,7 +153,7 @@ def validate_config(tree):
 
     seeds = dict(tree.get("seeds", {}))
     for name in _ALLOWED_KEYS["seeds"]:
-        seeds[name] = _number(seeds.get(name, 0), f"seeds.{name}", int)
+        seeds[name] = _seed(seeds.get(name, 0), f"seeds.{name}")
     if kind == "synthetic":
         ds["seed"] = seeds["synthetic"]
 
@@ -168,7 +183,7 @@ def validate_config(tree):
         "activation": net_tree.get("activation", "relu"),
         "lam": lam,
         "seed": seeds["weights"],
-        "standardize": bool(net_tree.get("standardize", False)),
+        "standardize": _flag(net_tree, "standardize", False, "network.standardize"),
     }
 
     style_tree = dict(tree.get("style", {}))
@@ -203,8 +218,8 @@ def validate_config(tree):
         style=style,
         eval_every=eval_every,
         ensemble=ensemble,
-        baselines=bool(tree.get("baselines", True)),
-        shuffle_within=bool(tree.get("shuffle_within", True)),
+        baselines=_flag(tree, "baselines", True, "baselines"),
+        shuffle_within=_flag(tree, "shuffle_within", True, "shuffle_within"),
         out_dir=Path(out) if out else None,
         raw=raw,
     )
@@ -303,14 +318,7 @@ class RunReport:
             "resolved": self.resolved,
             "seeds": self.seeds,
             "stream_sha256": self.stream_hash,
-            "trace": {
-                "t": self.trace.t,
-                "acc_seen": self.trace.acc_seen,
-                "acc_full": self.trace.acc_full,
-                "regret": self.trace.regret,
-                "cum_regret": self.trace.cum_regret,
-                "kl": self.trace.kl,
-            },
+            "trace": asdict(self.trace),
             "acc_matrix": [[clean(float(v)) for v in row] for row in self.acc_matrix],
             "independent": [clean(float(v)) for v in self.independent],
             "final": {k: clean(v) for k, v in self.final.items()},
@@ -337,16 +345,7 @@ def run_experiment(config):
     which the learning path itself never reads (audited in the report).
     """
     train, test = _load_datasets(config.dataset)
-    net = NetworkConfig(
-        L=config.network["L"],
-        N=config.network["N"],
-        s=train.X.shape[1],
-        m=train.m,
-        activation=config.network["activation"],
-        lam=config.network["lam"],
-        seed=config.network["seed"],
-        standardize=config.network["standardize"],
-    )
+    net = NetworkConfig(s=train.X.shape[1], m=train.m, **config.network)
     tasks = split_class_incremental(train, config.split,
                                     shuffle_within=config.shuffle_within)
     stream = batchify(tasks, config.batch_size, train.m)
@@ -471,10 +470,8 @@ def emit_report(report, out_dir):
 
     with open(out_dir / "curves.csv", "w", newline="\n") as f:
         f.write("t,acc_seen,acc_full,regret,cum_regret,kl\n")
-        for t, a_s, a_f, r, cr, kl in report.trace.rows():
-            f.write(
-                f"{t},{_fmt(a_s)},{_fmt(a_f)},{_fmt(r)},{_fmt(cr)},{_fmt(kl)}\n"
-            )
+        for t, *values in report.trace.rows():
+            f.write(",".join([str(t), *map(_fmt, values)]) + "\n")
 
     with open(out_dir / "kmatrix.csv", "w", newline="\n") as f:
         f.write("t,layer,k_cur,k_next\n")
@@ -483,7 +480,7 @@ def emit_report(report, out_dir):
 
     with open(out_dir / "accmatrix.csv", "w", newline="\n") as f:
         for row in report.acc_matrix:
-            f.write(",".join(_fmt(v) if not np.isnan(v) else "nan" for v in row))
+            f.write(",".join(map(_fmt, row)))
             f.write("\n")
 
     return out_dir
@@ -567,6 +564,7 @@ def bake_synthetic(spec_path, out_dir):
         raise ConfigError("synthetic spec must be a mapping")
     for key in _SYNTHETIC_KEYS:
         _synthetic_field(spec, key, "synthetic spec")
+    _seed(spec.get("seed", 0), "synthetic spec.seed")
 
     train, test = _make_synthetic(spec)
     out_dir = Path(out_dir)

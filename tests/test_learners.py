@@ -27,7 +27,13 @@ from rvflstream.learners import (
     step_kf_bayes,
     step_ridge,
 )
-from rvflstream.network import NetworkConfig, extract_features, init_random_weights
+from rvflstream.network import (
+    NetworkConfig,
+    extract_features,
+    fuse_probs,
+    init_random_weights,
+    softmax,
+)
 from rvflstream.solvers import offline_kf_fit, offline_ridge_fit
 from rvflstream.stream import Task, make_gaussian_dataset
 
@@ -468,6 +474,13 @@ class TestKTrace:
         with pytest.raises(NumericalFailure):
             trace.record(1, 1, np.nan, 0.5)
 
+    @pytest.mark.parametrize("layer", [0, -1, 4])
+    def test_rejects_layer_outside_range(self, layer):
+        trace = AdaptiveKTrace(3)
+        with pytest.raises(ContractError, match="layer"):
+            trace.record(layer, 1, 0.5, 0.5)
+        assert trace.rows() == []
+
 
 class TestContinualModel:
     def small(self, style_kw=None, **cfg_kw):
@@ -519,6 +532,35 @@ class TestContinualModel:
         assert [(t, layer) for t, layer, _, _ in rows] == [
             (1, 1), (1, 2), (2, 1), (2, 2)]
         assert all(r[3] == 0.0 for r in rows if r[0] == 2)
+
+    def trained(self):
+        rng = np.random.default_rng(8)
+        model = self.small(L=3, m=3, style_kw={"kind": "kf_bayes"})
+        X = rng.standard_normal((3, 6, 3))
+        Y = np.eye(3)[rng.integers(0, 3, (3, 6))]
+        for t in range(3):
+            model.observe(X[t], Y[t], X[t + 1] if t + 1 < 3 else None)
+        return model, rng.standard_normal((9, 3))
+
+    def test_per_learner_probs_is_one_stack(self):
+        model, X_te = self.trained()
+        P = model.per_learner_probs(X_te)
+        assert isinstance(P, np.ndarray)
+        assert P.shape == (3, 9, 3)
+        assert np.allclose(P.sum(axis=2), 1.0, atol=1e-12)
+        feats = model.eval_features(X_te)
+        assert np.array_equal(P, model.per_learner_probs(eval_feats=feats))
+        for layer, (D, st) in enumerate(zip(feats, model.states)):
+            assert np.array_equal(P[layer], softmax(D @ st.theta))
+
+    @pytest.mark.parametrize("mode", ["mean", "median"])
+    def test_predict_proba_fuses_per_learner_probs(self, mode):
+        model, X_te = self.trained()
+        expected = fuse_probs(model.per_learner_probs(X_te), mode)
+        assert np.array_equal(model.predict_proba(X_te, mode=mode), expected)
+        feats = model.eval_features(X_te)
+        assert np.array_equal(
+            model.predict_proba(mode=mode, eval_feats=feats), expected)
 
     def test_standardize_freezes_first_batch_stats(self):
         rng = np.random.default_rng(3)

@@ -151,6 +151,34 @@ class TestImmediateKL:
                                                    rel=1e-12)
 
 
+class TestStackedLearners:
+    def learners(self):
+        rng = np.random.default_rng(12)
+        Z = rng.random((3, 6, 4))
+        P = Z / Z.sum(axis=2, keepdims=True)
+        Y = np.eye(4)[rng.integers(0, 4, 6)]
+        return P, Y
+
+    @pytest.mark.parametrize("metric", [immediate_regret, immediate_kl])
+    def test_list_and_stack_give_identical_floats(self, metric):
+        P, Y = self.learners()
+        assert metric(list(P), Y) == metric(P, Y)
+
+    @pytest.mark.parametrize("metric", [immediate_regret, immediate_kl])
+    def test_ragged_list_rejected(self, metric):
+        P, Y = self.learners()
+        with pytest.raises(ContractError):
+            metric([P[0], P[1][:, :3]], Y)
+
+    @pytest.mark.parametrize("metric", [immediate_regret, immediate_kl])
+    def test_empty_and_mismatched_rejected(self, metric):
+        P, Y = self.learners()
+        with pytest.raises(ContractError):
+            metric([], Y)
+        with pytest.raises(ContractError):
+            metric(P[:, :5], Y)
+
+
 class TestTraceSeries:
     def test_cumulative_regret_accumulates(self):
         trace = TraceSeries()

@@ -152,6 +152,16 @@ class TestSoftmax:
         P = softmax(np.array([[1e300, 0.0], [-1e300, 0.0]]))
         assert np.all(np.isfinite(P))
 
+    def test_stack_equals_each_layer_and_leaves_input(self):
+        rng = np.random.default_rng(9)
+        Z = rng.standard_normal((3, 7, 4)) * 20
+        before = Z.copy()
+        P = softmax(Z)
+        assert P.shape == Z.shape
+        for layer in range(3):
+            assert np.array_equal(P[layer], softmax(Z[layer]))
+        assert np.array_equal(Z, before)
+
 
 class TestEnsemble:
     def test_mean_hand_case(self):
@@ -182,3 +192,32 @@ class TestEnsemble:
     def test_fuse_rejects_shape_mismatch(self):
         with pytest.raises(ContractError):
             fuse_probs([np.ones((1, 2)), np.ones((2, 2))])
+
+    @pytest.mark.parametrize("mode", ["mean", "median"])
+    def test_fuse_takes_the_stack_or_its_list(self, mode):
+        rng = np.random.default_rng(6)
+        P = softmax(rng.standard_normal((4, 5, 3)))
+        assert np.array_equal(fuse_probs(P, mode), fuse_probs(list(P), mode))
+
+    def test_ragged_lists_are_contract_errors(self):
+        ragged = [np.ones((2, 3)), np.ones((2, 2))]
+        with pytest.raises(ContractError):
+            fuse_probs(ragged)
+        with pytest.raises(ContractError):
+            ensemble_decision(ragged)
+        with pytest.raises(ContractError):
+            fuse_probs(np.ones((2, 3)))
+
+    def test_median_of_disjoint_learners_falls_back_to_mean(self):
+        # Row 0: three one-hot learners on three classes, every median 0.
+        # Row 1: two learners agree, so the median is one-hot.
+        P = np.array([
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]],
+            [[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
+        ])
+        fused = fuse_probs(P, mode="median")
+        assert np.all(np.isfinite(fused))
+        assert np.array_equal(fused[0], P[:, 0].mean(axis=0))
+        assert np.array_equal(fused[1], [0.0, 1.0, 0.0])
+        assert np.allclose(fused.sum(axis=1), 1.0, atol=1e-15)

@@ -354,6 +354,48 @@ class TestCli:
         assert "spec.classes must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["seeds.weights", "seeds.order",
+                                      "seeds.synthetic"])
+    def test_negative_seed_is_exit_2(self, tmp_path, capsys, name):
+        tree = base_tree()
+        tree["seeds"][name.split(".")[1]] = -1
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{name} must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["abc", -2])
+    def test_bad_synthetic_spec_seed_is_exit_2(self, tmp_path, capsys, seed):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"classes": 2, "dims": 3,
+                                        "separation": 2.0, "samples": 5,
+                                        "test_samples": 2, "seed": seed}))
+        code = cli.main(["bake-synthetic", "--spec", str(spec),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "spec.seed must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("baselines", "false"),
+        ("baselines", 0),
+        ("shuffle_within", "no"),
+        ("network.standardize", 1),
+        ("network.standardize", None),
+    ])
+    def test_non_boolean_flag_is_exit_2(self, tmp_path, capsys, name, value):
+        tree = base_tree()
+        section, _, key = name.rpartition(".")
+        (tree[section] if section else tree)[key] = value
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{name} must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_compare_zero_repeats_is_exit_2(self, tmp_path, capsys):
         a = self.write_cfg(tmp_path, base_tree(style={"kind": "ridge"}),
                            "a.yaml")
