@@ -21,13 +21,26 @@ eta_dag every step. State size never grows with t.
 No step builds a d x d Gram: each data term is applied to theta through
 its b x d block. Fixed pairs (ridge, kf and an overridden kf_bayes) form
 the complete rate with a second Woodbury correction and move theta by
-it, the reference form the k = 1 pin checks bit for bit. An adaptive
-kf_bayes step does only the absorb's d x d work, one stacked product
-[D_t; D_next] @ eta_dag and one write of the new eta_dag: the absorb
-returns D_t eta_dag and D_next eta_dag on the new matrix, both k come
-from them, and the complete rate is applied through its b x b inner
-system, with no d x d by d x m product. Every step keeps only the
-upcoming block and k_next; eta is built from them when it is read.
+it, the reference form the k = 1 pin checks bit for bit.
+
+An adaptive kf_bayes layer carries eta_dag in the deferred form
+E - A^T A: a d x d base E and a block A of the correction rows of its
+latest absorbs, at most R = min(_CARRY_ROWS, d // 4) of them (see
+_carry_cap). A step's d x d work is one stacked product
+[D_t; D_next] @ E, less its share through A in O(R b d). The absorb appends its b rows to A and returns D_t eta_dag and
+D_next eta_dag on the new matrix; both k come from them, and the
+complete rate is applied through its b x b inner system, with no d x d
+by d x m product. Once every R // b steps the layer flushes: it writes
+E - A^T A into a fresh base and empties A. Layer l flushes at the steps
+t = l modulo R // b, so the layers of a model take turns and a batch
+pays at most one flush while L * b <= R. Per layer, the state is
+d^2 + R d numbers. A layer with R // b < 2 flushes every step, which is
+the dense rank-b write.
+
+Every step keeps only its forward term: the upcoming block and k_next,
+and for an adaptive step D_next eta_dag, from which a previous_complete
+step takes the previous complete rate in O(b^2 d). eta is built from
+them when it is read.
 """
 
 import dataclasses
@@ -44,7 +57,14 @@ from .network import (
     init_random_weights,
     softmax,
 )
-from .solvers import _solve_inner, offline_ridge_fit, solve_spd, woodbury_update
+from .solvers import (
+    _correction_rows,
+    _minus_gram,
+    _solve_inner,
+    offline_ridge_fit,
+    solve_spd,
+    woodbury_update,
+)
 from .stream import one_hot
 
 # Adaptive k values are clamped here; the sigma floor in the trace
@@ -52,6 +72,16 @@ from .stream import one_hot
 # batches.
 K_CLAMP_LO = 1e-6
 K_CLAMP_HI = 1e6
+
+# Most correction rows an adaptive layer carries before writing them
+# into its d x d base; _carry_cap lowers it to d // 4 for narrow layers.
+# A low-rank write of the d x d matrix is bound by memory traffic: at
+# d=1040 on a 2-vCPU x86_64 VM, writing eta - W^T W took 4.6 ms for 20
+# rows of W and 7.6 ms for 160. Per adaptive step at b=20, the carried
+# form took 5.2 ms against 9.8 ms dense at d=1040 and 2.1 against 3.2 ms
+# at d=512; at d=128 a fixed 160-row carry took 0.80 ms against 0.67 ms
+# dense, which the d // 4 cap (every step dense there) avoids.
+_CARRY_ROWS = 160
 
 BASELINE_KINDS = ("offline", "separate", "fine_tune", "non_incremental")
 
@@ -115,17 +145,30 @@ class SubLearnerState:
     (lam * I)^{-1}. t counts consumed batches. eta is the complete rate
     produced by the most recent step; it is None before the first step.
 
+    eta_dag is carried as base - rows^T rows: a d x d base E and an
+    r x d block A of correction rows not yet written into it. Fixed
+    pairs keep no rows. An adaptive step appends its b absorb rows and
+    writes E - A^T A into a fresh base only on a flush, once every
+    R // b steps with R = _carry_cap(d) = min(_CARRY_ROWS, d // 4) (see
+    _flush_due), so r never exceeds R. Reading eta_dag builds E - A^T A
+    when rows are carried.
+
     A step stores only its forward term (D_next, k_next), O(b * d), or
-    None when it had none. Reading eta then builds
-    woodbury_update(eta_dag, D_next, k_next) afresh on every read, or
-    returns eta_dag when there is no forward term.
+    None when it had none. An adaptive step adds V = D_next eta_dag, the
+    b rows from which the complete rate's correction
+    eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows in
+    O(b^2 d); a previous_complete step takes its projections from it.
+    Reading eta builds woodbury_update(eta_dag, D_next, k_next) afresh
+    on every read, or returns eta_dag when there is no forward term. No
+    step writes into an array an earlier state holds.
     """
 
     theta: np.ndarray
-    eta_dag: np.ndarray
+    base: np.ndarray
     t: int
     lam: float
     style: RegStyle
+    rows: np.ndarray
     _forward: tuple | None = None
 
     @classmethod
@@ -134,11 +177,18 @@ class SubLearnerState:
             raise ContractError(f"lam must be positive, got {lam}")
         return cls(
             theta=np.zeros((d, m)),
-            eta_dag=np.eye(d) / lam,
+            base=np.eye(d) / lam,
             t=0,
             lam=float(lam),
             style=style,
+            rows=np.empty((0, d)),
         )
+
+    @property
+    def eta_dag(self):
+        if len(self.rows) == 0:
+            return self.base
+        return _minus_gram(self.base, self.rows, self.t)
 
     @property
     def eta(self):
@@ -146,7 +196,7 @@ class SubLearnerState:
             return None
         if self._forward is None:
             return self.eta_dag
-        return woodbury_update(self.eta_dag, *self._forward, batch_index=self.t)
+        return woodbury_update(self.eta_dag, *self._forward[:2], batch_index=self.t)
 
     @property
     def d(self):
@@ -205,6 +255,51 @@ def _check_batch(state, D_t, Y_t):
     return D, Y
 
 
+def _carry_cap(d):
+    """Most rows a layer of width d carries: R = min(_CARRY_ROWS, d // 4).
+
+    Carried rows cost 4 (b + b') R d flops per step, for b' upcoming
+    rows, and R d numbers of state, which pays only while the d x d
+    write they defer is large. The d // 4 bound keeps the state within
+    d^2 / 4 and those flops within half of the stacked product
+    [D_t; D_next] @ E.
+    """
+    return min(_CARRY_ROWS, d // 4)
+
+
+def _flush_due(t, layer, carried, b, d):
+    """Whether the absorb at batch t writes its layer's base.
+
+    Layer l (0 for a bare array) flushes when t = l modulo R // b, with
+    R = _carry_cap(d), so the layers of one model take turns and no
+    batch pays more than one flush while L * b <= R. A batch that would
+    carry more than R rows flushes too, which bounds the rows for any
+    mix of batch sizes. When R // b < 2 every step flushes, which is the
+    dense rank-b write.
+    """
+    cap = _carry_cap(d)
+    period = max(1, cap // b)
+    return carried + b > cap or (t - (layer or 0)) % period == 0
+
+
+def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
+    """Absorb D_t into the carried eta_dag and adapt both k from it.
+
+    Returns (base, rows, proj, (k_cur, k_next)), with proj the rows
+    [D_t; D_next] @ eta_dag on the new eta_dag.
+    """
+    ahead = D[:0] if DN is None else DN
+    if absorb:
+        flush = _flush_due(t, layer, len(state.rows), D.shape[0], state.d)
+        base, rows, before, proj = woodbury_update(
+            state.base, D, 1.0, batch_index=t, project=ahead, rows=state.rows,
+            flush=flush)
+    else:
+        base, rows = state.base, state.rows
+        before = proj = np.vstack([D, ahead]) @ base
+    return base, rows, proj, _adaptive_pair(state, before, proj, D, DN, rng)
+
+
 def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     """Advance one head by the shared recursion of all three styles.
 
@@ -216,17 +311,24 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     with the complete rate eta. The forward term is skipped when D_next
     is None or k_next == 0.
 
-    A fixed pair forms eta with a second Woodbury correction and applies
-    G_next as a matrix. An adaptive step touches no d x d matrix beyond
-    the absorb: the absorb also returns A = D_t eta_dag and
-    V = D_next eta_dag from its one stacked product, both k come from
+    A fixed pair writes the new eta_dag, forms eta with a second
+    Woodbury correction and applies G_next as a matrix. An adaptive step
+    touches no d x d matrix beyond the absorb, which appends its rows to
+    the carried ones and writes the base only on a flush (_flush_due).
+    The absorb also returns A = D_t eta_dag and V = D_next eta_dag on
+    the new eta_dag from its one stacked product, both k come from
     them, and with g = D_t^T u + D_next^T v the step applies eta as
 
         eta g = A^T u + V^T (v - k_next S^{-1} (V g)),
-        S = I + k_next V D_next^T.
+        S = I + k_next V D_next^T = L L^T.
 
-    Either way the new state keeps only (D_next, k_next), or None without
-    a forward term, for SubLearnerState.eta to build on read.
+    The difference is taken in the b-space. Forming V^T v - W_f^T (W_f g)
+    in the d-space instead, with the correction rows W_f of eta, cancels
+    large terms: at lam=1e-6 in paper_strict mode it took a
+    previous_complete run from 0.93 accuracy to 0.12.
+
+    The new state keeps (D_next, k_next), plus V for an adaptive step,
+    or None without a forward term.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -239,19 +341,16 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     theta = state.theta
     t = state.t + 1
     absorb = not (t == 1 and state.style.init_mode == "paper_strict")
+    layer = getattr(D_t, "layer", None)
     try:
-        eta_dag = state.eta_dag
         if pair is None:
-            ahead = D[:0] if DN is None else DN
-            if absorb:
-                eta_dag, proj = woodbury_update(eta_dag, D, 1.0, batch_index=t,
-                                                project=ahead)
-            else:
-                proj = np.vstack([D, ahead]) @ eta_dag
-            k_cur, k_next = _adaptive_pair(state, proj, D, DN, rng)
+            base, rows, proj, (k_cur, k_next) = _adaptive_absorb(
+                state, D, DN, t, layer, absorb, rng)
         else:
+            base = state.eta_dag
             if absorb:
-                eta_dag = woodbury_update(eta_dag, D, 1.0, batch_index=t)
+                base = woodbury_update(base, D, 1.0, batch_index=t)
+            rows = state.rows[:0]
             k_cur, k_next = pair
         # The current side of the drift minus the cross term, through
         # the b x d block instead of the Gram G_t.
@@ -265,19 +364,20 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
                 S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
                 Vg = V @ (D.T @ u + DN.T @ v)
                 step += V.T @ (v - k_next * _solve_inner(S, Vg))
+                forward = (DN, k_next, V)
         elif forward is None:
-            step = eta_dag @ (D.T @ u)
+            step = base @ (D.T @ u)
         else:
-            eta = woodbury_update(eta_dag, DN, k_next, batch_index=t)
+            eta = woodbury_update(base, DN, k_next, batch_index=t)
             step = eta @ (k_next * ((DN.T @ DN) @ theta) + D.T @ u)
         theta = theta - step
         if not np.all(np.isfinite(theta)):
             raise NumericalFailure("weight update is non-finite")
     except NumericalFailure as exc:
-        exc.batch_index, exc.layer = t, getattr(D_t, "layer", None)
+        exc.batch_index, exc.layer = t, layer
         raise
-    new_state = dataclasses.replace(state, theta=theta, eta_dag=eta_dag, t=t,
-                                    _forward=forward)
+    new_state = dataclasses.replace(state, theta=theta, base=base, rows=rows,
+                                    t=t, _forward=forward)
     return new_state, (k_cur, k_next)
 
 
@@ -370,17 +470,30 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
     return _k_from_projection(D @ eta @ D.T, kappa, sigma, fast, rng)
 
 
-def _adaptive_pair(state, proj, D, DN, rng):
+def _adaptive_pair(state, before, proj, D, DN, rng):
     """Clamped adaptive (k_cur, k_next) from the projections of the step.
 
-    proj holds [D; D_next] @ eta_dag. Under k_source="previous_complete"
-    the projections are taken afresh against the previous complete rate
-    instead, once one exists. k_next is 0 at the end of the stream.
+    proj holds [D; D_next] @ eta_dag on the new eta_dag and before the
+    same rows on the previous one. Under k_source="previous_complete"
+    the projections are taken on the previous complete rate instead,
+    once one exists: before - ([D; D_next] @ W_f^T) @ W_f, with the
+    correction rows W_f built from the V the previous step kept. A
+    fixed-pair forward term, or one whose inner system is not positive
+    definite, builds the previous complete rate instead. k_next is 0 at
+    the end of the stream.
     """
     style = state.style
-    basis = state.eta if style.k_source == "previous_complete" else None
-    if basis is not None:
-        proj = (D if DN is None else np.vstack([D, DN])) @ basis
+    if style.k_source == "previous_complete" and state.t > 0:
+        proj = before
+        if state._forward is not None:
+            D_prev, k_prev, *V = state._forward
+            W_f = _correction_rows(V[0], D_prev, k_prev, state.t)[1] if V else None
+            X = D if DN is None else np.vstack([D, DN])
+            if W_f is None:
+                proj = X @ state.eta
+            else:
+                proj = (X @ W_f.T) @ W_f
+                np.subtract(before, proj, out=proj)
 
     def clamped(block):
         k = _k_from_projection(block, style.kappa, style.sigma, style.fast_k, rng)

@@ -8,6 +8,7 @@ function of (config, seeds) except the wall-clock section.
 
 import hashlib
 import json
+import math
 import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
@@ -99,12 +100,23 @@ def _check_keys(tree, allowed, where):
 
 
 def _number(value, name, cast):
-    """value cast to int or float; a ConfigError naming the key if it is not one."""
+    """value as an int or a finite float; a ConfigError naming the key otherwise.
+
+    Nothing is coerced that would change the value: booleans, floats
+    with a fractional part for an integer key, and nan or inf are
+    refused.
+    """
+    fractional = cast is int and isinstance(value, float) and not value.is_integer()
     try:
-        return cast(value)
+        if isinstance(value, bool) or fractional:
+            raise ValueError
+        number = cast(value)
+        if cast is float and not math.isfinite(number):
+            raise ValueError
     except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
+        kind = "an integer" if cast is int else "a finite number"
         raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
+    return number
 
 
 def _seed(value, name):

@@ -6,9 +6,15 @@ b (the batch size). A correction does two pieces of d x d work: one
 product [D; extra rows] @ eta, and one write of eta - W^T W in row
 panels, symmetric by construction, where W is a b x d block from the
 Cholesky factor of the b x b inner system. The rows' projections on the
-corrected matrix come out of the same product in O(b^2 d). The offline
-solvers in this module compute the same quantities directly and act as
-exact references for what the recursions must reproduce step by step.
+corrected matrix come out of the same product in O(b^2 d).
+
+The deferred form carries eta as E - A^T A, a d x d base E and a block
+A of correction rows not yet written into it. A correction then costs
+one product [D; extra rows] @ E less its O(r b d) share through A, and
+appends W to A; the caller asks for the write E - A^T A, one panelled
+pass of rank r, only once A holds enough rows. The offline solvers in
+this module compute the same quantities directly and act as exact
+references for what the recursions must reproduce step by step.
 
 All factorizations and solves use numpy.linalg only.
 """
@@ -42,7 +48,8 @@ def _ldl_solve(A, B):
     return np.linalg.lstsq(A, B, rcond=None)[0]
 
 
-def woodbury_update(eta, D, c, batch_index=None, project=None):
+def woodbury_update(eta, D, c, batch_index=None, project=None, rows=None,
+                    flush=False):
     """Apply a weighted rank-b correction to an inverse matrix.
 
     Computes (eta^{-1} + c * D^T D)^{-1} without forming eta^{-1},
@@ -55,9 +62,18 @@ def woodbury_update(eta, D, c, batch_index=None, project=None):
     absorbed. With the Cholesky factor S = L L^T and P = D eta, the
     correction is W^T W for the b x d block W = sqrt(c) * L^{-1} P.
 
+    With rows, the matrix is carried in the deferred form E - A^T A:
+    eta is the base E and rows the r x d block A of correction rows
+    not yet written into it. The call takes P from the product
+    [D; project] @ E - ([D; project] @ A^T) @ A, appends W to A and
+    writes no d x d matrix, unless flush asks it to write the base
+    E - A'^T A' of the appended rows A' = [A; W] once and carry none.
+
     Args:
-        eta: d x d symmetric positive definite matrix. Not modified;
-            the result is built on its upper triangle.
+        eta: d x d symmetric positive definite matrix, or the base E
+            with rows. Not modified; the dense result is built on its
+            upper triangle, and a deferred result without a flush
+            returns it as the new base.
         D: b x d data block. b may be zero (the update is a no-op).
         c: nonnegative weight on the D^T D term. c == 0 is a no-op.
         batch_index: optional stream position, used only in error reports.
@@ -65,6 +81,9 @@ def woodbury_update(eta, D, c, batch_index=None, project=None):
             When given, the call also returns the projections
             [D; project] @ eta', taken from the same product [D; project]
             @ eta that the update needs, at O((b + r) * b * d) extra cost.
+        rows: optional r x d block A of carried correction rows (r may
+            be zero); selects the deferred form. Not modified.
+        flush: with rows, write the base and carry no rows.
 
     Returns:
         The corrected inverse, or (corrected inverse, projections) when
@@ -76,6 +95,12 @@ def woodbury_update(eta, D, c, batch_index=None, project=None):
         least squares solve of S and the average of the result with its
         transpose.
 
+        With rows, (base, rows, before, after): the new base and carried
+        rows, and the projections of [D; project] on the matrix before
+        and after the correction. The rows are a fresh array; the
+        fallback builds E - A^T A, corrects it as above and carries
+        no rows.
+
     Raises:
         ContractError: on shape mismatch or negative c.
         NumericalFailure: if the inner b x b system is non-finite or
@@ -85,38 +110,68 @@ def woodbury_update(eta, D, c, batch_index=None, project=None):
     D = np.asarray(D, dtype=float)
     if eta.ndim != 2 or eta.shape[0] != eta.shape[1]:
         raise ContractError(f"eta must be square, got shape {eta.shape}")
-    if D.ndim != 2 or D.shape[1] != eta.shape[0]:
-        raise ContractError(
-            f"D must have {eta.shape[0]} columns, got shape {D.shape}"
-        )
+    d = eta.shape[0]
+    if D.ndim != 2 or D.shape[1] != d:
+        raise ContractError(f"D must have {d} columns, got shape {D.shape}")
     if c < 0:
         raise ContractError(f"c must be nonnegative, got {c}")
     if project is not None:
         project = np.asarray(project, dtype=float)
-        if project.ndim != 2 or project.shape[1] != eta.shape[0]:
+    deferred = rows is not None
+    rows = D[:0] if rows is None else np.asarray(rows, dtype=float)
+    for name, block in (("project", project), ("rows", rows)):
+        if block is not None and (block.ndim != 2 or block.shape[1] != d):
             raise ContractError(
-                f"project must have {eta.shape[0]} columns, got shape {project.shape}"
+                f"{name} must have {d} columns, got shape {block.shape}"
             )
-    if c == 0.0 or D.shape[0] == 0:
-        out = eta.copy()
-        return out if project is None else (out, np.vstack([D, project]) @ out)
-
+    X = D if project is None else np.vstack([D, project])
     b = D.shape[0]
-    M = (D if project is None else np.vstack([D, project])) @ eta
-    P = M[:b]
-    S = np.eye(b) + c * (P @ D.T)
+    if not deferred and (c == 0.0 or b == 0):
+        out = eta.copy()
+        return out if project is None else (out, X @ out)
+
+    M = X @ eta
+    if len(rows):
+        M -= (X @ rows.T) @ rows
+    W = D[:0]
+    if c != 0.0 and b > 0:
+        P = M[:b]
+        S, W = _correction_rows(P, D, c, batch_index)
+    if W is None:
+        out = P.T @ _solve_inner(S, P, batch_index)
+        out *= -c
+        out += _minus_gram(eta, rows, batch_index) if len(rows) else eta
+        out = (out + out.T) / 2
+        _check_finite(out, batch_index)
+        if deferred:
+            return out, rows[:0], M, X @ out
+        return out if project is None else (out, X @ out)
+    if not deferred:
+        out = _minus_gram(eta, W, batch_index)
+        if project is None:
+            return out
+    after = (X @ W.T) @ W
+    np.subtract(M, after, out=after)
+    if not deferred:
+        return out, after
+    carried = np.vstack([rows, W]) if len(rows) else W
+    if flush and len(carried):
+        return _minus_gram(eta, carried, batch_index), carried[:0], M, after
+    return eta, carried, M, after
+
+
+def _correction_rows(P, D, c, batch_index=None):
+    """The rows W = sqrt(c) L^{-1} P of a rank-b correction, and S.
+
+    S = I + c * P D^T is the b x b inner system and L its Cholesky
+    factor. Returns (S, W), with W None when S is not positive definite.
+    """
+    S = np.eye(D.shape[0]) + c * (P @ D.T)
     _check_inner(S, batch_index)
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        L = None
-    if L is None:
-        out = P.T @ _solve_inner(S, P, batch_index)
-        out *= -c
-        out += eta
-        out = (out + out.T) / 2
-        _check_finite(out, batch_index)
-        return out if project is None else (out, np.vstack([D, project]) @ out)
+        return S, None
     # W = L^{-1} P through the explicit b x b inverse plus one step of
     # refinement on the residual P - L W. np.linalg.solve with d = 1040
     # right-hand sides took ~0.6 ms (2-vCPU x86_64, OpenBLAS) against
@@ -126,13 +181,11 @@ def woodbury_update(eta, D, c, batch_index=None, project=None):
     # unrefined, 1.3e-4 with the solve and 1.4e-4 refined.
     L_inv = np.linalg.inv(L)
     W = L_inv @ P
-    W += L_inv @ (P - L @ W)
+    residual = L @ W
+    np.subtract(P, residual, out=residual)
+    W += L_inv @ residual
     W *= np.sqrt(c)
-    out = _minus_gram(eta, W, batch_index)
-    if project is None:
-        return out
-    M -= np.vstack([D @ W.T, project @ W.T]) @ W
-    return out, M
+    return S, W
 
 
 def _check_inner(S, batch_index):

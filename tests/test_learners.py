@@ -21,6 +21,7 @@ from rvflstream.learners import (
     ContinualModel,
     RegStyle,
     SubLearnerState,
+    _carry_cap,
     compute_adaptive_k,
     fit_baseline,
     step_kf,
@@ -418,6 +419,190 @@ class TestStepAllocations:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2"
+
+
+class TestDeferredAbsorb:
+    # An adaptive layer carries eta_dag as base - rows^T rows and writes
+    # the base only on a flush, once every _carry_cap(d) // b steps.
+
+    @pytest.mark.parametrize("init_mode", ["theorem", "paper_strict"])
+    def test_matches_dense_replay_over_flushes(self, init_mode):
+        # d=150 carries up to 37 rows, so b=4 flushes every 9 steps: 35
+        # steps span three flushes and end on a short batch; d spans two
+        # panels.
+        rng = np.random.default_rng(73)
+        d, m, b, T = 150, 3, 4, 35
+        stream = random_stream(rng, T, b, d, m)
+        stream[-1] = (stream[-1][0][:3], stream[-1][1][:3])
+        adaptive = fresh_state(d=d, m=m, kind="kf_bayes", init_mode=init_mode)
+        dense = fresh_state(d=d, m=m, kind="kf_bayes", init_mode=init_mode)
+        flushes = 0
+        for i, (D, Y) in enumerate(stream):
+            D_next = stream[i + 1][0] if i + 1 < T else None
+            adaptive, pair = step_kf_bayes(adaptive, D, Y, D_next)
+            dense, _ = step_kf_bayes(dense, D, Y, D_next, k_override=pair)
+            flushes += i > 0 and len(adaptive.rows) == 0
+            assert _rel(adaptive.theta, dense.theta) <= 1e-9, f"step {i + 1}"
+            assert _rel(adaptive.eta_dag, dense.eta_dag) <= 1e-9, f"step {i + 1}"
+            assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
+        assert flushes == 3
+        assert pair[1] == 0.0
+
+    def test_earlier_states_stay_bit_for_bit(self):
+        # States kept mid-period hold carried rows and forward rows; the
+        # later steps, a flush among them, and a second branch from a
+        # kept state must not touch them.
+        rng = np.random.default_rng(74)
+        d, m, b = 160, 3, 5
+        stream = random_stream(rng, 12, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        kept = []
+        for i, (D, Y) in enumerate(stream[:-1]):
+            state, _ = step_kf_bayes(state, D, Y, stream[i + 1][0])
+            if i + 1 in (5, 7):
+                assert len(state.rows) > 0
+                kept.append((state, state.theta.copy(), state.rows.copy(),
+                             state.eta_dag.copy(), state.eta.copy()))
+        assert state.t == 11 and len(state.rows) == 3 * b  # flushed at t=8
+        branch, _ = step_kf_bayes(kept[0][0], *stream[5], stream[6][0])
+        again, _ = step_kf_bayes(kept[0][0], *stream[5], stream[6][0])
+        assert np.array_equal(branch.theta, again.theta)
+        for st, theta, rows, eta_dag, eta in kept:
+            assert np.array_equal(st.theta, theta)
+            assert np.array_equal(st.rows, rows)
+            assert np.array_equal(st.eta_dag, eta_dag)
+            assert np.array_equal(st.eta, eta)
+
+    def test_model_flushes_at_most_one_layer_per_observe(self, monkeypatch):
+        from rvflstream import solvers
+
+        minus_gram, calls = solvers._minus_gram, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minus_gram(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_minus_gram", counted)
+        rng = np.random.default_rng(76)
+        # d = s + N = 640 carries up to 160 rows, a period of 8 at b=20.
+        config = NetworkConfig(L=3, N=630, s=10, m=3, lam=1.0, seed=4)
+        model = ContinualModel(config, RegStyle(kind="kf_bayes"))
+        T, b = 30, 20
+        X = rng.standard_normal((T, b, 10))
+        Y = np.eye(3)[rng.integers(0, 3, (T, b))]
+        per_observe = []
+        for t in range(T):
+            calls.clear()
+            model.observe(X[t], Y[t], X[t + 1] if t + 1 < T else None)
+            per_observe.append(len(calls))
+        assert max(per_observe) == 1
+        # Layer l flushes at t = l mod 8: batches 1-3, 9-11, 17-19, 25-27.
+        assert sum(per_observe) == 12
+
+    def test_non_flush_step_builds_no_dxd_array(self):
+        # A step without a flush allocates no d x d array: besides b x d
+        # temporaries, only the new copy of its carried rows grows with
+        # the period.
+        rng = np.random.default_rng(82)
+        d, m, b = 400, 10, 20
+        stream = random_stream(rng, 8, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        for i in range(_carry_cap(d) // b - 1):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                new, _ = step_kf_bayes(state, *stream[i], stream[i + 1][0])
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert len(new.rows) == len(state.rows) + b, f"step {i + 1} flushed"
+            if i == 1:
+                assert peak <= 0.5 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2"
+            assert peak - new.rows.nbytes <= 0.5 * d * d * 8, f"step {i + 1}"
+            state = new
+
+    @pytest.mark.parametrize("sizes", [
+        [7] * 60,
+        [20] * 30,
+        [170] * 4,
+        [5, 150, 3, 90, 170, 1, 60] * 3,
+    ])
+    def test_carried_rows_stay_within_cap(self, sizes):
+        rng = np.random.default_rng(77)
+        d, m = 640, 2
+        assert _carry_cap(d) == 160
+        batches = [(rng.standard_normal((n, d)), rng.standard_normal((n, m)))
+                   for n in sizes]
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        for i, (D, Y) in enumerate(batches):
+            D_next = batches[i + 1][0] if i + 1 < len(batches) else None
+            state, _ = step_kf_bayes(state, D, Y, D_next)
+            assert len(state.rows) <= _carry_cap(d), f"step {i + 1}"
+
+    def test_narrow_layer_writes_every_step(self, monkeypatch):
+        # At d=32 a layer may carry 8 rows, fewer than b=20: every
+        # adaptive step writes its rank-b correction, as the dense chain
+        # does, and carries nothing.
+        from rvflstream import solvers
+
+        minus_gram, calls = solvers._minus_gram, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minus_gram(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_minus_gram", counted)
+        rng = np.random.default_rng(78)
+        d, m, b, T = 32, 3, 20, 12
+        stream = random_stream(rng, T, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        for i, (D, Y) in enumerate(stream):
+            D_next = stream[i + 1][0] if i + 1 < T else None
+            calls.clear()
+            state, _ = step_kf_bayes(state, D, Y, D_next)
+            assert len(state.rows) == 0, f"step {i + 1}"
+            assert len(calls) == 1, f"step {i + 1}"
+
+
+class TestPreviousCompleteSource:
+    def test_one_absorb_per_step_on_the_parent_rule(self, monkeypatch):
+        # k comes from the previous complete rate, taken from the absorb's
+        # product and the forward rows the previous step kept: no second
+        # Woodbury. The reference builds that rate with the dense chain.
+        from rvflstream import learners
+
+        woodbury, calls = learners.woodbury_update, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return woodbury(*args, **kwargs)
+
+        rng = np.random.default_rng(75)
+        d, m, b, T = 150, 3, 16, 25
+        stream = random_stream(rng, T, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes",
+                            k_source="previous_complete")
+        dense = fresh_state(d=d, m=m, kind="kf_bayes",
+                            k_source="previous_complete")
+        style = state.style
+
+        def rule(block, eta):
+            k = compute_adaptive_k(block, eta, style.kappa, style.sigma)
+            return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
+
+        for i, (D, Y) in enumerate(stream):
+            D_next = stream[i + 1][0] if i + 1 < T else None
+            basis = dense.eta if dense.t else woodbury(dense.eta_dag, D, 1.0)
+            monkeypatch.setattr(learners, "woodbury_update", counted)
+            calls.clear()
+            state, (k_cur, k_next) = step_kf_bayes(state, D, Y, D_next)
+            assert calls == [1.0], f"step {i + 1}"
+            monkeypatch.setattr(learners, "woodbury_update", woodbury)
+            assert k_cur == pytest.approx(rule(D, basis), rel=1e-10), f"step {i + 1}"
+            want = 0.0 if D_next is None else rule(D_next, basis)
+            assert k_next == pytest.approx(want, rel=1e-10), f"step {i + 1}"
+            dense, _ = step_kf_bayes(dense, D, Y, D_next,
+                                     k_override=(k_cur, k_next))
 
 
 class TestOneBlasPool:

@@ -343,6 +343,56 @@ class TestCli:
         assert f"{name} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("batch_size", 7.9, "an integer"),
+        ("batch_size", True, "an integer"),
+        ("network.L", 2.9, "an integer"),
+        ("network.N", False, "an integer"),
+        ("split.Q", 1.5, "an integer"),
+        ("seeds.weights", 2.7, "an integer"),
+        ("seeds.order", True, "an integer"),
+        ("dataset.classes", 4.5, "an integer"),
+        ("network.lam", float("nan"), "a finite number"),
+        ("network.lam", float("inf"), "a finite number"),
+        ("network.lam", [1.0, float("inf")], "a finite number"),
+        ("network.lam", True, "a finite number"),
+        ("style.k", float("nan"), "a finite number"),
+        ("style.k", float("inf"), "a finite number"),
+        ("style.kappa", float("inf"), "a finite number"),
+        ("style.sigma", float("-inf"), "a finite number"),
+        ("dataset.separation", float("nan"), "a finite number"),
+    ])
+    def test_inexact_number_is_exit_2(self, tmp_path, capsys, name, value, kind):
+        # Booleans, fractional integers and non-finite floats used to be
+        # truncated or passed through: batch_size 7.9 ran with 7.
+        tree = base_tree()
+        section, _, key = name.rpartition(".")
+        (tree[section] if section else tree)[key] = value
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{name} must be {kind}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_is_accepted(self):
+        tree = base_tree(batch_size=8.0)
+        tree["network"]["L"] = 2.0
+        config = validate_config(tree)
+        assert config.batch_size == 8 and isinstance(config.batch_size, int)
+        assert config.network["L"] == 2 and isinstance(config.network["L"], int)
+
+    def test_non_finite_synthetic_spec_is_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"classes": 2, "dims": 3,
+                                        "separation": float("inf"),
+                                        "samples": 5, "test_samples": 2}))
+        code = cli.main(["bake-synthetic", "--spec", str(spec),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "spec.separation must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_numeric_synthetic_spec_is_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"
         spec.write_text(yaml.safe_dump({"classes": "four", "dims": 3,
