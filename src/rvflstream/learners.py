@@ -26,21 +26,24 @@ it, the reference form the k = 1 pin checks bit for bit.
 An adaptive kf_bayes layer carries eta_dag in the deferred form
 E - A^T A: a d x d base E and a block A of the correction rows of its
 latest absorbs, at most R = min(_CARRY_ROWS, d // 4) of them (see
-_carry_cap). A step's d x d work is one stacked product
-[D_t; D_next] @ E, less its share through A in O(R b d). The absorb appends its b rows to A and returns D_t eta_dag and
-D_next eta_dag on the new matrix; both k come from them, and the
-complete rate is applied through its b x b inner system, with no d x d
-by d x m product. Once every R // b steps the layer flushes: it writes
-E - A^T A into a fresh base and empties A. Layer l flushes at the steps
-t = l modulo R // b, so the layers of a model take turns and a batch
-pays at most one flush while L * b <= R. Per layer, the state is
-d^2 + R d numbers. A layer with R // b < 2 flushes every step, which is
-the dense rank-b write.
+_carry_cap). Its absorb (_adaptive_absorb) takes the projections
+M = X E - (X A^T) A of X = [D_t; D_next] from one stacked product and
+O(R b d) more, the rows W of the correction from the b x b inner system
+of M's D_t rows, and the projections on the new eta_dag as
+M - (X W^T) W. It appends W to A and writes no d x d matrix; both k
+come from the projections, and the complete rate is applied through its
+b x b inner system, with no d x d by d x m product. Once every R // b
+steps the layer flushes: it writes E - A^T A into a fresh base and
+empties A. Layer l flushes at the steps t = l modulo R // b, so the
+layers of a model take turns and a batch pays at most one flush while
+L * b <= R. Per layer, the state is d^2 + R d numbers. A layer with
+R // b < 2 flushes every step, which is the dense rank-b write.
 
 Every step keeps only its forward term: the upcoming block and k_next,
-and for an adaptive step D_next eta_dag, from which a previous_complete
-step takes the previous complete rate in O(b^2 d). eta is built from
-them when it is read.
+and for an adaptive step D_next eta_dag, from which the correction rows
+W_f of the complete rate follow in O(b^2 d) (_forward_rows). A
+previous_complete step takes the previous complete rate from them, and
+eta is built from them when it is read.
 """
 
 import dataclasses
@@ -158,9 +161,12 @@ class SubLearnerState:
     b rows from which the complete rate's correction
     eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows in
     O(b^2 d); a previous_complete step takes its projections from it.
-    Reading eta builds woodbury_update(eta_dag, D_next, k_next) afresh
-    on every read, or returns eta_dag when there is no forward term. No
-    step writes into an array an earlier state holds.
+    Reading eta writes one fresh d x d array on every read: for an
+    adaptive forward term E - [A; W_f]^T [A; W_f], and for a fixed pair,
+    or an inner system that is not positive definite,
+    woodbury_update(eta_dag, D_next, k_next). It returns eta_dag when
+    there is no forward term. No step writes into an array an earlier
+    state holds.
     """
 
     theta: np.ndarray
@@ -196,7 +202,11 @@ class SubLearnerState:
             return None
         if self._forward is None:
             return self.eta_dag
-        return woodbury_update(self.eta_dag, *self._forward[:2], batch_index=self.t)
+        W_f = _forward_rows(self)
+        if W_f is None:
+            return woodbury_update(self.eta_dag, *self._forward[:2],
+                                   batch_index=self.t)
+        return _minus_gram(self.base, np.vstack([self.rows, W_f]), self.t)
 
     @property
     def d(self):
@@ -243,16 +253,22 @@ def _as_matrix(D):
     return np.asarray(D, dtype=float)
 
 
-def _check_batch(state, D_t, Y_t):
+def _check_batch(state, D_t, Y_t, D_next):
     D = _as_matrix(D_t)
     Y = np.asarray(Y_t, dtype=float)
-    if D.ndim != 2 or D.shape[1] != state.d:
-        raise ContractError(f"D_t must have {state.d} columns, got shape {D.shape}")
+    DN = None if D_next is None else _as_matrix(D_next)
+    for name, block in (("D_t", D), ("D_next", DN)):
+        if block is not None and (block.ndim != 2 or block.shape[0] == 0
+                                  or block.shape[1] != state.d):
+            raise ContractError(
+                f"{name} must have rows and {state.d} columns, "
+                f"got shape {block.shape}"
+            )
     if Y.ndim != 2 or Y.shape != (D.shape[0], state.m):
         raise ContractError(
             f"Y_t must be {D.shape[0]} x {state.m}, got shape {Y.shape}"
         )
-    return D, Y
+    return D, Y, DN
 
 
 def _carry_cap(d):
@@ -285,19 +301,49 @@ def _flush_due(t, layer, carried, b, d):
 def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
     """Absorb D_t into the carried eta_dag and adapt both k from it.
 
+    eta_dag is E - A^T A (see SubLearnerState). With X = [D_t; D_next],
+    one stacked product gives the projections on the carried matrix,
+    M = X E - (X A^T) A. The correction rows W = L^{-1} M_t, with M_t
+    the D_t rows of M and L L^T = I + M_t D_t^T, follow from the b x b
+    inner system, and the projections on the new eta_dag are
+    M - (X W^T) W. W is appended to A; on a flush (_flush_due) the new
+    base E - A^T A is written once and no rows are carried. When the
+    inner system is not positive definite, the dense woodbury_update
+    of the built eta_dag takes over and no rows are carried.
+
     Returns (base, rows, proj, (k_cur, k_next)), with proj the rows
-    [D_t; D_next] @ eta_dag on the new eta_dag.
+    X @ eta_dag on the new eta_dag.
     """
-    ahead = D[:0] if DN is None else DN
+    X = D if DN is None else np.vstack([D, DN])
+    base, rows = state.base, state.rows
+    before = proj = X @ base
     if absorb:
-        flush = _flush_due(t, layer, len(state.rows), D.shape[0], state.d)
-        base, rows, before, proj = woodbury_update(
-            state.base, D, 1.0, batch_index=t, project=ahead, rows=state.rows,
-            flush=flush)
-    else:
-        base, rows = state.base, state.rows
-        before = proj = np.vstack([D, ahead]) @ base
+        if len(rows):
+            before -= (X @ rows.T) @ rows
+        W = _correction_rows(before[:len(D)], D, 1.0, t)[1]
+        if W is None:
+            base, rows = woodbury_update(state.eta_dag, D, 1.0, t), rows[:0]
+            proj = X @ base
+        else:
+            proj = (X @ W.T) @ W
+            np.subtract(before, proj, out=proj)
+            rows = np.vstack([rows, W]) if len(rows) else W
+            if _flush_due(t, layer, len(state.rows), len(D), state.d):
+                base, rows = _minus_gram(base, rows, t), rows[:0]
     return base, rows, proj, _adaptive_pair(state, before, proj, D, DN, rng)
+
+
+def _forward_rows(state):
+    """The rows W_f of the complete rate's correction, or None.
+
+    eta = eta_dag - W_f^T W_f with W_f = sqrt(k_next) L^{-1} V, from the
+    V = D_next eta_dag an adaptive step keeps. None for a state without
+    V, or when the inner system is not positive definite.
+    """
+    if state._forward is None or len(state._forward) < 3:
+        return None
+    D_next, k_next, V = state._forward
+    return _correction_rows(V, D_next, k_next, state.t)[1]
 
 
 def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
@@ -336,8 +382,7 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     Returns:
         (new_state, (k_cur, k_next)).
     """
-    D, Y = _check_batch(state, D_t, Y_t)
-    DN = None if D_next is None else _as_matrix(D_next)
+    D, Y, DN = _check_batch(state, D_t, Y_t, D_next)
     theta = state.theta
     t = state.t + 1
     absorb = not (t == 1 and state.style.init_mode == "paper_strict")
@@ -486,8 +531,7 @@ def _adaptive_pair(state, before, proj, D, DN, rng):
     if style.k_source == "previous_complete" and state.t > 0:
         proj = before
         if state._forward is not None:
-            D_prev, k_prev, *V = state._forward
-            W_f = _correction_rows(V[0], D_prev, k_prev, state.t)[1] if V else None
+            W_f = _forward_rows(state)
             X = D if DN is None else np.vstack([D, DN])
             if W_f is None:
                 proj = X @ state.eta

@@ -3,18 +3,11 @@
 The streaming learners never refactor a full Gram matrix: every learning
 rate matrix eta is carried forward through Woodbury corrections of rank
 b (the batch size). A correction does two pieces of d x d work: one
-product [D; extra rows] @ eta, and one write of eta - W^T W in row
-panels, symmetric by construction, where W is a b x d block from the
-Cholesky factor of the b x b inner system. The rows' projections on the
-corrected matrix come out of the same product in O(b^2 d).
-
-The deferred form carries eta as E - A^T A, a d x d base E and a block
-A of correction rows not yet written into it. A correction then costs
-one product [D; extra rows] @ E less its O(r b d) share through A, and
-appends W to A; the caller asks for the write E - A^T A, one panelled
-pass of rank r, only once A holds enough rows. The offline solvers in
-this module compute the same quantities directly and act as exact
-references for what the recursions must reproduce step by step.
+product D @ eta, and one write of eta - W^T W in row panels, symmetric
+by construction, where W is a b x d block from the Cholesky factor of
+the b x b inner system. The offline solvers in this module compute the
+same quantities directly and act as exact references for what the
+recursions must reproduce step by step.
 
 All factorizations and solves use numpy.linalg only.
 """
@@ -48,8 +41,7 @@ def _ldl_solve(A, B):
     return np.linalg.lstsq(A, B, rcond=None)[0]
 
 
-def woodbury_update(eta, D, c, batch_index=None, project=None, rows=None,
-                    flush=False):
+def woodbury_update(eta, D, c, batch_index=None):
     """Apply a weighted rank-b correction to an inverse matrix.
 
     Computes (eta^{-1} + c * D^T D)^{-1} without forming eta^{-1},
@@ -62,44 +54,19 @@ def woodbury_update(eta, D, c, batch_index=None, project=None, rows=None,
     absorbed. With the Cholesky factor S = L L^T and P = D eta, the
     correction is W^T W for the b x d block W = sqrt(c) * L^{-1} P.
 
-    With rows, the matrix is carried in the deferred form E - A^T A:
-    eta is the base E and rows the r x d block A of correction rows
-    not yet written into it. The call takes P from the product
-    [D; project] @ E - ([D; project] @ A^T) @ A, appends W to A and
-    writes no d x d matrix, unless flush asks it to write the base
-    E - A'^T A' of the appended rows A' = [A; W] once and carry none.
-
     Args:
-        eta: d x d symmetric positive definite matrix, or the base E
-            with rows. Not modified; the dense result is built on its
-            upper triangle, and a deferred result without a flush
-            returns it as the new base.
+        eta: d x d symmetric positive definite matrix. Not modified.
         D: b x d data block. b may be zero (the update is a no-op).
         c: nonnegative weight on the D^T D term. c == 0 is a no-op.
         batch_index: optional stream position, used only in error reports.
-        project: optional r x d block of further rows (r may be zero).
-            When given, the call also returns the projections
-            [D; project] @ eta', taken from the same product [D; project]
-            @ eta that the update needs, at O((b + r) * b * d) extra cost.
-        rows: optional r x d block A of carried correction rows (r may
-            be zero); selects the deferred form. Not modified.
-        flush: with rows, write the base and carry no rows.
 
     Returns:
-        The corrected inverse, or (corrected inverse, projections) when
-        project is given. The inverse is one fresh d x d array,
-        symmetric by construction: eta - W^T W is formed one row panel
-        at a time, each panel is written to the upper triangle and its
-        transpose to the lower, so no other d x d temporary is built.
-        When S is not positive definite, the correction falls back to a
-        least squares solve of S and the average of the result with its
-        transpose.
-
-        With rows, (base, rows, before, after): the new base and carried
-        rows, and the projections of [D; project] on the matrix before
-        and after the correction. The rows are a fresh array; the
-        fallback builds E - A^T A, corrects it as above and carries
-        no rows.
+        The corrected inverse, one fresh d x d array, symmetric by
+        construction: eta - W^T W is formed one row panel at a time,
+        each panel is written to the upper triangle and its transpose to
+        the lower, so no other d x d temporary is built. When S is not
+        positive definite, the correction falls back to a least squares
+        solve of S and the average of the result with its transpose.
 
     Raises:
         ContractError: on shape mismatch or negative c.
@@ -115,49 +82,19 @@ def woodbury_update(eta, D, c, batch_index=None, project=None, rows=None,
         raise ContractError(f"D must have {d} columns, got shape {D.shape}")
     if c < 0:
         raise ContractError(f"c must be nonnegative, got {c}")
-    if project is not None:
-        project = np.asarray(project, dtype=float)
-    deferred = rows is not None
-    rows = D[:0] if rows is None else np.asarray(rows, dtype=float)
-    for name, block in (("project", project), ("rows", rows)):
-        if block is not None and (block.ndim != 2 or block.shape[1] != d):
-            raise ContractError(
-                f"{name} must have {d} columns, got shape {block.shape}"
-            )
-    X = D if project is None else np.vstack([D, project])
-    b = D.shape[0]
-    if not deferred and (c == 0.0 or b == 0):
-        out = eta.copy()
-        return out if project is None else (out, X @ out)
+    if c == 0.0 or D.shape[0] == 0:
+        return eta.copy()
 
-    M = X @ eta
-    if len(rows):
-        M -= (X @ rows.T) @ rows
-    W = D[:0]
-    if c != 0.0 and b > 0:
-        P = M[:b]
-        S, W = _correction_rows(P, D, c, batch_index)
-    if W is None:
-        out = P.T @ _solve_inner(S, P, batch_index)
-        out *= -c
-        out += _minus_gram(eta, rows, batch_index) if len(rows) else eta
-        out = (out + out.T) / 2
-        _check_finite(out, batch_index)
-        if deferred:
-            return out, rows[:0], M, X @ out
-        return out if project is None else (out, X @ out)
-    if not deferred:
-        out = _minus_gram(eta, W, batch_index)
-        if project is None:
-            return out
-    after = (X @ W.T) @ W
-    np.subtract(M, after, out=after)
-    if not deferred:
-        return out, after
-    carried = np.vstack([rows, W]) if len(rows) else W
-    if flush and len(carried):
-        return _minus_gram(eta, carried, batch_index), carried[:0], M, after
-    return eta, carried, M, after
+    P = D @ eta
+    S, W = _correction_rows(P, D, c, batch_index)
+    if W is not None:
+        return _minus_gram(eta, W, batch_index)
+    out = P.T @ _solve_inner(S, P, batch_index)
+    out *= -c
+    out += eta
+    out = (out + out.T) / 2
+    _check_finite(out, batch_index)
+    return out
 
 
 def _correction_rows(P, D, c, batch_index=None):

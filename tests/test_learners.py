@@ -126,6 +126,11 @@ class TestRidgeStep:
         with pytest.raises(ContractError):
             step_ridge(state, np.ones((2, 3)), np.ones((1, 2)))
 
+    def test_zero_row_batch_is_rejected(self):
+        state = fresh_state(d=3, m=2, kind="ridge")
+        with pytest.raises(ContractError, match="D_t"):
+            step_ridge(state, np.ones((0, 3)), np.ones((0, 2)))
+
 
 class TestForwardStep:
     def test_matches_offline_every_step(self):
@@ -266,6 +271,28 @@ class TestAdaptiveK:
             compute_adaptive_k(np.ones((1, 3)), np.eye(2), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("D_t, D_next, name", [
+    (np.ones((0, 3)), np.ones((2, 3)), "D_t"),
+    (np.ones((2, 3)), np.ones((0, 3)), "D_next"),
+    (np.ones((2, 3)), np.ones((2, 4)), "D_next"),
+    (np.ones((2, 3)), np.ones(3), "D_next"),
+])
+class TestStepInputs:
+    # Every style checks its blocks before any work: a zero-row block or
+    # an upcoming block of the wrong width is a ContractError.
+    def test_kf_rejects(self, D_t, D_next, name):
+        state = fresh_state(d=3, m=2, kind="kf", k=0.5)
+        with pytest.raises(ContractError, match=name):
+            step_kf(state, D_t, np.ones((len(D_t), 2)), D_next)
+
+    def test_kf_bayes_rejects(self, D_t, D_next, name):
+        state = fresh_state(d=3, m=2, kind="kf_bayes")
+        state, _ = step_kf_bayes(state, np.ones((2, 3)), np.ones((2, 2)),
+                                 np.eye(3)[:2])
+        with pytest.raises(ContractError, match=name):
+            step_kf_bayes(state, D_t, np.ones((len(D_t), 2)), D_next)
+
+
 class TestBayesStep:
     def test_records_clamped_pairs(self):
         # A vanishing batch pushes the raw k to ~0; the recorded pair
@@ -332,6 +359,32 @@ def _rel(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
+def _traced_peak(fn):
+    """fn() and the peak bytes traced while it ran, above the start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _count_dxd_work(monkeypatch):
+    """Record the learners' woodbury_update calls and _minus_gram writes."""
+    from rvflstream import learners
+
+    calls, writes = [], []
+    for name, log in (("woodbury_update", calls), ("_minus_gram", writes)):
+        def counted(*args, _inner=getattr(learners, name), _log=log, **kwargs):
+            _log.append(args[0].shape)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(learners, name, counted)
+    return calls, writes
+
+
 class TestImplicitForwardRate:
     @pytest.mark.parametrize("style_kw", [
         {},
@@ -343,26 +396,21 @@ class TestImplicitForwardRate:
         # absorbs only D_t; replaying its pairs through k_override takes
         # the dense form with a second Woodbury. Both must agree at
         # every step, the closing step (no D_next) included.
-        from rvflstream import learners
-
-        woodbury, calls = learners.woodbury_update, []
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return woodbury(*args, **kwargs)
-
-        monkeypatch.setattr(learners, "woodbury_update", counted)
         rng = np.random.default_rng(71)
         d, m, b, T = 10, 3, 4, 24
+        calls, writes = _count_dxd_work(monkeypatch)
         stream = random_stream(rng, T, b, d, m)
         adaptive = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
         dense = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
             calls.clear()
+            writes.clear()
             adaptive, pair = step_kf_bayes(adaptive, D, Y, D_next)
             skipped = i == 0 and style_kw.get("init_mode") == "paper_strict"
-            assert calls == ([] if skipped else [1.0])  # the absorb only
+            # d=10 carries no rows at b=4: the absorb is the one write.
+            assert calls == []
+            assert len(writes) == (0 if skipped else 1), f"step {i + 1}"
             dense, _ = step_kf_bayes(dense, D, Y, D_next, k_override=pair)
             assert _rel(adaptive.theta, dense.theta) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
@@ -439,9 +487,17 @@ class TestDeferredAbsorb:
         flushes = 0
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
+            prev = adaptive
             adaptive, pair = step_kf_bayes(adaptive, D, Y, D_next)
             dense, _ = step_kf_bayes(dense, D, Y, D_next, k_override=pair)
-            flushes += i > 0 and len(adaptive.rows) == 0
+            if i > 0 and len(adaptive.rows) == 0:
+                flushes += 1
+                assert np.array_equal(adaptive.base, adaptive.base.T)
+            elif i > 0:
+                # Without a flush the base is kept and the rows appended.
+                assert adaptive.base is prev.base, f"step {i + 1}"
+                assert len(adaptive.rows) == len(prev.rows) + len(D)
+                assert np.array_equal(adaptive.rows[:len(prev.rows)], prev.rows)
             assert _rel(adaptive.theta, dense.theta) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta_dag, dense.eta_dag) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
@@ -474,15 +530,15 @@ class TestDeferredAbsorb:
             assert np.array_equal(st.eta, eta)
 
     def test_model_flushes_at_most_one_layer_per_observe(self, monkeypatch):
-        from rvflstream import solvers
+        from rvflstream import learners
 
-        minus_gram, calls = solvers._minus_gram, []
+        minus_gram, calls = learners._minus_gram, []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return minus_gram(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "_minus_gram", counted)
+        monkeypatch.setattr(learners, "_minus_gram", counted)
         rng = np.random.default_rng(76)
         # d = s + N = 640 carries up to 160 rows, a period of 8 at b=20.
         config = NetworkConfig(L=3, N=630, s=10, m=3, lam=1.0, seed=4)
@@ -521,6 +577,64 @@ class TestDeferredAbsorb:
             assert peak - new.rows.nbytes <= 0.5 * d * d * 8, f"step {i + 1}"
             state = new
 
+    def test_flush_step_memory_is_bounded(self):
+        # The flush writes the new base once; with the carried rows and
+        # _minus_gram's panel temporaries it stays within 2 d^2.
+        rng = np.random.default_rng(83)
+        d, m, b = 400, 10, 20
+        period = _carry_cap(d) // b
+        stream = random_stream(rng, period + 1, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        for i in range(period - 1):
+            state, _ = step_kf_bayes(state, *stream[i], stream[i + 1][0])
+        assert len(state.rows) == (period - 1) * b
+        state, peak = _traced_peak(
+            lambda: step_kf_bayes(state, *stream[period - 1], stream[period][0])[0])
+        assert len(state.rows) == 0
+        assert peak <= 2.0 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2"
+
+    def test_eta_read_writes_one_dxd_array(self):
+        # With rows carried, eta is E - [A; W_f]^T [A; W_f], written once.
+        rng = np.random.default_rng(84)
+        d, m, b = 400, 10, 20
+        stream = random_stream(rng, 3, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        for i in range(2):
+            state, _ = step_kf_bayes(state, *stream[i], stream[i + 1][0])
+        assert len(state.rows) == 2 * b
+        eta, peak = _traced_peak(lambda: state.eta)
+        assert np.array_equal(eta, eta.T)
+        assert peak <= 1.5 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2"
+
+    def test_indefinite_inner_system_builds_matrix_and_drops_rows(self, monkeypatch):
+        # base - rows^T rows = -I makes S indefinite: the absorb hands the
+        # built matrix to the dense Woodbury, whose least squares fallback
+        # runs once, and carries no rows.
+        from rvflstream import learners, solvers
+
+        ldl, calls = solvers._ldl_solve, []
+
+        def counted(A, B):
+            calls.append(A.shape)
+            return ldl(A, B)
+
+        monkeypatch.setattr(solvers, "_ldl_solve", counted)
+        d, b = 300, 4
+        rng = np.random.default_rng(10)
+        rows = rng.standard_normal((6, d)) / np.sqrt(d)
+        state = dataclasses.replace(fresh_state(d=d, m=2, kind="kf_bayes"),
+                                    base=-np.eye(d) + rows.T @ rows, rows=rows,
+                                    t=1)
+        D = rng.standard_normal((b, d))
+        base, new_rows, after, _ = learners._adaptive_absorb(
+            state, D, None, 2, None, True, None)
+        assert calls == [(b, b)]
+        assert new_rows.shape == (0, d)
+        assert np.array_equal(base, base.T)
+        direct = np.linalg.inv(-np.eye(d) + D.T @ D)
+        assert np.linalg.norm(base - direct) <= 1e-9 * np.linalg.norm(direct)
+        assert np.linalg.norm(after - D @ direct) <= 1e-9 * np.linalg.norm(D @ direct)
+
     @pytest.mark.parametrize("sizes", [
         [7] * 60,
         [20] * 30,
@@ -543,15 +657,15 @@ class TestDeferredAbsorb:
         # At d=32 a layer may carry 8 rows, fewer than b=20: every
         # adaptive step writes its rank-b correction, as the dense chain
         # does, and carries nothing.
-        from rvflstream import solvers
+        from rvflstream import learners
 
-        minus_gram, calls = solvers._minus_gram, []
+        minus_gram, calls = learners._minus_gram, []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return minus_gram(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "_minus_gram", counted)
+        monkeypatch.setattr(learners, "_minus_gram", counted)
         rng = np.random.default_rng(78)
         d, m, b, T = 32, 3, 20, 12
         stream = random_stream(rng, T, b, d, m)
@@ -567,16 +681,12 @@ class TestDeferredAbsorb:
 class TestPreviousCompleteSource:
     def test_one_absorb_per_step_on_the_parent_rule(self, monkeypatch):
         # k comes from the previous complete rate, taken from the absorb's
-        # product and the forward rows the previous step kept: no second
-        # Woodbury. The reference builds that rate with the dense chain.
-        from rvflstream import learners
+        # product and the forward rows the previous step kept: no
+        # Woodbury call and at most one d x d write (the flush). The
+        # reference builds that rate with the dense chain.
+        from rvflstream.solvers import woodbury_update as woodbury
 
-        woodbury, calls = learners.woodbury_update, []
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return woodbury(*args, **kwargs)
-
+        calls, writes = _count_dxd_work(monkeypatch)
         rng = np.random.default_rng(75)
         d, m, b, T = 150, 3, 16, 25
         stream = random_stream(rng, T, b, d, m)
@@ -593,11 +703,11 @@ class TestPreviousCompleteSource:
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
             basis = dense.eta if dense.t else woodbury(dense.eta_dag, D, 1.0)
-            monkeypatch.setattr(learners, "woodbury_update", counted)
             calls.clear()
+            writes.clear()
             state, (k_cur, k_next) = step_kf_bayes(state, D, Y, D_next)
-            assert calls == [1.0], f"step {i + 1}"
-            monkeypatch.setattr(learners, "woodbury_update", woodbury)
+            assert calls == [], f"step {i + 1}"
+            assert len(writes) <= 1, f"step {i + 1}"
             assert k_cur == pytest.approx(rule(D, basis), rel=1e-10), f"step {i + 1}"
             want = 0.0 if D_next is None else rule(D_next, basis)
             assert k_next == pytest.approx(want, rel=1e-10), f"step {i + 1}"

@@ -120,16 +120,6 @@ class TestPanelledUpdate:
         assert np.array_equal(out, out.T)
         assert np.linalg.norm(out - direct) <= 1e-10 * np.linalg.norm(direct)
 
-    def test_projections_match_updated_matrix(self, system):
-        _, eta = system
-        d = eta.shape[0]
-        rng = np.random.default_rng(d + 1)
-        D, rows = rng.standard_normal((20, d)), rng.standard_normal((7, d))
-        out, proj = woodbury_update(eta, D, 1.0, project=rows)
-        want = np.vstack([D, rows]) @ out
-        assert proj.shape == (27, d)
-        assert np.linalg.norm(proj - want) <= 1e-10 * np.linalg.norm(want)
-
     def test_indefinite_inner_system_falls_back_symmetric(self, monkeypatch):
         # eta = -I makes S = I - D D^T indefinite, so the Cholesky test
         # fails and the least squares solve takes over.
@@ -150,78 +140,6 @@ class TestPanelledUpdate:
         assert np.array_equal(out, out.T)
         direct = np.linalg.inv(-np.eye(d) + D.T @ D)
         assert np.linalg.norm(out - direct) <= 1e-10 * np.linalg.norm(direct)
-
-
-class TestDeferredForm:
-    # With rows, the matrix is base - rows^T rows; the call appends the
-    # correction rows and writes the base only when asked to flush.
-    @pytest.fixture(scope="class")
-    def system(self):
-        d, r = 300, 40
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((d, d)) / np.sqrt(d)
-        base = np.linalg.inv(A @ A.T + np.eye(d))
-        rows = 0.05 * rng.standard_normal((r, d)) / np.sqrt(d)
-        D, ahead = rng.standard_normal((20, d)), rng.standard_normal((7, d))
-        return base, rows, D, ahead
-
-    @pytest.mark.parametrize("flush", [False, True])
-    def test_matches_dense_update(self, system, flush):
-        base, rows, D, ahead = system
-        kept = base.copy(), rows.copy()
-        full = base - rows.T @ rows
-        want, want_proj = woodbury_update(full, D, 1.0, project=ahead)
-        new_base, new_rows, before, after = woodbury_update(
-            base, D, 1.0, project=ahead, rows=rows, flush=flush)
-        assert np.array_equal(base, kept[0]) and np.array_equal(rows, kept[1])
-        if flush:
-            assert new_rows.shape == (0, base.shape[0])
-            assert np.array_equal(new_base, new_base.T)
-        else:
-            assert new_base is base
-            assert new_rows.shape == (len(rows) + len(D), base.shape[0])
-            assert np.array_equal(new_rows[:len(rows)], rows)
-        got = new_base - new_rows.T @ new_rows
-        X = np.vstack([D, ahead])
-        for value, ref in ((got, want), (after, want_proj), (before, X @ full)):
-            assert np.linalg.norm(value - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    def test_flush_of_nothing_keeps_the_base(self, system):
-        base, _, D, _ = system
-        empty = np.empty((0, base.shape[0]))
-        new_base, new_rows, before, after = woodbury_update(
-            base, D, 0.0, rows=empty, flush=True)
-        assert new_base is base and new_rows.shape == empty.shape
-        assert np.array_equal(before, after)
-
-    def test_rows_shape_guard(self):
-        with pytest.raises(ContractError):
-            woodbury_update(np.eye(3), np.ones((1, 3)), 1.0, rows=np.ones((2, 4)))
-
-    def test_indefinite_inner_system_builds_matrix_and_drops_rows(self, monkeypatch):
-        # base - rows^T rows = -I makes S indefinite: the fallback works
-        # on the built matrix and carries no rows.
-        from rvflstream import solvers
-
-        ldl, calls = solvers._ldl_solve, []
-
-        def counted(A, B):
-            calls.append(A.shape)
-            return ldl(A, B)
-
-        monkeypatch.setattr(solvers, "_ldl_solve", counted)
-        d, b = 300, 4
-        rng = np.random.default_rng(10)
-        rows = rng.standard_normal((6, d)) / np.sqrt(d)
-        base = -np.eye(d) + rows.T @ rows
-        D = rng.standard_normal((b, d))
-        new_base, new_rows, _, after = woodbury_update(base, D, 1.0, rows=rows)
-        assert calls == [(b, b)]
-        assert new_rows.shape == (0, d)
-        assert np.array_equal(new_base, new_base.T)
-        direct = np.linalg.inv(-np.eye(d) + D.T @ D)
-        assert np.linalg.norm(new_base - direct) <= 1e-9 * np.linalg.norm(direct)
-        assert np.linalg.norm(after - D @ direct) <= 1e-9 * np.linalg.norm(D @ direct)
 
 
 class TestOfflineRidge:
