@@ -618,11 +618,9 @@ class ContinualModel:
         X = np.asarray(X, dtype=float)
         if self.config.standardize:
             if self._norm is None:
-                # Statistics frozen from the first batch ever seen.
-                mu = X.mean(axis=0)
-                sd = X.std(axis=0)
-                sd[sd == 0.0] = 1.0
-                self._norm = (mu, sd)
+                raise ContractError(
+                    "standardize: no batch observed yet, so no statistics to "
+                    "scale by")
             mu, sd = self._norm
             X = (X - mu) / sd
         return X
@@ -633,12 +631,27 @@ class ContinualModel:
     def observe(self, X_t, Y_t, X_next=None):
         """Step every sub-learner on batch (X_t, Y_t).
 
-        X_next is the feature block of the upcoming batch (labels not
-        needed); pass None at the end of the stream. Consecutive calls
-        must present the same array as X_next and then X_t.
+        X_next is the upcoming batch (labels not needed); pass None at
+        the end of the stream. Its features are cached and reused for the
+        following call, whose X_t must therefore equal this X_next: the
+        same array passes at no cost, an equal copy is compared, and
+        anything else raises a ContractError naming the batch. Under
+        network.standardize the z-score statistics are frozen from the
+        first observed X_t.
         """
         t = self.t + 1
-        feats = self._pending if self._pending is not None else self._features(X_t, t)
+        if self.config.standardize and self._norm is None:
+            X = np.asarray(X_t, dtype=float)
+            sd = X.std(axis=0)
+            sd[sd == 0.0] = 1.0
+            self._norm = (X.mean(axis=0), sd)
+        if self._pending is None:
+            feats = self._features(X_t, t)
+        else:
+            X_prev, feats = self._pending
+            if X_t is not X_prev and not np.array_equal(X_t, X_prev):
+                raise ContractError(
+                    f"batch {t}: X_t is not the X_next of batch {t - 1}")
         nxt = self._features(X_next, t + 1) if X_next is not None else None
         Y = np.asarray(Y_t, dtype=float)
 
@@ -655,7 +668,7 @@ class ContinualModel:
                 )
                 if pair is not None:
                     self.k_trace.record(i + 1, t, pair[0], pair[1])
-        self._pending = nxt
+        self._pending = None if nxt is None else (X_next, nxt)
 
     def eval_features(self, X):
         """Precompute per-layer design matrices for a fixed test set."""
@@ -713,16 +726,10 @@ def _predict(feats, thetas, class_mask=None):
     return probs.argmax(axis=1)
 
 
-def fit_baseline(kind, tasks, test, config):
-    """Train and evaluate one of the four non-continual baselines.
+def fit_baseline(tasks, test, config):
+    """Train and evaluate the four non-continual baselines in one pass.
 
     Args:
-        kind: "offline" (ridge on the whole stream, the accuracy upper
-            bound), "separate" (one expert per task, each evaluated only
-            on its own task with predictions restricted to that task's
-            classes), "fine_tune" (refit on each task in order,
-            overwriting the weights), or "non_incremental" (fit on the
-            first task, then frozen).
         tasks: ordered task list from split_class_incremental; these
             baselines alone may see the boundaries.
         test: held-out LabeledDataset used for all accuracies.
@@ -730,11 +737,16 @@ def fit_baseline(kind, tasks, test, config):
             random backbone is identical.
 
     Returns:
-        BaselineResult with the full-test accuracy and per-task
-        accuracies.
+        {kind: BaselineResult} in BASELINE_KINDS order. "offline" is
+        ridge on the whole stream, the accuracy upper bound. "separate"
+        fits one expert per task, each evaluated only on its own task
+        with predictions restricted to that task's classes. "fine_tune"
+        (refit on each task in order, overwriting the weights) is the
+        last expert and "non_incremental" (fit on the first task, then
+        frozen) the first; both are evaluated on the full test set. The
+        test set and each task's pool meet the backbone once; offline
+        extracts its stacked pool itself.
     """
-    if kind not in BASELINE_KINDS:
-        raise ContractError(f"unknown baseline kind {kind!r}")
     tasks = list(tasks)
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
         raise ContractError("baselines require task annotations")
@@ -742,25 +754,22 @@ def fit_baseline(kind, tasks, test, config):
     weights = init_random_weights(config)
     feats = [fb.D for fb in extract_features(test.X, weights, config, t=0)]
     y_te = np.asarray(test.y)
-    task_rows = [np.isin(y_te, np.asarray(tk.classes, dtype=int)) for tk in tasks]
+    classes = [np.asarray(tk.classes, dtype=int) for tk in tasks]
+    task_rows = [np.isin(y_te, cls) for cls in classes]
 
-    if kind == "separate":
-        per_task = np.array([
-            np.mean(_predict([D[rows] for D in feats],
-                             _ridge_heads(tk.X, tk.y, config, weights),
-                             class_mask=np.asarray(tk.classes, dtype=int))
-                    == y_te[rows])
-            for tk, rows in zip(tasks, task_rows)
-        ])
-        return BaselineResult(kind, float(per_task.mean()), per_task)
+    def scored(kind, thetas):
+        hit = _predict(feats, thetas) == y_te
+        per_task = np.array([np.mean(hit[rows]) for rows in task_rows])
+        return BaselineResult(kind, float(np.mean(hit)), per_task)
 
-    if kind == "offline":
-        X = np.vstack([tk.X for tk in tasks])
-        y = np.concatenate([tk.y for tk in tasks])
-    elif kind == "non_incremental":
-        X, y = tasks[0].X, tasks[0].y
-    else:  # fine_tune: each refit overwrites the previous, so only the last counts
-        X, y = tasks[-1].X, tasks[-1].y
-    hit = _predict(feats, _ridge_heads(X, y, config, weights)) == y_te
-    per_task = np.array([np.mean(hit[rows]) for rows in task_rows])
-    return BaselineResult(kind, float(np.mean(hit)), per_task)
+    experts = [_ridge_heads(tk.X, tk.y, config, weights) for tk in tasks]
+    own = np.array([
+        np.mean(_predict([D[rows] for D in feats], heads, class_mask=cls) == y_te[rows])
+        for heads, rows, cls in zip(experts, task_rows, classes)
+    ])
+    pooled = _ridge_heads(np.vstack([tk.X for tk in tasks]),
+                          np.concatenate([tk.y for tk in tasks]), config, weights)
+    return {"offline": scored("offline", pooled),
+            "separate": BaselineResult("separate", float(own.mean()), own),
+            "fine_tune": scored("fine_tune", experts[-1]),
+            "non_incremental": scored("non_incremental", experts[0])}

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, ContractError
-from .learners import BASELINE_KINDS, ContinualModel, RegStyle, fit_baseline
+from .learners import ContinualModel, RegStyle, fit_baseline
 from .metrics import (
     AccuracyMatrix,
     TraceSeries,
@@ -377,6 +377,10 @@ def run_experiment(config):
     Q = config.split.Q
     Y_te = one_hot(test.y, train.m)
     task_rows = [np.isin(test.y, np.asarray(tk.classes)) for tk in tasks]
+    for q, (tk, rows) in enumerate(zip(tasks, task_rows)):
+        if not rows.any():
+            raise ConfigError(f"test set has no rows for task {q} "
+                              f"(classes {list(tk.classes)})")
     acc_mat = AccuracyMatrix(Q)
     trace = TraceSeries()
     wall = []
@@ -413,14 +417,10 @@ def run_experiment(config):
 
     learning_reads = stream.annotation_reads - sanctioned
 
-    baselines = {}
-    if config.baselines:
-        for kind in BASELINE_KINDS:
-            baselines[kind] = fit_baseline(kind, tasks, test, net)
+    baselines = fit_baseline(tasks, test, net) if config.baselines else {}
+    if baselines:
         for q in range(Q):
-            acc_mat.set_independent(
-                q, baselines["separate"].per_task_accuracy[q]
-            )
+            acc_mat.set_independent(q, baselines["separate"].per_task_accuracy[q])
 
     final = {
         "acc": compute_acc(acc_mat),

@@ -15,6 +15,7 @@ import pytest
 
 from rvflstream.errors import ContractError, NumericalFailure
 from rvflstream.learners import (
+    BASELINE_KINDS,
     K_CLAMP_HI,
     K_CLAMP_LO,
     AdaptiveKTrace,
@@ -746,7 +747,7 @@ class TestOneBlasPool:
         train, test = make_gaussian_dataset(classes=3, dims=4, separation=4.0,
                                             samples=10, test_samples=5, seed=3)
         tasks = [Task(train.X, train.y, (0, 1, 2))]
-        res = fit_baseline("offline", tasks, test, config)
+        res = fit_baseline(tasks, test, config)["offline"]
         assert np.isfinite(res.accuracy)
 
 
@@ -870,6 +871,29 @@ class TestContinualModel:
         mu2, _ = model._norm
         assert np.array_equal(mu, mu2)
 
+    def test_standardize_needs_an_observed_batch_before_evaluation(self):
+        rng = np.random.default_rng(3)
+        model = self.small(standardize=True)
+        X_te = rng.standard_normal((9, 3)) * 10 + 4
+        with pytest.raises(ContractError, match="standardize"):
+            model.predict_proba(X_te)
+        X1 = rng.standard_normal((5, 3))
+        model.observe(X1, np.eye(2)[rng.integers(0, 2, 5)], None)
+        assert np.array_equal(model._norm[0], X1.mean(axis=0))
+        assert model.predict_proba(X_te).shape == (9, 2)
+
+    def test_observe_rejects_a_batch_other_than_the_cached_next(self):
+        rng = np.random.default_rng(6)
+        model = self.small()
+        X1, X2, X3 = rng.standard_normal((3, 4, 3))
+        Y = np.eye(2)[[0, 1, 0, 1]]
+        model.observe(X1, Y, X2)
+        with pytest.raises(ContractError, match="batch 2"):
+            model.observe(X3, Y, None)
+        assert model.t == 1
+        model.observe(X2.copy(), Y, None)
+        assert model.t == 2
+
     def test_head_failure_names_batch_and_layer(self):
         rng = np.random.default_rng(5)
         model = self.small(style_kw={"kind": "kf_bayes"})
@@ -918,25 +942,38 @@ class TestBaselines:
         self.config = NetworkConfig(L=2, N=8, s=5, m=4, lam=1.0, seed=5)
 
     def test_offline_dominates(self):
-        res = fit_baseline("offline", self.tasks, self.test, self.config)
+        res = fit_baseline(self.tasks, self.test, self.config)["offline"]
         assert res.accuracy > 0.9
 
     def test_separate_scores_own_tasks(self):
-        res = fit_baseline("separate", self.tasks, self.test, self.config)
+        res = fit_baseline(self.tasks, self.test, self.config)["separate"]
         assert res.per_task_accuracy.shape == (2,)
         assert np.all(res.per_task_accuracy > 0.9)
 
     def test_non_incremental_forgets_later_tasks(self):
-        res = fit_baseline("non_incremental", self.tasks, self.test,
-                           self.config)
+        res = fit_baseline(self.tasks, self.test, self.config)["non_incremental"]
         assert res.per_task_accuracy[0] > 0.9
         # Never saw task 2's classes; at most chance there.
         assert res.per_task_accuracy[1] <= 0.5
 
     def test_fine_tune_tracks_last_task(self):
-        res = fit_baseline("fine_tune", self.tasks, self.test, self.config)
+        res = fit_baseline(self.tasks, self.test, self.config)["fine_tune"]
         assert res.per_task_accuracy[-1] > 0.9
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ContractError):
-            fit_baseline("replay", self.tasks, self.test, self.config)
+    def test_one_call_extracts_test_set_and_each_pool_once(self, monkeypatch):
+        from rvflstream import learners
+
+        extract, rows = learners.extract_features, []
+
+        def counted(X, *args, **kwargs):
+            rows.append(len(X))
+            return extract(X, *args, **kwargs)
+
+        monkeypatch.setattr(learners, "extract_features", counted)
+        results = fit_baseline(self.tasks, self.test, self.config)
+        assert len(rows) == len(self.tasks) + 2
+        assert list(results) == list(BASELINE_KINDS)
+        assert [res.kind for res in results.values()] == list(BASELINE_KINDS)
+        # The test set, each task's pool, and the stacked pool for offline.
+        pools = [len(tk.y) for tk in self.tasks]
+        assert sorted(rows) == sorted([len(self.test.y), *pools, sum(pools)])

@@ -480,6 +480,26 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_test_set_without_a_tasks_classes_is_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        for name, rows, classes in (("train", 40, 4), ("test", 12, 3)):
+            labels = np.arange(rows) % classes
+            np.savetxt(tmp_path / f"{name}.csv",
+                       np.column_stack([rng.standard_normal((rows, 3)), labels]),
+                       fmt="%.17g", delimiter=",")
+        tree = base_tree(dataset={"kind": "csv",
+                                  "train": str(tmp_path / "train.csv"),
+                                  "test": str(tmp_path / "test.csv")},
+                         split={"Q": 4})
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "test set has no rows for task" in err
+        assert "(classes [3])" in err
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_features_are_exit_3(self, tmp_path, capsys):
         # Finite inputs whose Gram overflows: the inner b x b system goes
         # non-finite and must surface as a numerical failure.
