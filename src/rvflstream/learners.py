@@ -26,22 +26,28 @@ it, the reference form the k = 1 pin checks bit for bit.
 An adaptive kf_bayes layer carries eta_dag in the deferred form
 E - A^T A: a d x d base E and a block A of the correction rows of its
 latest absorbs, at most R = min(_CARRY_ROWS, d // 4) of them (see
-_carry_cap). Its absorb (_adaptive_absorb) takes the projections
-M = X E - (X A^T) A of X = [D_t; D_next] from one stacked product and
-O(R b d) more, the rows W of the correction from the b x b inner system
-of M's D_t rows, and the projections on the new eta_dag as
-M - (X W^T) W. It appends W to A and writes no d x d matrix; both k
-come from the projections, and the complete rate is applied through its
-b x b inner system, with no d x d by d x m product. Once every R // b
-steps the layer flushes: it writes E - A^T A into a fresh base and
-empties A. Layer l flushes at the steps t = l modulo R // b, so the
-layers of a model take turns and a batch pays at most one flush while
-L * b <= R. Per layer, the state is d^2 + R d numbers. A layer with
-R // b < 2 flushes every step, which is the dense rank-b write.
+_carry_cap). Its absorb (_adaptive_absorb) needs the projections
+M = X E - (X A^T) A of X = [D_t; D_next] on the carried matrix. Their
+D_t rows are the V = D_next eta_dag the previous step kept, whenever
+that step's D_next is this D_t, so only the b' rows of D_next are
+projected (_project): 2 b' d^2 + 4 b' r d flops through r carried
+rows. The first step, and a step whose D_t is not the cached block,
+projects all of X. The rows W of the correction follow from the b x b
+inner system of M's D_t rows, and the projections on the new eta_dag
+are M - (X W^T) W. The absorb appends W to A and writes no d x d
+matrix; both k come from the projections, and the complete rate is
+applied through its b x b inner system, with no d x d by d x m
+product. Once every R // b steps the layer flushes: it writes
+E - A^T A into a fresh base, (r + b) d^2 more flops, and empties A.
+Layer l flushes at the steps t = l modulo R // b, so the layers of a
+model take turns and a batch pays at most one flush while L * b <= R.
+Per layer, the state is d^2 + R d numbers. A layer with R // b < 2
+flushes every step, which is the dense rank-b write.
 
 Every step keeps only its forward term: the upcoming block and k_next,
-and for an adaptive step D_next eta_dag, from which the correction rows
-W_f of the complete rate follow in O(b^2 d) (_forward_rows). A
+and for an adaptive step V = D_next eta_dag. V serves two steps: the
+next absorb takes its D_t rows from it, and the correction rows W_f of
+the complete rate follow from it in O(b^2 d) (_forward_rows). A
 previous_complete step takes the previous complete rate from them, and
 eta is built from them when it is read.
 """
@@ -157,10 +163,13 @@ class SubLearnerState:
     when rows are carried.
 
     A step stores only its forward term (D_next, k_next), O(b * d), or
-    None when it had none. An adaptive step adds V = D_next eta_dag, the
-    b rows from which the complete rate's correction
-    eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows in
-    O(b^2 d); a previous_complete step takes its projections from it.
+    None when it had none. An adaptive step stores its own copy of
+    D_next and adds V = D_next eta_dag. V serves two steps: the next
+    absorb takes the rows of its D_t from it when that D_t equals the
+    stored D_next, and the complete rate's correction
+    eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows from
+    it in O(b^2 d); a previous_complete step takes its projections from
+    that correction.
     Reading eta writes one fresh d x d array on every read: for an
     adaptive forward term E - [A; W_f]^T [A; W_f], and for a fixed pair,
     or an inner system that is not positive definite,
@@ -274,11 +283,11 @@ def _check_batch(state, D_t, Y_t, D_next):
 def _carry_cap(d):
     """Most rows a layer of width d carries: R = min(_CARRY_ROWS, d // 4).
 
-    Carried rows cost 4 (b + b') R d flops per step, for b' upcoming
-    rows, and R d numbers of state, which pays only while the d x d
-    write they defer is large. The d // 4 bound keeps the state within
-    d^2 / 4 and those flops within half of the stacked product
-    [D_t; D_next] @ E.
+    Carried rows cost 4 b' R d flops per step, for the b' upcoming rows
+    projected on them, and R d numbers of state, which pays only while
+    the d x d write they defer is large. The d // 4 bound keeps the
+    state within d^2 / 4 and those flops within half of the product
+    D_next @ E.
     """
     return min(_CARRY_ROWS, d // 4)
 
@@ -298,28 +307,60 @@ def _flush_due(t, layer, carried, b, d):
     return carried + b > cap or (t - (layer or 0)) % period == 0
 
 
+def _project(X, base, rows):
+    """X eta_dag for eta_dag = base - rows^T rows.
+
+    2 n d^2 + 4 n r d flops for n rows of X and r carried rows.
+    """
+    out = X @ base
+    if len(rows):
+        out -= (X @ rows.T) @ rows
+    return out
+
+
+def _cached_rows(state, D):
+    """The V = D eta_dag the previous adaptive step kept, or None.
+
+    It serves only when the state's stored D_next equals D by content.
+    The stored block is the step's own copy, so a caller's array
+    changed in place since then no longer matches it.
+    """
+    forward = state._forward
+    if forward is None or len(forward) < 3 or not np.array_equal(forward[0], D):
+        return None
+    return forward[2]
+
+
 def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
     """Absorb D_t into the carried eta_dag and adapt both k from it.
 
     eta_dag is E - A^T A (see SubLearnerState). With X = [D_t; D_next],
-    one stacked product gives the projections on the carried matrix,
-    M = X E - (X A^T) A. The correction rows W = L^{-1} M_t, with M_t
-    the D_t rows of M and L L^T = I + M_t D_t^T, follow from the b x b
-    inner system, and the projections on the new eta_dag are
-    M - (X W^T) W. W is appended to A; on a flush (_flush_due) the new
-    base E - A^T A is written once and no rows are carried. When the
-    inner system is not positive definite, the dense woodbury_update
-    of the built eta_dag takes over and no rows are carried.
+    the projections on the carried matrix are M = X E - (X A^T) A. The
+    D_t rows of M are a copy of the V the previous step kept when its
+    D_next equals D_t (_cached_rows), so only D_next is projected, at
+    2 b' d^2 + 4 b' r d flops; otherwise all of X is (_project). The
+    correction rows W = L^{-1} M_t, with M_t the D_t rows of M and
+    L L^T = I + M_t D_t^T, follow from the b x b inner system, and the
+    projections on the new eta_dag are M - (X W^T) W. W is appended to
+    A; on a flush (_flush_due) the new base E - A^T A is written once,
+    (r + b) d^2 flops, and no rows are carried. When the inner system
+    is not positive definite, the dense woodbury_update of the built
+    eta_dag takes over and no rows are carried.
 
     Returns (base, rows, proj, (k_cur, k_next)), with proj the rows
     X @ eta_dag on the new eta_dag.
     """
     X = D if DN is None else np.vstack([D, DN])
     base, rows = state.base, state.rows
-    before = proj = X @ base
+    V = _cached_rows(state, D)
+    if V is None:
+        before = _project(X, base, rows)
+    elif DN is None:
+        before = V.copy()
+    else:
+        before = np.vstack([V, _project(DN, base, rows)])
+    proj = before
     if absorb:
-        if len(rows):
-            before -= (X @ rows.T) @ rows
         W = _correction_rows(before[:len(D)], D, 1.0, t)[1]
         if W is None:
             base, rows = woodbury_update(state.eta_dag, D, 1.0, t), rows[:0]
@@ -330,7 +371,7 @@ def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
             rows = np.vstack([rows, W]) if len(rows) else W
             if _flush_due(t, layer, len(state.rows), len(D), state.d):
                 base, rows = _minus_gram(base, rows, t), rows[:0]
-    return base, rows, proj, _adaptive_pair(state, before, proj, D, DN, rng)
+    return base, rows, proj, _adaptive_pair(state, X, before, proj, D, DN, rng)
 
 
 def _forward_rows(state):
@@ -362,8 +403,8 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     touches no d x d matrix beyond the absorb, which appends its rows to
     the carried ones and writes the base only on a flush (_flush_due).
     The absorb also returns A = D_t eta_dag and V = D_next eta_dag on
-    the new eta_dag from its one stacked product, both k come from
-    them, and with g = D_t^T u + D_next^T v the step applies eta as
+    the new eta_dag, both k come from them, and with
+    g = D_t^T u + D_next^T v the step applies eta as
 
         eta g = A^T u + V^T (v - k_next S^{-1} (V g)),
         S = I + k_next V D_next^T = L L^T.
@@ -373,8 +414,8 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     large terms: at lam=1e-6 in paper_strict mode it took a
     previous_complete run from 0.93 accuracy to 0.12.
 
-    The new state keeps (D_next, k_next), plus V for an adaptive step,
-    or None without a forward term.
+    The new state keeps (D_next, k_next), for an adaptive step its own
+    copy of D_next and V, or None without a forward term.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -409,7 +450,7 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
                 S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
                 Vg = V @ (D.T @ u + DN.T @ v)
                 step += V.T @ (v - k_next * _solve_inner(S, Vg))
-                forward = (DN, k_next, V)
+                forward = (DN.copy(), k_next, V)
         elif forward is None:
             step = base @ (D.T @ u)
         else:
@@ -515,24 +556,23 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
     return _k_from_projection(D @ eta @ D.T, kappa, sigma, fast, rng)
 
 
-def _adaptive_pair(state, before, proj, D, DN, rng):
+def _adaptive_pair(state, X, before, proj, D, DN, rng):
     """Clamped adaptive (k_cur, k_next) from the projections of the step.
 
-    proj holds [D; D_next] @ eta_dag on the new eta_dag and before the
-    same rows on the previous one. Under k_source="previous_complete"
-    the projections are taken on the previous complete rate instead,
-    once one exists: before - ([D; D_next] @ W_f^T) @ W_f, with the
-    correction rows W_f built from the V the previous step kept. A
-    fixed-pair forward term, or one whose inner system is not positive
-    definite, builds the previous complete rate instead. k_next is 0 at
-    the end of the stream.
+    proj holds X @ eta_dag, X = [D; D_next], on the new eta_dag and
+    before the same rows on the previous one. Under
+    k_source="previous_complete" the projections are taken on the
+    previous complete rate instead, once one exists:
+    before - (X @ W_f^T) @ W_f, with the correction rows W_f built from
+    the V the previous step kept. A fixed-pair forward term, or one
+    whose inner system is not positive definite, builds the previous
+    complete rate instead. k_next is 0 at the end of the stream.
     """
     style = state.style
     if style.k_source == "previous_complete" and state.t > 0:
         proj = before
         if state._forward is not None:
             W_f = _forward_rows(state)
-            X = D if DN is None else np.vstack([D, DN])
             if W_f is None:
                 proj = X @ state.eta
             else:
@@ -726,7 +766,7 @@ def _predict(feats, thetas, class_mask=None):
     return probs.argmax(axis=1)
 
 
-def fit_baseline(tasks, test, config):
+def fit_baseline(tasks, test, config, prepare=None):
     """Train and evaluate the four non-continual baselines in one pass.
 
     Args:
@@ -735,6 +775,10 @@ def fit_baseline(tasks, test, config):
         test: held-out LabeledDataset used for all accuracies.
         config: NetworkConfig shared with the continual runs, so the
             random backbone is identical.
+        prepare: the continual model's input preprocessing, applied to
+            every input before the backbone, so that under
+            network.standardize the baselines see the learner's frozen
+            z-scores; None feeds the raw inputs.
 
     Returns:
         {kind: BaselineResult} in BASELINE_KINDS order. "offline" is
@@ -751,8 +795,9 @@ def fit_baseline(tasks, test, config):
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
         raise ContractError("baselines require task annotations")
 
+    prepare = prepare or (lambda X: X)
     weights = init_random_weights(config)
-    feats = [fb.D for fb in extract_features(test.X, weights, config, t=0)]
+    feats = [fb.D for fb in extract_features(prepare(test.X), weights, config, t=0)]
     y_te = np.asarray(test.y)
     classes = [np.asarray(tk.classes, dtype=int) for tk in tasks]
     task_rows = [np.isin(y_te, cls) for cls in classes]
@@ -762,12 +807,12 @@ def fit_baseline(tasks, test, config):
         per_task = np.array([np.mean(hit[rows]) for rows in task_rows])
         return BaselineResult(kind, float(np.mean(hit)), per_task)
 
-    experts = [_ridge_heads(tk.X, tk.y, config, weights) for tk in tasks]
+    experts = [_ridge_heads(prepare(tk.X), tk.y, config, weights) for tk in tasks]
     own = np.array([
         np.mean(_predict([D[rows] for D in feats], heads, class_mask=cls) == y_te[rows])
         for heads, rows, cls in zip(experts, task_rows, classes)
     ])
-    pooled = _ridge_heads(np.vstack([tk.X for tk in tasks]),
+    pooled = _ridge_heads(prepare(np.vstack([tk.X for tk in tasks])),
                           np.concatenate([tk.y for tk in tasks]), config, weights)
     return {"offline": scored("offline", pooled),
             "separate": BaselineResult("separate", float(own.mean()), own),

@@ -122,10 +122,13 @@ def immediate_kl(per_learner, Y_te):
     """
     P, Y_te = _stack_learners(per_learner, Y_te)
     L, n = P.shape[0], Y_te.shape[0]
-    P = P.sum(axis=0)
     mask = Y_te > 0
+    # Only the target columns are summed over layers. take() keeps each
+    # layer's selection contiguous, so the sum adds layer by layer, in
+    # the order of P.sum(axis=0); P[:, mask] would be summed pairwise.
+    summed = P.reshape(L, -1).take(np.flatnonzero(mask), axis=1).sum(axis=0)
     floor = np.finfo(float).tiny
-    terms = Y_te[mask] * np.log(L * Y_te[mask] / np.maximum(P[mask], floor))
+    terms = Y_te[mask] * np.log(L * Y_te[mask] / np.maximum(summed, floor))
     return float(terms.sum() / n)
 
 

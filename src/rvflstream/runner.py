@@ -417,7 +417,8 @@ def run_experiment(config):
 
     learning_reads = stream.annotation_reads - sanctioned
 
-    baselines = fit_baseline(tasks, test, net) if config.baselines else {}
+    baselines = (fit_baseline(tasks, test, net, prepare=model._prepare)
+                 if config.baselines else {})
     if baselines:
         for q in range(Q):
             acc_mat.set_independent(q, baselines["separate"].per_task_accuracy[q])

@@ -519,16 +519,21 @@ class TestDeferredAbsorb:
             if i + 1 in (5, 7):
                 assert len(state.rows) > 0
                 kept.append((state, state.theta.copy(), state.rows.copy(),
-                             state.eta_dag.copy(), state.eta.copy()))
+                             state.eta_dag.copy(), state.eta.copy(),
+                             [a.copy() for a in state._forward[::2]]))
         assert state.t == 11 and len(state.rows) == 3 * b  # flushed at t=8
         branch, _ = step_kf_bayes(kept[0][0], *stream[5], stream[6][0])
         again, _ = step_kf_bayes(kept[0][0], *stream[5], stream[6][0])
         assert np.array_equal(branch.theta, again.theta)
-        for st, theta, rows, eta_dag, eta in kept:
+        for st, theta, rows, eta_dag, eta, forward in kept:
             assert np.array_equal(st.theta, theta)
             assert np.array_equal(st.rows, rows)
             assert np.array_equal(st.eta_dag, eta_dag)
             assert np.array_equal(st.eta, eta)
+            # The next absorb copied V, the cached D_next eta_dag, into
+            # its own projections and left the stored D_next alone.
+            assert np.array_equal(st._forward[0], forward[0])
+            assert np.array_equal(st._forward[2], forward[1])
 
     def test_model_flushes_at_most_one_layer_per_observe(self, monkeypatch):
         from rvflstream import learners
@@ -677,6 +682,126 @@ class TestDeferredAbsorb:
             state, _ = step_kf_bayes(state, D, Y, D_next)
             assert len(state.rows) == 0, f"step {i + 1}"
             assert len(calls) == 1, f"step {i + 1}"
+
+
+def _count_projected_rows(monkeypatch):
+    """Record the row count of every projection on a carried eta_dag."""
+    from rvflstream import learners
+
+    counts = []
+
+    def counted(X, *args, _inner=learners._project):
+        counts.append(X.shape[0])
+        return _inner(X, *args)
+
+    monkeypatch.setattr(learners, "_project", counted)
+    return counts
+
+
+class TestCachedProjection:
+    # An adaptive step keeps V = D_next eta_dag; the next absorb takes
+    # its D_t rows from V and projects only D_next on the carried matrix.
+
+    def _run(self, stream, style_kw):
+        d, m = stream[0][0].shape[1], stream[0][1].shape[1]
+        state = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
+        thetas, pairs = [], []
+        for i, (D, Y) in enumerate(stream):
+            D_next = stream[i + 1][0] if i + 1 < len(stream) else None
+            state, pair = step_kf_bayes(state, D, Y, D_next)
+            thetas.append(state.theta)
+            pairs.append(pair)
+        return thetas, pairs
+
+    @pytest.mark.parametrize("init_mode", ["theorem", "paper_strict"])
+    @pytest.mark.parametrize("k_source, k_bound", [
+        ("pseudo", 1e-8),
+        # The previous complete rate subtracts the forward correction
+        # from the projections, a cancellation that scales their rounding
+        # by up to 1 + k_next, and k_next reaches ~1.4e2 on this stream:
+        # ~1e-14 becomes ~1e-12 (measured worst 3.2e-12, pseudo 2.2e-14).
+        ("previous_complete", 1e-10),
+    ])
+    def test_matches_full_product_over_flushes(self, init_mode, k_source,
+                                               k_bound, monkeypatch):
+        # d=150 carries up to 37 rows, so b=5 flushes every 7 steps: 30
+        # steps span four flushes, after which the cached V was taken on
+        # the carried form and the fresh product on the written base.
+        from rvflstream import learners
+
+        rng = np.random.default_rng(79)
+        d, m, b, T = 150, 3, 5, 30
+        assert _carry_cap(d) == 37
+        stream = random_stream(rng, T, b, d, m)
+        style_kw = {"init_mode": init_mode, "k_source": k_source}
+        counts = _count_projected_rows(monkeypatch)
+        thetas, pairs = self._run(stream, style_kw)
+        assert counts == [2 * b] + [b] * (T - 2)
+        monkeypatch.setattr(learners, "_cached_rows", lambda state, D: None)
+        full_thetas, full_pairs = self._run(stream, style_kw)
+        for i in range(T):
+            assert _rel(thetas[i], full_thetas[i]) <= 1e-9, f"step {i + 1}"
+            for k, want in zip(pairs[i], full_pairs[i]):
+                assert k == pytest.approx(want, rel=k_bound, abs=0), f"step {i + 1}"
+
+    def test_model_projects_only_the_next_batch(self, monkeypatch):
+        # After the first observe every layer projects only the b' rows
+        # of its next batch on the base; the closing observe projects
+        # nothing.
+        counts = _count_projected_rows(monkeypatch)
+        rng = np.random.default_rng(80)
+        config = NetworkConfig(L=3, N=150, s=10, m=3, lam=1.0, seed=4)
+        model = ContinualModel(config, RegStyle(kind="kf_bayes"))
+        sizes = [20, 20, 7, 20, 13, 20]
+        X = [rng.standard_normal((n, 10)) for n in sizes]
+        Y = [np.eye(3)[rng.integers(0, 3, n)] for n in sizes]
+        for t, n in enumerate(sizes):
+            counts.clear()
+            X_next = X[t + 1] if t + 1 < len(sizes) else None
+            model.observe(X[t], Y[t], X_next)
+            want = [] if X_next is None else [len(X_next)] * config.L
+            if t == 0:
+                want = [n + len(X_next)] * config.L
+            assert counts == want, f"batch {t + 1}"
+
+    @pytest.mark.parametrize("case", ["other_batch", "mutated", "override"])
+    def test_unmatched_block_takes_the_full_product(self, case, monkeypatch):
+        # A D_t other than the stored D_next, the caller's D_next array
+        # changed in place after the step, and a state a fixed pair left
+        # behind (no V) all project D_t afresh; the step then equals one
+        # from the same state without a forward term, bit for bit.
+        rng = np.random.default_rng(86)
+        d, m, b = 160, 3, 5
+        stream = random_stream(rng, 4, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        state, _ = step_kf_bayes(state, *stream[0], stream[1][0])
+        D_next = stream[1][0].copy()
+        override = (0.5, 0.5) if case == "override" else None
+        state, _ = step_kf_bayes(state, *stream[1], D_next, k_override=override)
+        D_t = D_next
+        if case == "other_batch":
+            D_t = stream[3][0]
+        elif case == "mutated":
+            D_next[0, 0] += 1.0
+        counts = _count_projected_rows(monkeypatch)
+        got, got_pair = step_kf_bayes(state, D_t, stream[2][1], stream[3][0])
+        assert counts == [2 * b]
+        bare = dataclasses.replace(state, _forward=None)
+        want, want_pair = step_kf_bayes(bare, D_t, stream[2][1], stream[3][0])
+        assert got_pair == want_pair
+        for name in ("theta", "base", "rows"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(got._forward[2], want._forward[2])
+
+    def test_equal_copy_of_the_next_batch_uses_the_cache(self, monkeypatch):
+        rng = np.random.default_rng(87)
+        d, m, b = 160, 3, 5
+        stream = random_stream(rng, 3, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        state, _ = step_kf_bayes(state, *stream[0], stream[1][0])
+        counts = _count_projected_rows(monkeypatch)
+        step_kf_bayes(state, stream[1][0].copy(), stream[1][1], stream[2][0])
+        assert counts == [b]
 
 
 class TestPreviousCompleteSource:

@@ -150,6 +150,21 @@ class TestImmediateKL:
         assert immediate_kl(P, Y) == pytest.approx(np.log(2.0) / 2.0,
                                                    rel=1e-12)
 
+    @pytest.mark.parametrize("L", [3, 9])
+    def test_sums_layers_in_order_bit_for_bit(self, L):
+        # Only the target columns are summed, but each in the order of a
+        # full layer sum. Added one by one to the first layer's values in
+        # [0.5, 1), the later layers' 3e-17 are each lost; a pairwise sum
+        # (numpy's, at L >= 8) adds them up first and keeps them.
+        rng = np.random.default_rng(L)
+        P = np.full((L, 200, 10), 3e-17)
+        P[0] = 0.5 + rng.random((200, 10)) / 2
+        Y = np.eye(10)[rng.integers(0, 10, 200)] * rng.random((200, 1))
+        mask = Y > 0
+        summed = P.sum(axis=0)[mask]
+        want = np.sum(Y[mask] * np.log(L * Y[mask] / summed)) / 200
+        assert immediate_kl(P, Y) == float(want)
+
 
 class TestStackedLearners:
     def learners(self):

@@ -16,7 +16,21 @@ from rvflstream.runner import (
     validate_config,
     with_seed_offset,
 )
-from rvflstream.stream import load_csv_features
+from rvflstream.network import (
+    NetworkConfig,
+    extract_features,
+    fuse_probs,
+    init_random_weights,
+    softmax,
+)
+from rvflstream.solvers import offline_ridge_fit
+from rvflstream.stream import (
+    batchify,
+    load_csv_features,
+    make_gaussian_dataset,
+    one_hot,
+    split_class_incremental,
+)
 
 
 def base_tree(**overrides):
@@ -188,6 +202,40 @@ class TestRunExperiment:
         report = run_experiment(validate_config(base_tree(baselines=False)))
         assert report.baselines == {}
         assert report.final["fwt"] is None
+
+    def test_standardized_run_fits_baselines_on_the_learners_inputs(self):
+        # Under network.standardize the learner z-scores with its first
+        # batch's statistics; the baselines must see the same inputs, so
+        # offline equals a ridge fit on the standardized pooled features.
+        # On this data raw inputs give offline 0.95, the learner's 0.935.
+        tree = base_tree(dataset={"kind": "synthetic", "classes": 4, "dims": 12,
+                                  "separation": 1.0, "samples": 40,
+                                  "test_samples": 50})
+        tree["network"]["standardize"] = True
+        config = validate_config(tree)
+        report = run_experiment(config)
+
+        train, test = make_gaussian_dataset(seed=config.dataset["seed"], **{
+            k: config.dataset[k] for k in ("classes", "dims", "separation",
+                                           "samples", "test_samples")})
+        net = NetworkConfig(s=train.X.shape[1], m=train.m, **config.network)
+        tasks = split_class_incremental(train, config.split)
+        first = batchify(tasks, config.batch_size, train.m)[0].X
+        mu, sd = first.mean(axis=0), first.std(axis=0)
+        weights = init_random_weights(net)
+        pooled = [fb.D for fb in extract_features(
+            (np.vstack([tk.X for tk in tasks]) - mu) / sd, weights, net)]
+        y = np.concatenate([tk.y for tk in tasks])
+        heads = [offline_ridge_fit(D, one_hot(y, train.m), lam).theta
+                 for D, lam in zip(pooled, net.lambdas)]
+        feats = [fb.D for fb in extract_features((test.X - mu) / sd, weights, net)]
+        probs = fuse_probs(np.stack([softmax(D @ th) for D, th in zip(feats, heads)]))
+        hit = probs.argmax(axis=1) == test.y
+        offline = report.baselines["offline"]
+        assert offline.accuracy == float(np.mean(hit))
+        for q, tk in enumerate(tasks):
+            rows = np.isin(test.y, tk.classes)
+            assert offline.per_task_accuracy[q] == float(np.mean(hit[rows]))
 
 
 class TestEmitReport:
