@@ -23,12 +23,14 @@ from .learners import (
 )
 from .metrics import (
     AccuracyMatrix,
+    ImmediateMetrics,
     TraceSeries,
     compute_acc,
     compute_bwt,
     compute_fwt,
     immediate_accuracy,
     immediate_kl,
+    immediate_metrics,
     immediate_regret,
 )
 from .network import (
@@ -89,6 +91,7 @@ __all__ = [
     "ContractError",
     "FeatureBatch",
     "FormatError",
+    "ImmediateMetrics",
     "LabeledDataset",
     "NetworkConfig",
     "NumericalFailure",
@@ -117,6 +120,7 @@ __all__ = [
     "fuse_probs",
     "immediate_accuracy",
     "immediate_kl",
+    "immediate_metrics",
     "immediate_regret",
     "init_random_weights",
     "load_config",

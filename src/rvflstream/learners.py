@@ -162,11 +162,11 @@ class SubLearnerState:
     _flush_due), so r never exceeds R. Reading eta_dag builds E - A^T A
     when rows are carried.
 
-    A step stores only its forward term (D_next, k_next), O(b * d), or
-    None when it had none. An adaptive step stores its own copy of
-    D_next and adds V = D_next eta_dag. V serves two steps: the next
-    absorb takes the rows of its D_t from it when that D_t equals the
-    stored D_next, and the complete rate's correction
+    A step stores only its forward term, its own copy of D_next with
+    k_next, O(b * d), or None when it had none. An adaptive step adds
+    V = D_next eta_dag. V serves two steps: the next absorb takes the
+    rows of its D_t from it when that D_t equals the stored D_next, and
+    the complete rate's correction
     eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows from
     it in O(b^2 d); a previous_complete step takes its projections from
     that correction.
@@ -414,8 +414,9 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     large terms: at lam=1e-6 in paper_strict mode it took a
     previous_complete run from 0.93 accuracy to 0.12.
 
-    The new state keeps (D_next, k_next), for an adaptive step its own
-    copy of D_next and V, or None without a forward term.
+    The new state keeps its own copy of D_next with k_next, and for an
+    adaptive step V, or None without a forward term. A caller that
+    changes its D_next array afterwards changes no state.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -441,7 +442,7 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
         # The current side of the drift minus the cross term, through
         # the b x d block instead of the Gram G_t.
         u = (1.0 - k_cur) * (D @ theta) - Y
-        forward = None if DN is None or k_next == 0.0 else (DN, k_next)
+        forward = None if DN is None or k_next == 0.0 else (DN.copy(), k_next)
         if pair is None:
             A, V = proj[:D.shape[0]], proj[D.shape[0]:]
             step = A.T @ u
@@ -450,7 +451,7 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
                 S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
                 Vg = V @ (D.T @ u + DN.T @ v)
                 step += V.T @ (v - k_next * _solve_inner(S, Vg))
-                forward = (DN.copy(), k_next, V)
+                forward += (V,)
         elif forward is None:
             step = base @ (D.T @ u)
         else:
@@ -665,8 +666,9 @@ class ContinualModel:
             X = (X - mu) / sd
         return X
 
-    def _features(self, X, t):
-        return extract_features(self._prepare(X), self.weights, self.config, t=t)
+    def _features(self, X, t, order="C"):
+        return extract_features(self._prepare(X), self.weights, self.config,
+                                t=t, order=order)
 
     def observe(self, X_t, Y_t, X_next=None):
         """Step every sub-learner on batch (X_t, Y_t).
@@ -711,11 +713,18 @@ class ContinualModel:
         self._pending = None if nxt is None else (X_next, nxt)
 
     def eval_features(self, X):
-        """Precompute per-layer design matrices for a fixed test set."""
-        return [fb.D for fb in self._features(X, 0)]
+        """Precompute per-layer design matrices for a fixed test set.
+
+        Each is an ordinary n x d array, stored column-major so that the
+        logits' gemm reads its transpose contiguously (see _layer_probs).
+        """
+        return [fb.D for fb in self._features(X, 0, order="F")]
 
     def per_learner_probs(self, X=None, eval_feats=None):
-        """Every sub-learner's softmax outputs on X or eval_feats: (L, n, m)."""
+        """Every sub-learner's softmax outputs on X or eval_feats: (L, n, m).
+
+        The result is a view of a class-major (L, m, n) array.
+        """
         feats = self.eval_features(X) if eval_feats is None else eval_feats
         return _layer_probs(feats, [st.theta for st in self.states])
 
@@ -724,11 +733,17 @@ class ContinualModel:
 
 
 def _layer_probs(feats, thetas):
-    """softmax(D_l theta_l) of every layer, written into one (L, n, m) array."""
-    Z = np.empty((len(thetas), len(feats[0]), thetas[0].shape[1]))
+    """softmax(D_l theta_l) of every layer as one (L, n, m) array.
+
+    The logits are written class-major, theta_l^T D_l^T into one
+    (L, m, n) array, whose D^T is C-contiguous for a column-major D. The
+    softmax runs on the (L, n, m) view of it, so its reductions over the
+    m classes run along rows of n, and returns a view of the same layout.
+    """
+    Z = np.empty((len(thetas), thetas[0].shape[1], len(feats[0])))
     for D, theta, out in zip(feats, thetas, Z):
-        np.matmul(D, theta, out=out)
-    return softmax(Z)
+        np.matmul(theta.T, D.T, out=out)
+    return softmax(Z.transpose(0, 2, 1))
 
 
 @dataclass
@@ -766,7 +781,7 @@ def _predict(feats, thetas, class_mask=None):
     return probs.argmax(axis=1)
 
 
-def fit_baseline(tasks, test, config, prepare=None):
+def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
     """Train and evaluate the four non-continual baselines in one pass.
 
     Args:
@@ -779,6 +794,10 @@ def fit_baseline(tasks, test, config, prepare=None):
             every input before the backbone, so that under
             network.standardize the baselines see the learner's frozen
             z-scores; None feeds the raw inputs.
+        test_feats: the test set's per-layer design matrices as
+            ContinualModel.eval_features returns them under the same
+            config and prepare; None runs the test set through the
+            backbone here, into the same column-major layout.
 
     Returns:
         {kind: BaselineResult} in BASELINE_KINDS order. "offline" is
@@ -788,8 +807,8 @@ def fit_baseline(tasks, test, config, prepare=None):
         (refit on each task in order, overwriting the weights) is the
         last expert and "non_incremental" (fit on the first task, then
         frozen) the first; both are evaluated on the full test set. The
-        test set and each task's pool meet the backbone once; offline
-        extracts its stacked pool itself.
+        test set, unless test_feats is given, and each task's pool meet
+        the backbone once; offline extracts its stacked pool itself.
     """
     tasks = list(tasks)
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
@@ -797,19 +816,26 @@ def fit_baseline(tasks, test, config, prepare=None):
 
     prepare = prepare or (lambda X: X)
     weights = init_random_weights(config)
-    feats = [fb.D for fb in extract_features(prepare(test.X), weights, config, t=0)]
     y_te = np.asarray(test.y)
+    if test_feats is None:
+        test_feats = [fb.D for fb in extract_features(
+            prepare(test.X), weights, config, order="F")]
+    elif len(test_feats) != config.L or any(
+            np.shape(D) != (len(y_te), config.feature_dim) for D in test_feats):
+        raise ContractError(
+            f"test_feats must be {config.L} arrays of shape "
+            f"({len(y_te)}, {config.feature_dim})")
     classes = [np.asarray(tk.classes, dtype=int) for tk in tasks]
     task_rows = [np.isin(y_te, cls) for cls in classes]
 
     def scored(kind, thetas):
-        hit = _predict(feats, thetas) == y_te
+        hit = _predict(test_feats, thetas) == y_te
         per_task = np.array([np.mean(hit[rows]) for rows in task_rows])
         return BaselineResult(kind, float(np.mean(hit)), per_task)
 
     experts = [_ridge_heads(prepare(tk.X), tk.y, config, weights) for tk in tasks]
     own = np.array([
-        np.mean(_predict([D[rows] for D in feats], heads, class_mask=cls) == y_te[rows])
+        np.mean(_predict([D[rows] for D in test_feats], heads, class_mask=cls) == y_te[rows])
         for heads, rows, cls in zip(experts, task_rows, classes)
     ])
     pooled = _ridge_heads(prepare(np.vstack([tk.X for tk in tasks])),

@@ -7,7 +7,8 @@ and forward transfer compares the diagonal with independent per-task
 experts. The per-batch metrics (immediate accuracy, regret, KL) are
 pure functions of the ensemble outputs on a test set; regret and KL
 take every learner's outputs as one (L, n, m) array or a list of L
-n x m matrices.
+n x m matrices. immediate_metrics takes all of them from one such
+stack in one pass, which is how the runner evaluates.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .network import _stack_layers
+from .network import _stack_layers, fuse_probs
 
 
 class AccuracyMatrix:
@@ -87,7 +88,11 @@ def immediate_accuracy(probs, Y_te):
         )
     if probs.shape[0] < 1:
         raise ContractError("empty test set")
-    return float(np.mean(probs.argmax(axis=1) == Y_te.argmax(axis=1)))
+    return float(np.mean(_hits(probs, Y_te)))
+
+
+def _hits(probs, Y_te):
+    return probs.argmax(axis=1) == Y_te.argmax(axis=1)
 
 
 def _stack_learners(per_learner, Y_te):
@@ -97,17 +102,75 @@ def _stack_learners(per_learner, Y_te):
     return P, Y_te
 
 
+@dataclass(frozen=True)
+class ImmediateMetrics:
+    """One evaluation of the learners on a test set; see immediate_metrics.
+
+    Attributes:
+        probs: n x m fused ensemble prediction.
+        hits: n booleans, True where the argmax of probs is the
+            target's (ties go to the lowest class index on both sides).
+        regret: immediate_regret of the stack.
+        kl: immediate_kl of the stack.
+    """
+
+    probs: np.ndarray
+    hits: np.ndarray
+    regret: float
+    kl: float
+
+    def accuracy(self, rows=None):
+        """immediate_accuracy of probs over the rows selected by rows, or all."""
+        hits = self.hits if rows is None else self.hits[rows]
+        if hits.size < 1:
+            raise ContractError("empty test set")
+        return float(np.mean(hits))
+
+
+def immediate_metrics(per_learner, Y_te, mode="mean"):
+    """Fused prediction, hits, regret and KL of one stack in one pass.
+
+    The stack is checked once and summed over layers once. That sum
+    S = sum_l P_l gives the mean fusion S / L (median fusion goes
+    through fuse_probs), the regret, and the target columns of the KL.
+
+    Args:
+        per_learner: an (L, n, m) array or a list of L n x m matrices,
+            every learner's softmax outputs on the test set.
+        Y_te: n x m targets.
+        mode: ensemble fusion, "mean" or "median".
+
+    Returns:
+        ImmediateMetrics.
+
+    Raises:
+        ContractError: a ragged or empty stack, a stack that does not
+            fit the targets, or an empty test set.
+    """
+    P, Y_te = _stack_learners(per_learner, Y_te)
+    L, n = P.shape[0], Y_te.shape[0]
+    if n < 1:
+        raise ContractError("empty test set")
+    # Over a stack each element is summed layer by layer, in order.
+    S = P.sum(axis=0)
+    probs = S / L if mode == "mean" else fuse_probs(P, mode=mode)
+    R = (S - L * Y_te) / (L * n)
+    mask = Y_te > 0
+    floor = np.finfo(float).tiny
+    terms = Y_te[mask] * np.log(L * Y_te[mask] / np.maximum(S[mask], floor))
+    return ImmediateMetrics(probs=probs, hits=_hits(probs, Y_te),
+                            regret=float(np.sum(R * R)),
+                            kl=float(terms.sum() / n))
+
+
 def immediate_regret(per_learner, Y_te):
     """Squared Frobenius cost of the raw ensemble sum on the test set.
 
     || (sum_l P_l - L * Y) / (L * n) ||_F^2 where n is the number of
     test rows. Identical learners cancel the L, so duplicating a
-    learner leaves the value unchanged.
+    learner leaves the value unchanged. The regret of immediate_metrics.
     """
-    P, Y_te = _stack_learners(per_learner, Y_te)
-    L, n = P.shape[0], Y_te.shape[0]
-    R = (P.sum(axis=0) - L * Y_te) / (L * n)
-    return float(np.sum(R * R))
+    return immediate_metrics(per_learner, Y_te).regret
 
 
 def immediate_kl(per_learner, Y_te):
@@ -118,18 +181,10 @@ def immediate_kl(per_learner, Y_te):
     nonnegative for one-hot targets because the summed probabilities
     never exceed L. Summed probabilities are floored at the smallest
     normal double before the log, so a learner that underflows the true
-    class yields a large finite divergence instead of inf.
+    class yields a large finite divergence instead of inf. The kl of
+    immediate_metrics.
     """
-    P, Y_te = _stack_learners(per_learner, Y_te)
-    L, n = P.shape[0], Y_te.shape[0]
-    mask = Y_te > 0
-    # Only the target columns are summed over layers. take() keeps each
-    # layer's selection contiguous, so the sum adds layer by layer, in
-    # the order of P.sum(axis=0); P[:, mask] would be summed pairwise.
-    summed = P.reshape(L, -1).take(np.flatnonzero(mask), axis=1).sum(axis=0)
-    floor = np.finfo(float).tiny
-    terms = Y_te[mask] * np.log(L * Y_te[mask] / np.maximum(summed, floor))
-    return float(terms.sum() / n)
+    return immediate_metrics(per_learner, Y_te).kl
 
 
 @dataclass

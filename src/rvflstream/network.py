@@ -131,7 +131,7 @@ def init_random_weights(config):
     return RandomWeights(layers=tuple(layers))
 
 
-def extract_features(X, weights, config, t=0):
+def extract_features(X, weights, config, t=0, order="C"):
     """Run the forward pass and return [H_l | X] for every layer.
 
     Layer 1 computes H_1 = g(X W_1); layer l >= 2 computes
@@ -143,6 +143,10 @@ def extract_features(X, weights, config, t=0):
         weights: RandomWeights from init_random_weights.
         config: matching NetworkConfig.
         t: batch index stamped onto the returned FeatureBatch objects.
+        order: memory layout of every returned D. "F" stores each D
+            column-major, so that D^T is C-contiguous. The forward pass
+            runs on row-major D either way, so the values are the same,
+            and only the layer in hand is also held row-major.
 
     Returns:
         List of L FeatureBatch objects in layer order.
@@ -172,7 +176,7 @@ def extract_features(X, weights, config, t=0):
                 "activation output is non-finite", batch_index=t, layer=l
             )
         D = np.hstack([H, X])
-        out.append(FeatureBatch(D=D, layer=l, t=t))
+        out.append(FeatureBatch(D=np.asarray(D, order=order), layer=l, t=t))
     return out
 
 
@@ -180,7 +184,9 @@ def softmax(Z):
     """Softmax over the last axis of a b x m matrix or an (L, b, m) stack.
 
     Shifted by the max for stability and normalised in place in one new
-    array, so the input is left unchanged.
+    array, so the input is left unchanged. The new array takes the
+    memory layout of Z: for a view of class-major (L, m, b) logits the
+    class reductions run elementwise along rows of b.
     """
     Z = np.asarray(Z, dtype=float)
     P = Z - Z.max(axis=-1, keepdims=True)

@@ -25,11 +25,9 @@ from .metrics import (
     compute_acc,
     compute_bwt,
     compute_fwt,
-    immediate_accuracy,
-    immediate_kl,
-    immediate_regret,
+    immediate_metrics,
 )
-from .network import NetworkConfig, fuse_probs
+from .network import NetworkConfig
 from .stream import (
     TaskSplitSpec,
     batchify,
@@ -398,26 +396,19 @@ def run_experiment(config):
         if config.eval_every == "batch" or finished or batch.t == stream.T:
             if test_feats is None:
                 test_feats = model.eval_features(test.X)
-            per_learner = model.per_learner_probs(eval_feats=test_feats)
-            probs = fuse_probs(per_learner, mode=config.ensemble)
-            seen_rows = np.isin(test.y, np.flatnonzero(seen))
-            trace.append(
-                batch.t,
-                immediate_accuracy(probs[seen_rows], Y_te[seen_rows]),
-                immediate_accuracy(probs, Y_te),
-                immediate_regret(per_learner, Y_te),
-                immediate_kl(per_learner, Y_te),
-            )
+            scores = immediate_metrics(
+                model.per_learner_probs(eval_feats=test_feats), Y_te,
+                mode=config.ensemble)
+            trace.append(batch.t, scores.accuracy(seen[test.y]),
+                         scores.accuracy(), scores.regret, scores.kl)
             for q in finished:
                 for j in range(q + 1):
-                    rows = task_rows[j]
-                    acc_mat.record(
-                        q, j, immediate_accuracy(probs[rows], Y_te[rows])
-                    )
+                    acc_mat.record(q, j, scores.accuracy(task_rows[j]))
 
     learning_reads = stream.annotation_reads - sanctioned
 
-    baselines = (fit_baseline(tasks, test, net, prepare=model._prepare)
+    baselines = (fit_baseline(tasks, test, net, prepare=model._prepare,
+                              test_feats=test_feats)
                  if config.baselines else {})
     if baselines:
         for q in range(Q):

@@ -192,6 +192,25 @@ class TestForwardStep:
         assert np.allclose(stepped.theta, ref, rtol=1e-12)
 
 
+class TestFixedPairOwnsItsForwardBlock:
+    @pytest.mark.parametrize("how", ["kf", "override"])
+    def test_caller_changing_d_next_leaves_eta(self, how):
+        # eta is rebuilt from the stored (D_next, k_next) on every read,
+        # so the state must hold its own copy of D_next.
+        rng = np.random.default_rng(88)
+        d, m, b = 6, 2, 3
+        (D, Y), (D_next, _) = random_stream(rng, 2, b, d, m)
+        if how == "kf":
+            state = step_kf(fresh_state(d=d, m=m, kind="kf", k=0.5),
+                            D, Y, D_next)
+        else:
+            state, _ = step_kf_bayes(fresh_state(d=d, m=m, kind="kf_bayes"),
+                                     D, Y, D_next, k_override=(0.5, 0.5))
+        eta = state.eta.copy()
+        D_next *= 2.0
+        assert np.array_equal(state.eta, eta)
+
+
 class TestTelescoping:
     def test_forward_cancellation(self):
         # Between consecutive steps the weighted heads differ by exactly
@@ -974,6 +993,32 @@ class TestContinualModel:
         for layer, (D, st) in enumerate(zip(feats, model.states)):
             assert np.array_equal(P[layer], softmax(D @ st.theta))
 
+    def test_read_path_is_class_major(self):
+        # The test features are ordinary n x d arrays stored column-major,
+        # equal to the row-major ones; the stack is an (L, n, m) view of
+        # class-major logits theta^T D^T, softmaxed over the class axis.
+        rng = np.random.default_rng(9)
+        model = self.small(L=3, N=40, s=12, m=10, style_kw={"kind": "kf", "k": 0.5})
+        X = rng.standard_normal((4, 30, 12))
+        Y = np.eye(10)[rng.integers(0, 10, (4, 30))]
+        for t in range(4):
+            model.observe(X[t], Y[t], X[t + 1] if t + 1 < 4 else None)
+        X_te = rng.standard_normal((500, 12)) * 3
+        feats = model.eval_features(X_te)
+        rows = [fb.D for fb in model._features(X_te, 0)]
+        for D, D_rows in zip(feats, rows):
+            assert D.flags.f_contiguous and D.T.flags.c_contiguous
+            assert np.array_equal(D, D_rows)
+        P = model.per_learner_probs(eval_feats=feats)
+        assert P.shape == (3, 500, 10)
+        assert P.transpose(0, 2, 1).flags.c_contiguous
+        for layer, (D, st) in enumerate(zip(feats, model.states)):
+            assert np.array_equal(P[layer], softmax((st.theta.T @ D.T).T))
+            # The row-major rule softmax(D theta) sums in another order;
+            # at this shape it moves the last bit (by up to 3.3e-16).
+            assert np.allclose(P[layer], softmax(rows[layer] @ st.theta),
+                               rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("mode", ["mean", "median"])
     def test_predict_proba_fuses_per_learner_probs(self, mode):
         model, X_te = self.trained()
@@ -1084,6 +1129,30 @@ class TestBaselines:
     def test_fine_tune_tracks_last_task(self):
         res = fit_baseline(self.tasks, self.test, self.config)["fine_tune"]
         assert res.per_task_accuracy[-1] > 0.9
+
+    def test_given_test_features_are_not_extracted_again(self, monkeypatch):
+        from rvflstream import learners
+
+        feats = [fb.D for fb in extract_features(
+            self.test.X, init_random_weights(self.config), self.config,
+            order="F")]
+        own = fit_baseline(self.tasks, self.test, self.config)
+        extract, rows = learners.extract_features, []
+
+        def counted(X, *args, **kwargs):
+            rows.append(len(X))
+            return extract(X, *args, **kwargs)
+
+        monkeypatch.setattr(learners, "extract_features", counted)
+        given = fit_baseline(self.tasks, self.test, self.config, test_feats=feats)
+        assert len(self.test.y) not in rows
+        for kind in BASELINE_KINDS:
+            assert given[kind].accuracy == own[kind].accuracy
+            assert np.array_equal(given[kind].per_task_accuracy,
+                                  own[kind].per_task_accuracy)
+        with pytest.raises(ContractError, match="test_feats"):
+            fit_baseline(self.tasks, self.test, self.config,
+                         test_feats=[D[:-1] for D in feats])
 
     def test_one_call_extracts_test_set_and_each_pool_once(self, monkeypatch):
         from rvflstream import learners

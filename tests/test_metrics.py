@@ -16,8 +16,10 @@ from rvflstream.metrics import (
     compute_fwt,
     immediate_accuracy,
     immediate_kl,
+    immediate_metrics,
     immediate_regret,
 )
+from rvflstream.network import fuse_probs, softmax
 
 
 def filled_matrix():
@@ -192,6 +194,87 @@ class TestStackedLearners:
             metric([], Y)
         with pytest.raises(ContractError):
             metric(P[:, :5], Y)
+
+
+class TestImmediateMetrics:
+    """One pass over the stack equals the separate metrics."""
+
+    def stack(self, L, n=40, m=5):
+        # Random softmax outputs, plus two rows with a tie between
+        # classes 1 and 3 (one targeting each) and a row whose true
+        # class underflows to 0 in every learner.
+        rng = np.random.default_rng(30 + L)
+        P = softmax(rng.standard_normal((L, n, m)) * 3)
+        y = rng.integers(0, m, n)
+        P[:, :2] = 0.0
+        P[:, :2, [1, 3]] = 0.5
+        y[:2] = (3, 1)
+        P[:, 2] = softmax(np.array([800.0, 0.0, 0.0, 0.0, 0.0]))
+        y[2] = 4
+        return P, np.eye(m)[y]
+
+    @staticmethod
+    def loop_regret_kl(P, Y):
+        # The formulas written out element by element, for reference.
+        L, n, m = P.shape
+        regret, kl = 0.0, 0.0
+        for i in range(n):
+            for j in range(m):
+                s = sum(P[l, i, j] for l in range(L))
+                regret += ((s - L * Y[i, j]) / (L * n)) ** 2
+                if Y[i, j] > 0:
+                    s = max(s, np.finfo(float).tiny)
+                    kl += Y[i, j] * np.log(L * Y[i, j] / s)
+        return regret, kl / n
+
+    @pytest.mark.parametrize("L", [1, 3])
+    @pytest.mark.parametrize("mode", ["mean", "median"])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_equals_the_separate_metrics(self, L, mode, as_list):
+        P, Y = self.stack(L)
+        assert P[0, 2, 4] == 0.0
+        got = immediate_metrics(list(P) if as_list else P, Y, mode=mode)
+        probs = fuse_probs(P, mode=mode)
+        assert np.array_equal(got.probs, probs)
+        assert np.array_equal(got.hits, probs.argmax(1) == Y.argmax(1))
+        assert got.hits[:2].tolist() == [False, True]
+        assert got.accuracy() == immediate_accuracy(probs, Y)
+        rows = np.arange(len(Y)) % 3 == 0
+        assert got.accuracy(rows) == immediate_accuracy(probs[rows], Y[rows])
+        assert got.regret == immediate_regret(P, Y)
+        assert got.kl == immediate_kl(P, Y)
+        regret, kl = self.loop_regret_kl(P, Y)
+        assert got.regret == pytest.approx(regret, rel=1e-14, abs=0)
+        assert got.kl == pytest.approx(kl, rel=1e-14, abs=0)
+        # The underflowed row contributes ln(L / tiny) to the sum.
+        assert np.isfinite(got.kl)
+        assert got.kl > np.log(L / np.finfo(float).tiny) / len(Y)
+
+    def test_class_major_stack_gives_the_same_numbers(self):
+        # per_learner_probs hands over an (L, n, m) view of a class-major
+        # array; the layer sum and every number read from it are the same.
+        P, Y = self.stack(3)
+        view = np.ascontiguousarray(P.transpose(0, 2, 1)).transpose(0, 2, 1)
+        got, want = immediate_metrics(view, Y), immediate_metrics(P, Y)
+        assert np.array_equal(got.probs, want.probs)
+        assert np.array_equal(got.hits, want.hits)
+        assert got.kl == want.kl
+        assert got.regret == pytest.approx(want.regret, rel=1e-14, abs=0)
+
+    def test_rejects_bad_input(self):
+        P, Y = self.stack(3)
+        with pytest.raises(ContractError):
+            immediate_metrics(P[:, :5], Y)
+        with pytest.raises(ContractError):
+            immediate_metrics([P[0], P[1][:, :3]], Y)
+        with pytest.raises(ContractError):
+            immediate_metrics([], Y)
+        with pytest.raises(ContractError):
+            immediate_metrics(P[:, :0], Y[:0])
+        with pytest.raises(ContractError):
+            immediate_metrics(P, Y, mode="max")
+        with pytest.raises(ContractError):
+            immediate_metrics(P, Y).accuracy(np.zeros(len(Y), dtype=bool))
 
 
 class TestTraceSeries:

@@ -238,6 +238,64 @@ class TestRunExperiment:
             assert offline.per_task_accuracy[q] == float(np.mean(hit[rows]))
 
 
+class TestOneEvaluationPass:
+    def tree(self):
+        # 52 test rows: no batch, task pool or pooled stack has that size.
+        return base_tree(dataset={"kind": "synthetic", "classes": 4, "dims": 5,
+                                  "separation": 3.0, "samples": 20,
+                                  "test_samples": 13},
+                         eval_every="batch", baselines=True)
+
+    def test_test_rows_meet_the_backbone_once(self, monkeypatch):
+        from rvflstream import learners
+
+        extract, rows = learners.extract_features, []
+        probs, evaluations = learners.ContinualModel.per_learner_probs, []
+
+        def counted_extract(X, *args, **kwargs):
+            rows.append(len(X))
+            return extract(X, *args, **kwargs)
+
+        def counted_probs(*args, **kwargs):
+            evaluations.append(1)
+            return probs(*args, **kwargs)
+
+        monkeypatch.setattr(learners, "extract_features", counted_extract)
+        monkeypatch.setattr(learners.ContinualModel, "per_learner_probs",
+                            counted_probs)
+        report = run_experiment(validate_config(self.tree()))
+        assert rows.count(52) == 1
+        # The stream's 80 rows once each, the 52 test rows once, and the
+        # baselines' two task pools and their pooled stack.
+        assert sum(rows) == 80 + 52 + 80 + 80
+        assert len(evaluations) == len(report.trace.t) == report.resolved["T"]
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_baselines_on_the_runners_features_are_bit_identical(
+            self, standardize):
+        from rvflstream.learners import (BASELINE_KINDS, ContinualModel,
+                                         fit_baseline)
+
+        tree = self.tree()
+        tree["network"]["standardize"] = standardize
+        config = validate_config(tree)
+        train, test = make_gaussian_dataset(seed=config.dataset["seed"], **{
+            k: config.dataset[k] for k in ("classes", "dims", "separation",
+                                           "samples", "test_samples")})
+        net = NetworkConfig(s=train.X.shape[1], m=train.m, **config.network)
+        tasks = split_class_incremental(train, config.split)
+        model = ContinualModel(net, config.style)
+        first = batchify(tasks, config.batch_size, train.m)[0]
+        model.observe(first.X, first.Y)
+        given = fit_baseline(tasks, test, net, prepare=model._prepare,
+                             test_feats=model.eval_features(test.X))
+        own = fit_baseline(tasks, test, net, prepare=model._prepare)
+        for kind in BASELINE_KINDS:
+            assert given[kind].accuracy == own[kind].accuracy
+            assert np.array_equal(given[kind].per_task_accuracy,
+                                  own[kind].per_task_accuracy)
+
+
 class TestEmitReport:
     def test_files_and_exact_round_trip(self, tmp_path):
         report = run_experiment(validate_config(base_tree()))
