@@ -1,24 +1,28 @@
 """One-pass continual learners and the non-continual baselines.
 
-Three regularization styles share one recursive update skeleton:
+ridge and kf share one recursive update skeleton:
 
     theta_{t+1} = theta_t - eta_{t+1} [ ((1 - k_cur) D_t^T D_t
                                         + k_next D_next^T D_next) theta_t
                                         - D_t^T Y_t ]
 
-ridge uses k_cur = k_next = 0 (no forward term), the forward style uses
-a constant k_cur = k_next = k, and the Bayes-adaptive style recomputes
-k_cur and k_next every step from the trace of the inverse projected
-covariance. Writing the drift as (1 - k_cur) G_t + k_next G_next makes
-the k = 0 and k = 1 degenerations exact in floating point, not just
-algebraically.
+ridge uses k_cur = k_next = 0 (no forward term) and the forward style a
+constant k_cur = k_next = k. Writing the drift as
+(1 - k_cur) G_t + k_next G_next makes the k = 0 and k = 1 degenerations
+exact in floating point, not just algebraically.
+
+The Bayes-adaptive style takes k_next every step from the trace of the
+inverse projected covariance. It carries the ridge head q and adds one
+rank-b' forward correction, theta = q - k_next V^T S^{-1} (D_next q),
+so its head equals offline_kf_fit(seen, D_next, k_next, lam) after
+every step; the k_cur it records is the previous step's k_next.
 
 Each learner keeps a pseudo-incomplete rate eta_dag that accumulates the
 labeled batches only; the complete rate eta additionally absorbs the
 k-weighted Gram of the upcoming unlabeled batch and is rebuilt from
 eta_dag every step. State size never grows with t.
 
-No step builds a d x d Gram: each data term is applied to theta through
+No step builds a d x d Gram: each data term is applied to a head through
 its b x d block. Fixed pairs (ridge, kf and an overridden kf_bayes) form
 the complete rate with a second Woodbury correction and move theta by
 it, the reference form the k = 1 pin checks bit for bit.
@@ -35,8 +39,8 @@ rows. The first step, and a step whose D_t is not the cached block,
 projects all of X. The rows W of the correction follow from the b x b
 inner system of M's D_t rows, and the projections on the new eta_dag
 are M - (X W^T) W. The absorb appends W to A and writes no d x d
-matrix; both k come from the projections, and the complete rate is
-applied through its b x b inner system, with no d x d by d x m
+matrix; the k come from the projections, and the forward correction
+is applied through its b' x b' inner system, with no d x d by d x m
 product. Once every R // b steps the layer flushes: it writes
 E - A^T A into a fresh base, (r + b) d^2 more flops, and empties A.
 Layer l flushes at the steps t = l modulo R // b, so the layers of a
@@ -110,6 +114,10 @@ class RegStyle:
             the recursion matches the closed form exactly;
             "paper_strict" skips that accumulation at t == 1, leaving
             the learner fully uninformed at the start of the stream.
+            ridge and kf still move theta by eta_0 D_1^T Y_1 on the
+            first batch; kf_bayes's ridge head skips it along with
+            eta_dag, so its head is zero after batch 1 and from then on
+            the closed form over batches 2..t.
         k_source: which rate matrix feeds the adaptive-k formula.
             "pseudo" uses the freshly updated eta_dag (listing order);
             "previous_complete" uses the complete eta of the previous
@@ -153,6 +161,9 @@ class SubLearnerState:
     theta starts at zero (theta_{l,0} = theta_{l,1} = 0) and eta_dag at
     (lam * I)^{-1}. t counts consumed batches. eta is the complete rate
     produced by the most recent step; it is None before the first step.
+    A kf_bayes state also carries q, the ridge head on the batches
+    eta_dag absorbed, from which each step forms theta; it is None for
+    ridge and kf.
 
     eta_dag is carried as base - rows^T rows: a d x d base E and an
     r x d block A of correction rows not yet written into it. Fixed
@@ -169,7 +180,7 @@ class SubLearnerState:
     the complete rate's correction
     eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows from
     it in O(b^2 d); a previous_complete step takes its projections from
-    that correction.
+    that correction. The stored k_next is the next adaptive step's k_cur.
     Reading eta writes one fresh d x d array on every read: for an
     adaptive forward term E - [A; W_f]^T [A; W_f], and for a fixed pair,
     or an inner system that is not positive definite,
@@ -184,6 +195,7 @@ class SubLearnerState:
     lam: float
     style: RegStyle
     rows: np.ndarray
+    q: np.ndarray | None = None
     _forward: tuple | None = None
 
     @classmethod
@@ -197,6 +209,7 @@ class SubLearnerState:
             lam=float(lam),
             style=style,
             rows=np.empty((0, d)),
+            q=np.zeros((d, m)) if style.kind == "kf_bayes" else None,
         )
 
     @property
@@ -332,7 +345,7 @@ def _cached_rows(state, D):
 
 
 def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
-    """Absorb D_t into the carried eta_dag and adapt both k from it.
+    """Absorb D_t into the carried eta_dag and adapt the k from it.
 
     eta_dag is E - A^T A (see SubLearnerState). With X = [D_t; D_next],
     the projections on the carried matrix are M = X E - (X A^T) A. The
@@ -371,7 +384,7 @@ def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
             rows = np.vstack([rows, W]) if len(rows) else W
             if _flush_due(t, layer, len(state.rows), len(D), state.d):
                 base, rows = _minus_gram(base, rows, t), rows[:0]
-    return base, rows, proj, _adaptive_pair(state, X, before, proj, D, DN, rng)
+    return base, rows, proj, _adaptive_pair(state, before, proj, D, DN, rng)
 
 
 def _forward_rows(state):
@@ -388,31 +401,32 @@ def _forward_rows(state):
 
 
 def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
-    """Advance one head by the shared recursion of all three styles.
+    """Advance one head on batch (D_t, Y_t).
 
-    The sequence: absorb D_t into eta_dag (skipped at t == 1 in
-    paper_strict mode, reproducing the literal listing where eta_dag
-    stays at eta_0), take (k_cur, k_next) from the fixed pair or, when
-    pair is None, adapt both from eta_dag, and move the head by
-    theta -= eta [((1 - k_cur) G_t + k_next G_next) theta - D_t^T Y_t]
-    with the complete rate eta. The forward term is skipped when D_next
-    is None or k_next == 0.
+    The step absorbs D_t into eta_dag (skipped at t == 1 in paper_strict
+    mode, reproducing the literal listing where eta_dag stays at eta_0)
+    and takes (k_cur, k_next) from the fixed pair or, when pair is None,
+    adapts them from eta_dag.
 
-    A fixed pair writes the new eta_dag, forms eta with a second
-    Woodbury correction and applies G_next as a matrix. An adaptive step
-    touches no d x d matrix beyond the absorb, which appends its rows to
-    the carried ones and writes the base only on a flush (_flush_due).
-    The absorb also returns A = D_t eta_dag and V = D_next eta_dag on
-    the new eta_dag, both k come from them, and with
-    g = D_t^T u + D_next^T v the step applies eta as
+    A fixed pair writes the new eta_dag, forms the complete rate eta with
+    a second Woodbury correction and moves the head by
+    theta -= eta [((1 - k_cur) G_t + k_next G_next) theta - D_t^T Y_t],
+    applying G_next as a matrix. The forward term is skipped when D_next
+    is None or k_next == 0. A kf_bayes state moves its ridge head q along
+    the new eta_dag as well.
 
-        eta g = A^T u + V^T (v - k_next S^{-1} (V g)),
-        S = I + k_next V D_next^T = L L^T.
+    An adaptive step touches no d x d matrix beyond the absorb, which
+    appends its rows to the carried ones and writes the base only on a
+    flush (_flush_due). The absorb returns A = D_t eta_dag and
+    V = D_next eta_dag on the new eta_dag. The ridge head moves by
+    q -= A^T (D_t q - Y_t), and the head is the exact minimizer of the
+    objective with the forward term k_next G_next,
 
-    The difference is taken in the b-space. Forming V^T v - W_f^T (W_f g)
-    in the d-space instead, with the correction rows W_f of eta, cancels
-    large terms: at lam=1e-6 in paper_strict mode it took a
-    previous_complete run from 0.93 accuracy to 0.12.
+        theta = q - k_next V^T S^{-1} (D_next q),
+        S = I + k_next V D_next^T,
+
+    so no earlier k is left in it. k_cur is the previous step's k_next,
+    the weight on G_t carried into this step (_adaptive_pair).
 
     The new state keeps its own copy of D_next with k_next, and for an
     adaptive step V, or None without a forward term. A caller that
@@ -425,7 +439,7 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
         (new_state, (k_cur, k_next)).
     """
     D, Y, DN = _check_batch(state, D_t, Y_t, D_next)
-    theta = state.theta
+    theta, q = state.theta, state.q
     t = state.t + 1
     absorb = not (t == 1 and state.style.init_mode == "paper_strict")
     layer = getattr(D_t, "layer", None)
@@ -439,32 +453,35 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
                 base = woodbury_update(base, D, 1.0, batch_index=t)
             rows = state.rows[:0]
             k_cur, k_next = pair
-        # The current side of the drift minus the cross term, through
-        # the b x d block instead of the Gram G_t.
-        u = (1.0 - k_cur) * (D @ theta) - Y
         forward = None if DN is None or k_next == 0.0 else (DN.copy(), k_next)
         if pair is None:
             A, V = proj[:D.shape[0]], proj[D.shape[0]:]
-            step = A.T @ u
+            if absorb:
+                q = q - A.T @ (D @ q - Y)
+            theta = q
             if forward is not None:
-                v = k_next * (DN @ theta)
                 S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
-                Vg = V @ (D.T @ u + DN.T @ v)
-                step += V.T @ (v - k_next * _solve_inner(S, Vg))
+                theta = q - k_next * (V.T @ _solve_inner(S, DN @ q))
                 forward += (V,)
-        elif forward is None:
-            step = base @ (D.T @ u)
         else:
-            eta = woodbury_update(base, DN, k_next, batch_index=t)
-            step = eta @ (k_next * ((DN.T @ DN) @ theta) + D.T @ u)
-        theta = theta - step
+            if q is not None and absorb:
+                q = q - base @ (D.T @ (D @ q - Y))
+            # The current side of the drift minus the cross term, through
+            # the b x d block instead of the Gram G_t.
+            u = (1.0 - k_cur) * (D @ theta) - Y
+            if forward is None:
+                step = base @ (D.T @ u)
+            else:
+                eta = woodbury_update(base, DN, k_next, batch_index=t)
+                step = eta @ (k_next * ((DN.T @ DN) @ theta) + D.T @ u)
+            theta = theta - step
         if not np.all(np.isfinite(theta)):
             raise NumericalFailure("weight update is non-finite")
     except NumericalFailure as exc:
         exc.batch_index, exc.layer = t, layer
         raise
     new_state = dataclasses.replace(state, theta=theta, base=base, rows=rows,
-                                    t=t, _forward=forward)
+                                    t=t, q=q, _forward=forward)
     return new_state, (k_cur, k_next)
 
 
@@ -557,51 +574,55 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
     return _k_from_projection(D @ eta @ D.T, kappa, sigma, fast, rng)
 
 
-def _adaptive_pair(state, X, before, proj, D, DN, rng):
+def _adaptive_pair(state, before, proj, D, DN, rng):
     """Clamped adaptive (k_cur, k_next) from the projections of the step.
 
     proj holds X @ eta_dag, X = [D; D_next], on the new eta_dag and
-    before the same rows on the previous one. Under
-    k_source="previous_complete" the projections are taken on the
-    previous complete rate instead, once one exists:
-    before - (X @ W_f^T) @ W_f, with the correction rows W_f built from
-    the V the previous step kept. A fixed-pair forward term, or one
+    before the same rows on the previous one. k_cur is the k_next the
+    previous step stored with its forward term; only a state without
+    one, at the first step or after a closing step, takes k_cur from
+    the rule on D. Under k_source="previous_complete" the projections
+    are taken on the previous complete rate instead, once one exists:
+    before on a state without a forward term, and otherwise
+    before - (D_next @ W_f^T) @ W_f, with the correction rows W_f built
+    from the V the previous step kept. A fixed-pair forward term, or one
     whose inner system is not positive definite, builds the previous
     complete rate instead. k_next is 0 at the end of the stream.
     """
     style = state.style
-    if style.k_source == "previous_complete" and state.t > 0:
-        proj = before
-        if state._forward is not None:
-            W_f = _forward_rows(state)
-            if W_f is None:
-                proj = X @ state.eta
-            else:
-                proj = (X @ W_f.T) @ W_f
-                np.subtract(before, proj, out=proj)
 
     def clamped(block):
         k = _k_from_projection(block, style.kappa, style.sigma, style.fast_k, rng)
         return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
 
     b = D.shape[0]
-    k_cur = clamped(proj[:b] @ D.T)
-    return k_cur, (0.0 if DN is None else clamped(proj[b:] @ DN.T))
+    complete = style.k_source == "previous_complete" and state.t > 0
+    if complete:
+        proj = before
+    k_cur = clamped(proj[:b] @ D.T) if state._forward is None else state._forward[1]
+    if DN is None:
+        return k_cur, 0.0
+    P = proj[b:]
+    if complete and state._forward is not None:
+        W_f = _forward_rows(state)
+        P = DN @ state.eta if W_f is None else before[b:] - (DN @ W_f.T) @ W_f
+    return k_cur, clamped(P @ DN.T)
 
 
 def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
     """One Bayes-adaptive forward step.
 
-    Both forward weights are recomputed from the current rate matrix:
-    k_cur from the labeled batch D_t and k_next from the unlabeled
-    D_next, then clamped to [1e-6, 1e6]. The complete rate absorbs
-    k_next * D_next^T D_next and the drift is
-    (1 - k_cur) D_t^T D_t + k_next D_next^T D_next. The adaptive step
-    applies the complete rate implicitly; state.eta builds it on read.
+    k_next is recomputed every step from the rate matrix and the
+    unlabeled D_next, then clamped to [1e-6, 1e6]. The head minimizes the
+    ridge objective over the batches eta_dag absorbed plus the forward
+    term k_next |D_next theta|^2 / 2 (see _step), so it equals
+    offline_kf_fit(seen, D_next, k_next, lam) at every step; state.eta
+    builds the complete rate on read.
 
-    At the end of a stream (D_next is None) k_cur is still recomputed
-    for the labeled batch; only the forward term vanishes, so the pair
-    recorded for that step is (k_cur, 0).
+    The recorded k_cur is the previous step's k_next. A state without a
+    forward term, at the first step or after a closing one, takes it
+    from the same rule on D_t. At the end of a stream (D_next is None)
+    the head is the ridge head and the recorded pair is (k_cur, 0).
 
     Args:
         state: kf_bayes SubLearnerState.
@@ -609,7 +630,8 @@ def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
         D_next: the upcoming unlabeled batch, or None.
         k_override: test hook; a (k_cur, k_next) pair that bypasses the
             adaptive formula and the clamp, and takes the fixed-pair
-            form of the step.
+            form of the step. The ridge head still advances, so a later
+            adaptive step starts from it.
         rng: generator for the random_pick fast variant.
 
     Returns:

@@ -107,6 +107,57 @@ def test_online_recursion_matches_offline_fit_at_every_step():
     assert worst <= 1e-8
 
 
+def test_adaptive_recursion_matches_offline_fit_at_every_step():
+    """The adaptive head is the closed-form fit with its own forward weight.
+
+    The same backbone streams as above (L=3, N=16, lam=1) run kf_bayes
+    in both init modes, with both k sources and every k rule. At every
+    step t the head of every layer must equal
+    offline_kf_fit(seen, D_next, k_next_t, lam), with k_next_t the
+    forward weight the step recorded, to a relative 1e-8: no earlier
+    weight lingers in it. In paper_strict mode eta_dag never absorbs the
+    first batch, and neither does the head: seen holds batches 2..t,
+    and the head after batch 1 is zero.
+    """
+    b, T, lam = 5, 30, 1.0
+    m = 4
+    worst = 0.0
+    for s in (8, 24):
+        config = NetworkConfig(L=3, N=16, s=s, m=m, activation="relu", lam=lam, seed=7)
+        weights = init_random_weights(config)
+        rng = np.random.default_rng(1000 + s)
+        raw = _random_batches(rng, T, b, s, m)
+        feats = [[fb.D for fb in extract_features(X, weights, config, t=i)]
+                 for i, (X, _) in enumerate(raw)]
+        for init_mode in ("theorem", "paper_strict"):
+            for k_source in ("pseudo", "previous_complete"):
+                for fast_k in (None, "trace_only", "random_pick"):
+                    style = RegStyle(kind="kf_bayes", init_mode=init_mode,
+                                     k_source=k_source, fast_k=fast_k)
+                    for layer in range(config.L):
+                        d = feats[0][layer].shape[1]
+                        state = SubLearnerState.initial(d, m, lam, style)
+                        pick = np.random.default_rng(layer)
+                        seen = []
+                        for t in range(T):
+                            D_t = feats[t][layer]
+                            Y_t = raw[t][1]
+                            D_next = feats[t + 1][layer] if t + 1 < T else None
+                            state, (_, k_next) = step_kf_bayes(
+                                state, D_t, Y_t, D_next, rng=pick)
+                            where = (f"s={s} {init_mode} {k_source} {fast_k} "
+                                     f"layer={layer} step={t + 1}")
+                            if t == 0 and init_mode == "paper_strict":
+                                assert not state.theta.any(), where
+                                continue
+                            seen.append((D_t, Y_t))
+                            ref = offline_kf_fit(seen, D_next, k_next, lam)
+                            err = _rel_err(state.theta, ref.theta)
+                            worst = max(worst, err)
+                            assert err <= 1e-8, where
+    assert worst <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # 2. Constant-k extremes reduce to the two known update forms.
 # ---------------------------------------------------------------------------

@@ -37,7 +37,13 @@ from rvflstream.network import (
     softmax,
 )
 from rvflstream.solvers import offline_kf_fit, offline_ridge_fit
-from rvflstream.stream import Task, make_gaussian_dataset
+from rvflstream.stream import (
+    Task,
+    TaskSplitSpec,
+    batchify,
+    make_gaussian_dataset,
+    split_class_incremental,
+)
 
 
 def fresh_state(d=3, m=2, lam=1.0, **style_kw):
@@ -353,6 +359,23 @@ class TestBayesStep:
             assert pair is None
             assert np.array_equal(bayes.theta, const.theta)
 
+    def test_adaptive_step_after_override_is_the_closed_form(self):
+        # Overridden steps take the dense chain but still advance the
+        # ridge head, so the adaptive steps after them land on the
+        # closed form with their own k_next.
+        rng = np.random.default_rng(57)
+        d, m, b, T = 12, 2, 3, 8
+        stream = random_stream(rng, T, b, d, m)
+        state = fresh_state(d=d, m=m, kind="kf_bayes")
+        for i, (D, Y) in enumerate(stream):
+            D_next = stream[i + 1][0] if i + 1 < T else None
+            if i in (2, 3):
+                state, _ = step_kf_bayes(state, D, Y, D_next, k_override=(0.5, 0.5))
+                continue
+            state, (_, k_next) = step_kf_bayes(state, D, Y, D_next)
+            ref = offline_kf_fit(stream[:i + 1], D_next, k_next, 1.0).theta
+            assert _rel(state.theta, ref) <= 1e-9, f"step {i + 1}"
+
     def test_previous_complete_source_differs(self):
         rng = np.random.default_rng(66)
         d, m, b = 3, 2, 2
@@ -375,8 +398,34 @@ class TestBayesStep:
         assert a[1] != b_[1]          # sources diverge from step 2 on
 
 
+class TestRoundingSensitivity:
+    @pytest.mark.parametrize("init_mode", ["theorem", "paper_strict"])
+    def test_one_ulp_of_lam_barely_moves_the_deepest_head(self, init_mode):
+        # The closed-form head is a smooth function of lam, so the next
+        # float above lam = 1 moves it by rounding only (~4e-9 measured).
+        # A head that keeps a stale forward weight amplified the same
+        # change to 7e-4 (theorem) and 5e-2 (paper_strict).
+        train, _ = make_gaussian_dataset(6, 12, 2.0, 40, 1, seed=3)
+        stream = batchify(split_class_incremental(train, TaskSplitSpec(Q=3, order_seed=3)),
+                          8, 6)
+
+        def deepest_head(lam):
+            config = NetworkConfig(L=3, N=256, s=12, m=6, lam=lam, seed=3)
+            model = ContinualModel(config, RegStyle(kind="kf_bayes",
+                                                    init_mode=init_mode))
+            for i, batch in enumerate(stream):
+                X_next = stream[i + 1].X if i + 1 < stream.T else None
+                model.observe(batch.X, batch.Y, X_next)
+            return model.states[2].theta
+
+        lam = 1.0
+        assert _rel(deepest_head(np.nextafter(lam, 2.0)), deepest_head(lam)) <= 1e-7
+
+
 def _rel(got, want):
-    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+    """Relative Frobenius distance; absolute when want is zero."""
+    scale = np.linalg.norm(want)
+    return float(np.linalg.norm(got - want) / (scale if scale else 1.0))
 
 
 def _traced_peak(fn):
@@ -405,6 +454,23 @@ def _count_dxd_work(monkeypatch):
     return calls, writes
 
 
+def _replay_reference(dense, stream, i, D_next, k_next, lam=1.0):
+    """The head an adaptive step must reach, from the dense replay.
+
+    The dense chain replays the pairs through k_override; they are
+    (previous k_next, k_next), which telescope, so it stays on the
+    closed form. In paper_strict mode it also takes the first batch's
+    kick eta_0 D_1^T Y_1, which the adaptive head skips along with
+    eta_dag: there the reference is the closed form over batches 2..t,
+    and zero after batch 1.
+    """
+    if dense.style.init_mode == "theorem":
+        return dense.theta
+    if i == 0:
+        return np.zeros_like(dense.theta)
+    return offline_kf_fit(stream[1:i + 1], D_next, k_next, lam).theta
+
+
 class TestImplicitForwardRate:
     @pytest.mark.parametrize("style_kw", [
         {},
@@ -412,27 +478,33 @@ class TestImplicitForwardRate:
         {"fast_k": "trace_only"},
     ])
     def test_matches_dense_replay(self, style_kw, monkeypatch):
-        # The adaptive step applies the complete rate implicitly and
-        # absorbs only D_t; replaying its pairs through k_override takes
-        # the dense form with a second Woodbury. Both must agree at
-        # every step, the closing step (no D_next) included.
+        # The adaptive step carries the ridge head and applies the forward
+        # correction through the b' x b' system only; replaying its pairs
+        # through k_override takes the dense form with a second Woodbury.
+        # Both must agree at every step, the closing step (no D_next)
+        # included, and k_cur must be the previous step's k_next.
         rng = np.random.default_rng(71)
         d, m, b, T = 10, 3, 4, 24
         calls, writes = _count_dxd_work(monkeypatch)
         stream = random_stream(rng, T, b, d, m)
         adaptive = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
         dense = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
+        pair = None
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
             calls.clear()
             writes.clear()
+            previous = pair
             adaptive, pair = step_kf_bayes(adaptive, D, Y, D_next)
+            if previous is not None:
+                assert pair[0] == previous[1], f"step {i + 1}"
             skipped = i == 0 and style_kw.get("init_mode") == "paper_strict"
             # d=10 carries no rows at b=4: the absorb is the one write.
             assert calls == []
             assert len(writes) == (0 if skipped else 1), f"step {i + 1}"
             dense, _ = step_kf_bayes(dense, D, Y, D_next, k_override=pair)
-            assert _rel(adaptive.theta, dense.theta) <= 1e-9, f"step {i + 1}"
+            want = _replay_reference(dense, stream, i, D_next, pair[1])
+            assert _rel(adaptive.theta, want) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
         assert pair[1] == 0.0
 
@@ -445,9 +517,11 @@ class TestAdaptivePairFromProjections:
         {"fast_k": "random_pick"},
     ])
     def test_pairs_follow_rule_on_new_eta_dag(self, style_kw):
-        # The adaptive step takes both k from the projections its absorb
-        # returns; they must equal the clamped rule applied afresh to
-        # the eta_dag the step leaves behind (d spans two panels).
+        # The adaptive step takes k_next from the projections its absorb
+        # returns; it must equal the clamped rule applied afresh to the
+        # eta_dag the step leaves behind (d spans two panels). k_cur is
+        # the previous k_next, bit for bit; only the first step, which
+        # has no forward term before it, takes k_cur from the rule.
         rng = np.random.default_rng(72)
         d, m, b, T = 150, 3, 4, 24
         stream = random_stream(rng, T, b, d, m)
@@ -460,11 +534,16 @@ class TestAdaptivePairFromProjections:
                                    rng=rule_rng)
             return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
 
+        k_next = None
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
+            previous = k_next
             state, (k_cur, k_next) = step_kf_bayes(state, D, Y, D_next,
                                                    rng=step_rng)
-            assert k_cur == pytest.approx(rule(D), rel=1e-10), f"step {i + 1}"
+            if i == 0:
+                assert k_cur == pytest.approx(rule(D), rel=1e-10)
+            else:
+                assert k_cur == previous, f"step {i + 1}"
             want = 0.0 if D_next is None else rule(D_next)
             assert k_next == pytest.approx(want, rel=1e-10), f"step {i + 1}"
         assert k_next == 0.0
@@ -510,6 +589,7 @@ class TestDeferredAbsorb:
             prev = adaptive
             adaptive, pair = step_kf_bayes(adaptive, D, Y, D_next)
             dense, _ = step_kf_bayes(dense, D, Y, D_next, k_override=pair)
+            want = _replay_reference(dense, stream, i, D_next, pair[1])
             if i > 0 and len(adaptive.rows) == 0:
                 flushes += 1
                 assert np.array_equal(adaptive.base, adaptive.base.T)
@@ -518,7 +598,7 @@ class TestDeferredAbsorb:
                 assert adaptive.base is prev.base, f"step {i + 1}"
                 assert len(adaptive.rows) == len(prev.rows) + len(D)
                 assert np.array_equal(adaptive.rows[:len(prev.rows)], prev.rows)
-            assert _rel(adaptive.theta, dense.theta) <= 1e-9, f"step {i + 1}"
+            assert _rel(adaptive.theta, want) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta_dag, dense.eta_dag) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
         assert flushes == 3
@@ -736,9 +816,10 @@ class TestCachedProjection:
     @pytest.mark.parametrize("k_source, k_bound", [
         ("pseudo", 1e-8),
         # The previous complete rate subtracts the forward correction
-        # from the projections, a cancellation that scales their rounding
-        # by up to 1 + k_next, and k_next reaches ~1.4e2 on this stream:
-        # ~1e-14 becomes ~1e-12 (measured worst 3.2e-12, pseudo 2.2e-14).
+        # from the projections, a cancellation that scales the rounding
+        # of the D_t rows by up to 1 + k_next, and k_next reaches ~1.4e2
+        # on this stream. Those rows feed k_cur only at the first step;
+        # the measured worst is 1.1e-15 (pseudo 9.7e-16).
         ("previous_complete", 1e-10),
     ])
     def test_matches_full_product_over_flushes(self, init_mode, k_source,
@@ -788,7 +869,8 @@ class TestCachedProjection:
         # A D_t other than the stored D_next, the caller's D_next array
         # changed in place after the step, and a state a fixed pair left
         # behind (no V) all project D_t afresh; the step then equals one
-        # from the same state without a forward term, bit for bit.
+        # from the same state with V dropped from its forward term, which
+        # keeps k_next as the step's k_cur, bit for bit.
         rng = np.random.default_rng(86)
         d, m, b = 160, 3, 5
         stream = random_stream(rng, 4, b, d, m)
@@ -805,10 +887,11 @@ class TestCachedProjection:
         counts = _count_projected_rows(monkeypatch)
         got, got_pair = step_kf_bayes(state, D_t, stream[2][1], stream[3][0])
         assert counts == [2 * b]
-        bare = dataclasses.replace(state, _forward=None)
+        bare = dataclasses.replace(state, _forward=state._forward[:2])
         want, want_pair = step_kf_bayes(bare, D_t, stream[2][1], stream[3][0])
         assert got_pair == want_pair
-        for name in ("theta", "base", "rows"):
+        assert got_pair[0] == state._forward[1]
+        for name in ("theta", "q", "base", "rows"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert np.array_equal(got._forward[2], want._forward[2])
 
@@ -825,10 +908,11 @@ class TestCachedProjection:
 
 class TestPreviousCompleteSource:
     def test_one_absorb_per_step_on_the_parent_rule(self, monkeypatch):
-        # k comes from the previous complete rate, taken from the absorb's
-        # product and the forward rows the previous step kept: no
-        # Woodbury call and at most one d x d write (the flush). The
-        # reference builds that rate with the dense chain.
+        # k_next comes from the previous complete rate, taken from the
+        # absorb's product and the forward rows the previous step kept:
+        # no Woodbury call and at most one d x d write (the flush). The
+        # reference builds that rate with the dense chain. k_cur is the
+        # previous k_next; the first step takes it from the rule.
         from rvflstream.solvers import woodbury_update as woodbury
 
         calls, writes = _count_dxd_work(monkeypatch)
@@ -845,19 +929,25 @@ class TestPreviousCompleteSource:
             k = compute_adaptive_k(block, eta, style.kappa, style.sigma)
             return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
 
+        k_next = None
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
             basis = dense.eta if dense.t else woodbury(dense.eta_dag, D, 1.0)
             calls.clear()
             writes.clear()
+            previous = k_next
             state, (k_cur, k_next) = step_kf_bayes(state, D, Y, D_next)
             assert calls == [], f"step {i + 1}"
             assert len(writes) <= 1, f"step {i + 1}"
-            assert k_cur == pytest.approx(rule(D, basis), rel=1e-10), f"step {i + 1}"
+            if i == 0:
+                assert k_cur == pytest.approx(rule(D, basis), rel=1e-10)
+            else:
+                assert k_cur == previous, f"step {i + 1}"
             want = 0.0 if D_next is None else rule(D_next, basis)
             assert k_next == pytest.approx(want, rel=1e-10), f"step {i + 1}"
             dense, _ = step_kf_bayes(dense, D, Y, D_next,
                                      k_override=(k_cur, k_next))
+            assert _rel(state.theta, dense.theta) <= 1e-9, f"step {i + 1}"
 
 
 class TestOneBlasPool:

@@ -1,6 +1,7 @@
 """Experiment runner, report emission, and CLI tests."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -236,6 +237,56 @@ class TestRunExperiment:
         for q, tk in enumerate(tasks):
             rows = np.isin(test.y, tk.classes)
             assert offline.per_task_accuracy[q] == float(np.mean(hit[rows]))
+
+
+def _write_pixel_standin(root, seed, train_per_class, test_per_class,
+                         classes=10):
+    """Seeded 28x28 idx files: a smooth prototype per class plus noise.
+
+    Each prototype is a 7x7 uniform draw upsampled 4x; every image adds
+    Gaussian pixel noise of standard deviation 60. Returns the dataset
+    block of a config that reads them.
+    """
+    rng = np.random.default_rng(seed)
+    protos = np.kron(rng.uniform(0.0, 255.0, (classes, 7, 7)), np.ones((4, 4)))
+    paths = {}
+    for split, per_class in (("train", train_per_class), ("test", test_per_class)):
+        labels = np.repeat(np.arange(classes), per_class)
+        noise = rng.normal(0.0, 60.0, (len(labels), 28, 28))
+        images = np.clip(np.rint(protos[labels] + noise), 0, 255)
+        paths[f"{split}_images"] = str(root / f"{split}-images")
+        paths[f"{split}_labels"] = str(root / f"{split}-labels")
+        with open(paths[f"{split}_images"], "wb") as f:
+            f.write(struct.pack(">iiii", 2051, len(labels), 28, 28))
+            f.write(images.astype(np.uint8).tobytes())
+        with open(paths[f"{split}_labels"], "wb") as f:
+            f.write(struct.pack(">ii", 2049, len(labels)))
+            f.write(labels.astype(np.uint8).tobytes())
+    return {"kind": "idx", **paths}
+
+
+class TestPixelStream:
+    def test_adaptive_style_keeps_ridge_accuracy_at_small_lam(self, tmp_path):
+        # d = 784 + 64 at lam = 1e-6: a kf_bayes head that keeps a stale
+        # forward weight from one step to the next drifts off the closed
+        # form in its deeper layers (0.38 final accuracy here against
+        # ridge's 1.0). The closed-form head stays with ridge.
+        dataset = _write_pixel_standin(tmp_path, 3, 100, 50)
+
+        def final(kind):
+            return run_experiment(validate_config({
+                "dataset": dataset,
+                "split": {"Q": 5},
+                "batch_size": 20,
+                "network": {"L": 3, "N": 64, "lam": 1e-6},
+                "style": {"kind": kind, "init_mode": "theorem"},
+                "eval_every": "task",
+                "baselines": False,
+                "seeds": {"weights": 3, "order": 3},
+            })).final["acc"]
+
+        ridge, bayes = final("ridge"), final("kf_bayes")
+        assert bayes >= ridge - 0.05, f"kf_bayes {bayes:.3f}, ridge {ridge:.3f}"
 
 
 class TestOneEvaluationPass:
