@@ -22,10 +22,11 @@ labeled batches only; the complete rate eta additionally absorbs the
 k-weighted Gram of the upcoming unlabeled batch and is rebuilt from
 eta_dag every step. State size never grows with t.
 
-No step builds a d x d Gram: each data term is applied to a head through
-its b x d block. Fixed pairs (ridge, kf and an overridden kf_bayes) form
-the complete rate with a second Woodbury correction and move theta by
-it, the reference form the k = 1 pin checks bit for bit.
+The current batch's data term is applied to a head through its b x d
+block. Fixed pairs (ridge, kf and an overridden kf_bayes) form the
+complete rate with a second Woodbury correction and move theta by it;
+with a forward term they also form the d x d Gram D_next^T D_next, the
+reference form the k = 1 pin checks bit for bit. No other step does.
 
 An adaptive kf_bayes layer carries eta_dag in the deferred form
 E - A^T A: a d x d base E and a block A of the correction rows of its
@@ -74,7 +75,7 @@ from .solvers import (
     _correction_rows,
     _minus_gram,
     _solve_inner,
-    offline_ridge_fit,
+    offline_kf_fit,
     solve_spd,
     woodbury_update,
 )
@@ -114,10 +115,13 @@ class RegStyle:
             the recursion matches the closed form exactly;
             "paper_strict" skips that accumulation at t == 1, leaving
             the learner fully uninformed at the start of the stream.
-            ridge and kf still move theta by eta_0 D_1^T Y_1 on the
-            first batch; kf_bayes's ridge head skips it along with
-            eta_dag, so its head is zero after batch 1 and from then on
-            the closed form over batches 2..t.
+            ridge and kf still move theta by D_1^T Y_1 on the first
+            batch, at their complete rate: ridge's is eta_0 = I / lam,
+            so theta_1 = D_1^T Y_1 / lam, and kf's also holds the
+            forward term, theta_1 = (lam I + k D_2^T D_2)^{-1} D_1^T Y_1.
+            kf_bayes's ridge head skips the batch along with eta_dag, so
+            its head is zero after batch 1 and from then on the closed
+            form over batches 2..t.
         k_source: which rate matrix feeds the adaptive-k formula.
             "pseudo" uses the freshly updated eta_dag (listing order);
             "previous_complete" uses the complete eta of the previous
@@ -783,16 +787,6 @@ class BaselineResult:
     per_task_accuracy: np.ndarray
 
 
-def _ridge_heads(X, y, config, weights):
-    """Per-layer offline ridge heads for a labeled pool."""
-    Y = one_hot(y, config.m)
-    feats = extract_features(np.asarray(X, dtype=float), weights, config, t=0)
-    return [
-        offline_ridge_fit(fb.D, Y, lam).theta
-        for fb, lam in zip(feats, config.lambdas)
-    ]
-
-
 def _predict(feats, thetas, class_mask=None):
     """Ensemble class predictions from per-layer design matrices."""
     probs = fuse_probs(_layer_probs(feats, thetas))
@@ -830,7 +824,8 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
         last expert and "non_incremental" (fit on the first task, then
         frozen) the first; both are evaluated on the full test set. The
         test set, unless test_feats is given, and each task's pool meet
-        the backbone once; offline extracts its stacked pool itself.
+        the backbone once; offline is offline_kf_fit over the tasks'
+        feature blocks, so no task's inputs are stacked.
     """
     tasks = list(tasks)
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
@@ -855,13 +850,20 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
         per_task = np.array([np.mean(hit[rows]) for rows in task_rows])
         return BaselineResult(kind, float(np.mean(hit)), per_task)
 
-    experts = [_ridge_heads(prepare(tk.X), tk.y, config, weights) for tk in tasks]
+    pools = [(extract_features(prepare(tk.X), weights, config),
+              one_hot(tk.y, config.m)) for tk in tasks]
+
+    def ridge_heads(group):
+        # Per-layer offline ridge heads over a group of pools' feature blocks.
+        return [offline_kf_fit([(fs[l].D, Y) for fs, Y in group], None, 0.0, lam).theta
+                for l, lam in enumerate(config.lambdas)]
+
+    experts = [ridge_heads([pool]) for pool in pools]
     own = np.array([
         np.mean(_predict([D[rows] for D in test_feats], heads, class_mask=cls) == y_te[rows])
         for heads, rows, cls in zip(experts, task_rows, classes)
     ])
-    pooled = _ridge_heads(prepare(np.vstack([tk.X for tk in tasks])),
-                          np.concatenate([tk.y for tk in tasks]), config, weights)
+    pooled = ridge_heads(pools)
     return {"offline": scored("offline", pooled),
             "separate": BaselineResult("separate", float(own.mean()), own),
             "fine_tune": scored("fine_tune", experts[-1]),

@@ -292,11 +292,14 @@ def _load_datasets(ds):
 
 
 def stream_sha256(stream):
-    """Content hash over the learner-visible batch sequence."""
+    """Content hash over the learner-visible batch sequence.
+
+    X and Y are hashed as C-contiguous buffers, without a bytes copy.
+    """
     h = hashlib.sha256()
     for batch in stream:
-        h.update(np.ascontiguousarray(batch.X).tobytes())
-        h.update(np.ascontiguousarray(batch.Y).tobytes())
+        h.update(np.ascontiguousarray(batch.X))
+        h.update(np.ascontiguousarray(batch.Y))
     return h.hexdigest()
 
 

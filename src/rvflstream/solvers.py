@@ -5,8 +5,8 @@ rate matrix eta is carried forward through Woodbury corrections of rank
 b (the batch size). A correction does two pieces of d x d work: one
 product D @ eta, and one write of eta - W^T W in row panels, symmetric
 by construction, where W is a b x d block from the Cholesky factor of
-the b x b inner system. The offline solvers in this module compute the
-same quantities directly and act as exact references for what the
+the b x b inner system. The offline solver offline_kf_fit computes the
+same quantities directly and is the exact reference for what the
 recursions must reproduce step by step.
 
 All factorizations and solves use numpy.linalg only.
@@ -211,23 +211,33 @@ class OfflineSolution:
     """A direct (non-recursive) solution of the regularized least squares.
 
     Attributes:
-        theta: d x m weight matrix.
-        gram: the d x d regularized Gram matrix that produced theta.
-        cross: the d x m accumulated cross moment sum_i D_i^T Y_i.
-
-    The defining relation gram @ theta == cross holds up to solver
-    round-off and is what the recursive learners are checked against.
+        theta: d x m weight matrix, the reference the recursive learners
+            are checked against.
     """
 
     theta: np.ndarray
-    gram: np.ndarray
-    cross: np.ndarray
+
+
+def _checked_block(D, Y, d=None):
+    """(D, Y) as float arrays: 2-D, rows agreeing, nonempty, finite."""
+    D = np.asarray(D, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if D.ndim != 2 or Y.ndim != 2 or D.shape[0] != Y.shape[0]:
+        raise ContractError(f"row counts must agree: D {D.shape}, Y {Y.shape}")
+    if D.shape[0] < 1:
+        raise ContractError("at least one row is required")
+    if d is not None and D.shape[1] != d:
+        raise ContractError(f"batch has {D.shape[1]} columns, expected {d}")
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(Y))):
+        raise ContractError("inputs must be finite")
+    return D, Y
 
 
 def offline_ridge_fit(D_all, Y_all, lam):
     """Ridge regression in primal closed form.
 
-    theta = (D^T D + lam * I)^{-1} D^T Y over the full data matrix.
+    theta = (D^T D + lam * I)^{-1} D^T Y over the full data matrix, which
+    is offline_kf_fit on the single block (D_all, Y_all).
 
     Args:
         D_all: n x d stacked feature rows.
@@ -237,36 +247,18 @@ def offline_ridge_fit(D_all, Y_all, lam):
     Returns:
         OfflineSolution with the fitted weights.
     """
-    D_all = np.asarray(D_all, dtype=float)
-    Y_all = np.asarray(Y_all, dtype=float)
-    if D_all.ndim != 2 or Y_all.ndim != 2 or D_all.shape[0] != Y_all.shape[0]:
-        raise ContractError(
-            f"row counts must agree: D {D_all.shape}, Y {Y_all.shape}"
-        )
-    if D_all.shape[0] < 1:
-        raise ContractError("at least one row is required")
-    if not (np.all(np.isfinite(D_all)) and np.all(np.isfinite(Y_all))):
-        raise ContractError("inputs must be finite")
-    if not lam > 0:
-        raise ContractError(f"lam must be positive, got {lam}")
-
-    d = D_all.shape[1]
-    gram = D_all.T @ D_all + lam * np.eye(d)
-    cross = D_all.T @ Y_all
-    theta = solve_spd(gram, cross)
-    if not np.all(np.isfinite(theta)):
-        raise NumericalFailure("ridge solve produced non-finite weights")
-    return OfflineSolution(theta=theta, gram=gram, cross=cross)
+    return offline_kf_fit([(D_all, Y_all)], None, 0.0, lam)
 
 
 def offline_ridge_dual(D_all, Y_all, lam):
     """Dual form of ridge regression: theta = D^T (D D^T + lam I)^{-1} Y.
 
     Used only as a cross check of the primal form; the streaming path
-    never calls it.
+    never calls it. Takes the inputs offline_ridge_fit takes.
     """
-    D_all = np.asarray(D_all, dtype=float)
-    Y_all = np.asarray(Y_all, dtype=float)
+    if not lam > 0:
+        raise ContractError(f"lam must be positive, got {lam}")
+    D_all, Y_all = _checked_block(D_all, Y_all)
     n = D_all.shape[0]
     K = D_all @ D_all.T + lam * np.eye(n)
     return D_all.T @ solve_spd(K, Y_all)
@@ -280,12 +272,15 @@ def offline_kf_fit(batches, D_next, k, lam):
 
     over labeled batches (D_i, Y_i) for i = 1..t, where D_next is the
     upcoming unlabeled batch and k weights its contribution. With
-    D_next=None or k=0 this reduces to ridge on the seen batches.
+    D_next=None or k=0 this reduces to ridge on the seen batches. It is
+    the package's one offline solver; offline_ridge_fit is its
+    single-block call.
 
     Args:
-        batches: sequence of (D_i, Y_i) pairs, at least one.
-        D_next: b x d feature block of the next batch, or None at the
-            end of a stream.
+        batches: sequence of (D_i, Y_i) pairs, at least one, each with
+            at least one row, matching row counts and finite entries.
+        D_next: finite b x d feature block of the next batch, or None
+            at the end of a stream.
         k: nonnegative forward weight.
         lam: positive regularization strength.
 
@@ -300,28 +295,23 @@ def offline_kf_fit(batches, D_next, k, lam):
     if k < 0:
         raise ContractError(f"k must be nonnegative, got {k}")
 
-    d = np.asarray(batches[0][0]).shape[1]
-    gram = lam * np.eye(d)
-    cross = None
+    d = gram = cross = None
     for D_i, Y_i in batches:
-        D_i = np.asarray(D_i, dtype=float)
-        Y_i = np.asarray(Y_i, dtype=float)
-        if D_i.shape[1] != d:
-            raise ContractError(
-                f"batch has {D_i.shape[1]} columns, expected {d}"
-            )
+        D_i, Y_i = _checked_block(D_i, Y_i, d)
+        if d is None:
+            d = D_i.shape[1]
+            gram = lam * np.eye(d)
         gram += D_i.T @ D_i
         term = D_i.T @ Y_i
         cross = term if cross is None else cross + term
-    if D_next is not None and k != 0.0:
+    if D_next is not None:
         D_next = np.asarray(D_next, dtype=float)
-        if D_next.shape[1] != d:
-            raise ContractError(
-                f"D_next has {D_next.shape[1]} columns, expected {d}"
-            )
-        gram += k * (D_next.T @ D_next)
+        if D_next.ndim != 2 or D_next.shape[1] != d or not np.all(np.isfinite(D_next)):
+            raise ContractError(f"D_next must be finite with {d} columns, got {D_next.shape}")
+        if k != 0.0:
+            gram += k * (D_next.T @ D_next)
 
     theta = solve_spd(gram, cross)
     if not np.all(np.isfinite(theta)):
-        raise NumericalFailure("forward-regularized solve produced non-finite weights")
-    return OfflineSolution(theta=theta, gram=gram, cross=cross)
+        raise NumericalFailure("offline solve produced non-finite weights")
+    return OfflineSolution(theta=theta)

@@ -252,10 +252,11 @@ def test_inverse_rate_weighted_updates_telescope_to_batch_gram():
 
     Checked at every step over 20 random streams for all three styles,
     to a relative 1e-8. For ridge and constant-k the stored rates are
-    inverted directly. The adaptive style re-estimates the forward
-    weight of a batch when that batch becomes current, so its effective
-    inverse rate is rebuilt from the recorded (k_cur, k_next) pairs; the
-    stored rate differs from it by exactly that re-estimation.
+    inverted directly. The adaptive style's forward weight changes from
+    step to step, so its inverse rates are rebuilt from the recorded
+    (k_cur, k_next) pairs: a batch keeps, as k_cur while it is current,
+    the k_next it was given as the upcoming batch, so each step's
+    starting rate is the previous step's complete rate.
     """
     b, d, m, T, lam = 6, 10, 3, 8, 1.0
     for seed in range(20):

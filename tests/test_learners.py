@@ -198,6 +198,42 @@ class TestForwardStep:
         assert np.allclose(stepped.theta, ref, rtol=1e-12)
 
 
+class TestPaperStrictFirstHead:
+    """paper_strict leaves batch 1 out of eta_dag for every style.
+
+    ridge and kf still move their heads by D_1^T Y_1 at their complete
+    rate after batch 1: I / lam for ridge, and (lam I + k D_2^T D_2)^{-1}
+    for kf, whose rate also holds the forward term. kf_bayes's head
+    skips the batch too and stays zero.
+    """
+
+    def test_first_head_and_rate(self):
+        rng = np.random.default_rng(47)
+        d, m, b, lam, k = 6, 3, 4, 0.7, 0.8
+        D1, Y1, D2 = (rng.standard_normal(shape)
+                      for shape in ((b, d), (b, m), (b, d)))
+        heads = {}
+        for kind in ("ridge", "kf", "kf_bayes"):
+            state = fresh_state(d=d, m=m, lam=lam, kind=kind, k=k,
+                                init_mode="paper_strict")
+            if kind == "ridge":
+                state = step_ridge(state, D1, Y1)
+            elif kind == "kf":
+                state = step_kf(state, D1, Y1, D2)
+            else:
+                state, _ = step_kf_bayes(state, D1, Y1, D2)
+            assert np.array_equal(state.eta_dag, np.eye(d) / lam), kind
+            heads[kind] = state.theta
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        assert rel(heads["ridge"], D1.T @ Y1 / lam) <= 1e-12
+        kf_ref = np.linalg.solve(lam * np.eye(d) + k * (D2.T @ D2), D1.T @ Y1)
+        assert rel(heads["kf"], kf_ref) <= 1e-12
+        assert np.array_equal(heads["kf_bayes"], np.zeros((d, m)))
+
+
 class TestFixedPairOwnsItsForwardBlock:
     @pytest.mark.parametrize("how", ["kf", "override"])
     def test_caller_changing_d_next_leaves_eta(self, how):
@@ -1255,9 +1291,10 @@ class TestBaselines:
 
         monkeypatch.setattr(learners, "extract_features", counted)
         results = fit_baseline(self.tasks, self.test, self.config)
-        assert len(rows) == len(self.tasks) + 2
+        assert len(rows) == len(self.tasks) + 1
         assert list(results) == list(BASELINE_KINDS)
         assert [res.kind for res in results.values()] == list(BASELINE_KINDS)
-        # The test set, each task's pool, and the stacked pool for offline.
+        # The test set and each task's pool; offline reuses the pools'
+        # features, so no stacked pool is extracted.
         pools = [len(tk.y) for tk in self.tasks]
-        assert sorted(rows) == sorted([len(self.test.y), *pools, sum(pools)])
+        assert sorted(rows) == sorted([len(self.test.y), *pools])

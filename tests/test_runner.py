@@ -14,6 +14,7 @@ from rvflstream.runner import (
     emit_report,
     load_config,
     run_experiment,
+    stream_sha256,
     validate_config,
     with_seed_offset,
 )
@@ -317,8 +318,8 @@ class TestOneEvaluationPass:
         report = run_experiment(validate_config(self.tree()))
         assert rows.count(52) == 1
         # The stream's 80 rows once each, the 52 test rows once, and the
-        # baselines' two task pools and their pooled stack.
-        assert sum(rows) == 80 + 52 + 80 + 80
+        # baselines' two task pools once.
+        assert sum(rows) == 80 + 52 + 80
         assert len(evaluations) == len(report.trace.t) == report.resolved["T"]
 
     @pytest.mark.parametrize("standardize", [False, True])
@@ -345,6 +346,28 @@ class TestOneEvaluationPass:
             assert given[kind].accuracy == own[kind].accuracy
             assert np.array_equal(given[kind].per_task_accuracy,
                                   own[kind].per_task_accuracy)
+
+
+class TestStreamHash:
+    def test_digest_is_the_bytes_digest(self):
+        # Reports compare stream_sha256 across commits, so the digest of
+        # the batch buffers must stay that of their .tobytes().
+        import dataclasses
+        import hashlib
+
+        from rvflstream.stream import TaskSplitSpec
+
+        train, _ = make_gaussian_dataset(classes=4, dims=5, separation=3.0,
+                                         samples=20, test_samples=10, seed=3)
+        tasks = split_class_incremental(train, TaskSplitSpec(Q=2, order_seed=1))
+        stream = list(batchify(tasks, 7, train.m))
+        # One batch with column-major X, which the hash reads row-major.
+        stream[1] = dataclasses.replace(stream[1], X=np.asfortranarray(stream[1].X))
+        h = hashlib.sha256()
+        for batch in stream:
+            h.update(np.ascontiguousarray(batch.X).tobytes())
+            h.update(np.ascontiguousarray(batch.Y).tobytes())
+        assert stream_sha256(stream) == h.hexdigest()
 
 
 class TestEmitReport:

@@ -171,6 +171,18 @@ class TestOfflineRidge:
         with pytest.raises(ContractError):
             offline_ridge_fit(np.ones((2, 2)), np.ones((2, 1)), 0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_dual_rejects_nonpositive_lam(self, lam):
+        with pytest.raises(ContractError, match="lam"):
+            offline_ridge_dual(np.ones((2, 2)), np.ones((2, 1)), lam)
+
+    def test_dual_rejects_what_the_primal_rejects(self):
+        for D, Y in ((np.ones((3, 2)), np.ones((2, 1))),
+                     (np.full((2, 2), np.nan), np.ones((2, 1)))):
+            for fit in (offline_ridge_fit, offline_ridge_dual):
+                with pytest.raises(ContractError):
+                    fit(D, Y, 1.0)
+
 
 class TestOfflineForwardFit:
     def test_scalar_hand_case(self):
@@ -211,6 +223,23 @@ class TestOfflineForwardFit:
     def test_rejects_empty_batches(self):
         with pytest.raises(ContractError):
             offline_kf_fit([], None, 0.0, 1.0)
+
+    @pytest.mark.parametrize("case", [
+        "mismatched_rows", "empty_block", "nonfinite_block", "nonfinite_next",
+    ])
+    def test_rejects_malformed_inputs(self, case):
+        good = (np.ones((4, 3)), np.ones((4, 2)))
+        bad, D_next = good, np.ones((2, 3))
+        if case == "mismatched_rows":
+            bad = (np.ones((4, 3)), np.ones((3, 2)))
+        elif case == "empty_block":
+            bad = (np.ones((0, 3)), np.ones((0, 2)))
+        elif case == "nonfinite_block":
+            bad = (np.full((4, 3), np.inf), np.ones((4, 2)))
+        else:
+            D_next = np.full((2, 3), np.nan)
+        with pytest.raises(ContractError):
+            offline_kf_fit([good, bad], D_next, 0.5, 1.0)
 
 
 class TestBregmanQuadratic:
