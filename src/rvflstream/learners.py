@@ -69,7 +69,6 @@ from .network import (
     extract_features,
     fuse_probs,
     init_random_weights,
-    softmax,
 )
 from .solvers import (
     _correction_rows,
@@ -746,30 +745,45 @@ class ContinualModel:
         """
         return [fb.D for fb in self._features(X, 0, order="F")]
 
-    def per_learner_probs(self, X=None, eval_feats=None):
+    def per_learner_probs(self, X=None, eval_feats=None, out=None):
         """Every sub-learner's softmax outputs on X or eval_feats: (L, n, m).
 
-        The result is a view of a class-major (L, m, n) array.
+        The result is a view of a class-major (L, m, n) array: out when
+        it is given, which lets a caller that evaluates the same test set
+        repeatedly reuse one buffer (see _layer_probs).
         """
         feats = self.eval_features(X) if eval_feats is None else eval_feats
-        return _layer_probs(feats, [st.theta for st in self.states])
+        return _layer_probs(feats, [st.theta for st in self.states], out)
 
     def predict_proba(self, X=None, mode="mean", eval_feats=None):
         return fuse_probs(self.per_learner_probs(X, eval_feats), mode=mode)
 
 
-def _layer_probs(feats, thetas):
+def _layer_probs(feats, thetas, out=None):
     """softmax(D_l theta_l) of every layer as one (L, n, m) array.
 
     The logits are written class-major, theta_l^T D_l^T into one
-    (L, m, n) array, whose D^T is C-contiguous for a column-major D. The
-    softmax runs on the (L, n, m) view of it, so its reductions over the
-    m classes run along rows of n, and returns a view of the same layout.
+    (L, m, n) array, whose D^T is C-contiguous for a column-major D: out
+    when it is given (a C-contiguous, writeable float64 array of that
+    shape, else ContractError before anything is written), else a new
+    one. The softmax runs in place on it, its max, exp, sum and divide
+    each along rows of n, and the (L, n, m) view of it is returned.
+    network.softmax on that view gives the same bits.
     """
-    Z = np.empty((len(thetas), thetas[0].shape[1], len(feats[0])))
-    for D, theta, out in zip(feats, thetas, Z):
-        np.matmul(theta.T, D.T, out=out)
-    return softmax(Z.transpose(0, 2, 1))
+    shape = (len(thetas), thetas[0].shape[1], len(feats[0]))
+    if out is None:
+        out = np.empty(shape)
+    elif (out.shape != shape or out.dtype != np.float64
+          or not out.flags.c_contiguous or not out.flags.writeable):
+        raise ContractError(
+            f"out must be a writeable C-contiguous float64 array of shape "
+            f"{shape}, got {out.dtype} {out.shape}")
+    for D, theta, Z in zip(feats, thetas, out):
+        np.matmul(theta.T, D.T, out=Z)
+    out -= out.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out.transpose(0, 2, 1)
 
 
 @dataclass

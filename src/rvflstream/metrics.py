@@ -7,8 +7,11 @@ and forward transfer compares the diagonal with independent per-task
 experts. The per-batch metrics (immediate accuracy, regret, KL) are
 pure functions of the ensemble outputs on a test set; regret and KL
 take every learner's outputs as one (L, n, m) array or a list of L
-n x m matrices. immediate_metrics takes all of them from one such
-stack in one pass, which is how the runner evaluates.
+n x m matrices. Targets(Y_te) prepares what depends only on the test
+targets once, and its score takes all of them from one such stack in
+one pass, reading a class-major stack in place; the runner builds one
+per run and scores every evaluation with it, and immediate_metrics is
+a fresh Targets' score.
 """
 
 from dataclasses import dataclass, field
@@ -88,23 +91,28 @@ def immediate_accuracy(probs, Y_te):
         )
     if probs.shape[0] < 1:
         raise ContractError("empty test set")
-    return float(np.mean(_hits(probs, Y_te)))
+    return float(np.mean(probs.argmax(axis=1) == Y_te.argmax(axis=1)))
 
 
-def _hits(probs, Y_te):
-    return probs.argmax(axis=1) == Y_te.argmax(axis=1)
+def _first_argmax(A):
+    """np.argmax(A, axis=0) of an m x n array, computed along rows of n.
 
-
-def _stack_learners(per_learner, Y_te):
-    P, Y_te = _stack_layers(per_learner), np.asarray(Y_te, dtype=float)
-    if P.shape[1:] != Y_te.shape:
-        raise ContractError(f"learner outputs {P.shape} do not fit targets {Y_te.shape}")
-    return P, Y_te
+    The first maximum wins, and a NaN counts as the maximum, as in
+    np.argmax; but no row of n is copied or transposed.
+    """
+    top = A.max(axis=0)
+    idx = np.empty(A.shape[1], dtype=np.intp)
+    for j in range(len(A) - 1, -1, -1):
+        np.copyto(idx, j, where=A[j] == top)
+    nan = np.isnan(top)
+    if nan.any():
+        idx[nan] = np.isnan(A[:, nan]).argmax(axis=0)
+    return idx
 
 
 @dataclass(frozen=True)
 class ImmediateMetrics:
-    """One evaluation of the learners on a test set; see immediate_metrics.
+    """One evaluation of the learners on a test set; see Targets.score.
 
     Attributes:
         probs: n x m fused ensemble prediction.
@@ -127,40 +135,78 @@ class ImmediateMetrics:
         return float(np.mean(hits))
 
 
-def immediate_metrics(per_learner, Y_te, mode="mean"):
-    """Fused prediction, hits, regret and KL of one stack in one pass.
+class Targets:
+    """A fixed test set's targets, prepared once for repeated scoring.
 
-    The stack is checked once and summed over layers once. That sum
-    S = sum_l P_l gives the mean fusion S / L (median fusion goes
-    through fuse_probs), the regret, and the target columns of the KL.
-
-    Args:
-        per_learner: an (L, n, m) array or a list of L n x m matrices,
-            every learner's softmax outputs on the test set.
-        Y_te: n x m targets.
-        mode: ensemble fusion, "mean" or "median".
-
-    Returns:
-        ImmediateMetrics.
-
-    Raises:
-        ContractError: a ragged or empty stack, a stack that does not
-            fit the targets, or an empty test set.
+    Holds what depends only on Y_te: each row's target class (the first
+    maximum), the row, column and value of every nonzero target in
+    row-major order, and an n x m row-major scratch for the regret. A
+    runner that evaluates after every batch builds one per run and
+    calls score on each evaluation's stack.
     """
-    P, Y_te = _stack_learners(per_learner, Y_te)
-    L, n = P.shape[0], Y_te.shape[0]
-    if n < 1:
-        raise ContractError("empty test set")
-    # Over a stack each element is summed layer by layer, in order.
-    S = P.sum(axis=0)
-    probs = S / L if mode == "mean" else fuse_probs(P, mode=mode)
-    R = (S - L * Y_te) / (L * n)
-    mask = Y_te > 0
-    floor = np.finfo(float).tiny
-    terms = Y_te[mask] * np.log(L * Y_te[mask] / np.maximum(S[mask], floor))
-    return ImmediateMetrics(probs=probs, hits=_hits(probs, Y_te),
-                            regret=float(np.sum(R * R)),
-                            kl=float(terms.sum() / n))
+
+    def __init__(self, Y_te):
+        Y = np.array(Y_te, dtype=float, order="C")
+        if Y.ndim != 2 or len(Y) < 1:
+            raise ContractError(
+                f"targets must be a nonempty n x m matrix, got shape {Y.shape}")
+        self.Y = Y
+        self.cls = Y.argmax(axis=1)
+        self.rows, self.cols = np.nonzero(Y > 0)
+        self.vals = Y[self.rows, self.cols]
+        self._scratch = np.empty_like(Y)
+
+    def score(self, per_learner, mode="mean"):
+        """Fused prediction, hits, regret and KL of one stack in one pass.
+
+        The stack is checked once and summed over layers once, into a
+        class-major m x n array: each element layer by layer, in order.
+        That sum S gives the mean fusion S / L (median fusion goes
+        through fuse_probs) and its argmax along rows of n, the regret,
+        squared in the scratch and summed row-major, and the KL,
+        gathered at the nonzero targets. The result shares no memory
+        with the scratch, so a later call leaves it unchanged.
+
+        Args:
+            per_learner: an (L, n, m) array or a list of L n x m
+                matrices, every learner's softmax outputs on the test
+                set; an (L, n, m) view of class-major memory, as
+                per_learner_probs returns, is read in place.
+            mode: ensemble fusion, "mean" or "median".
+
+        Returns:
+            ImmediateMetrics.
+
+        Raises:
+            ContractError: a ragged or empty stack, a stack that does not
+                fit the targets, or an unknown mode.
+        """
+        P = _stack_layers(per_learner)
+        if P.shape[1:] != self.Y.shape:
+            raise ContractError(
+                f"learner outputs {P.shape} do not fit targets {self.Y.shape}")
+        L, n = P.shape[0], len(self.Y)
+        S = P.transpose(0, 2, 1).sum(axis=0).T
+        R = np.multiply(self.Y, L, out=self._scratch)
+        np.subtract(S, R, out=R)
+        R /= L * n
+        R *= R
+        floor = np.finfo(float).tiny
+        summed = np.maximum(S[self.rows, self.cols], floor)
+        terms = self.vals * np.log(L * self.vals / summed)
+        if mode == "mean":
+            probs = np.divide(S, L, out=S)
+        else:
+            probs = fuse_probs(P, mode=mode)
+        return ImmediateMetrics(probs=probs,
+                                hits=_first_argmax(probs.T) == self.cls,
+                                regret=float(R.sum()),
+                                kl=float(terms.sum() / n))
+
+
+def immediate_metrics(per_learner, Y_te, mode="mean"):
+    """Targets(Y_te).score(per_learner, mode); see Targets.score."""
+    return Targets(Y_te).score(per_learner, mode)
 
 
 def immediate_regret(per_learner, Y_te):

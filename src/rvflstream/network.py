@@ -144,9 +144,13 @@ def extract_features(X, weights, config, t=0, order="C"):
         config: matching NetworkConfig.
         t: batch index stamped onto the returned FeatureBatch objects.
         order: memory layout of every returned D. "F" stores each D
-            column-major, so that D^T is C-contiguous. The forward pass
-            runs on row-major D either way, so the values are the same,
-            and only the layer in hand is also held row-major.
+            column-major, so that D^T is C-contiguous. Each layer writes
+            its H and X straight into a fresh D of this order. The
+            forward gemm always reads row-major rows (for "F", a
+            temporary copy freed as soon as the product exists),
+            because OpenBLAS can round D @ W differently for a
+            column-major D at small sizes; so the values do not depend
+            on the order or on the layout of X.
 
     Returns:
         List of L FeatureBatch objects in layer order.
@@ -156,7 +160,7 @@ def extract_features(X, weights, config, t=0, order="C"):
         NumericalFailure: an activation produced non-finite output,
             reported with the layer index.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != config.s:
         raise ContractError(f"X must have {config.s} columns, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
@@ -170,13 +174,19 @@ def extract_features(X, weights, config, t=0, order="C"):
     out = []
     D = X
     for l, W in enumerate(weights.layers, start=1):
-        H = act(D @ W)
+        H = act(np.ascontiguousarray(D) @ W)
         if not np.all(np.isfinite(H)):
             raise NumericalFailure(
                 "activation output is non-finite", batch_index=t, layer=l
             )
-        D = np.hstack([H, X])
-        out.append(FeatureBatch(D=np.asarray(D, order=order), layer=l, t=t))
+        # The gemm's row-major input and product are freed before D is
+        # allocated, and H before the next gemm, so the peak is the
+        # stored layers, one layer's H and the D in hand.
+        D = np.empty((len(X), config.feature_dim), order=order)
+        D[:, :config.N] = H
+        D[:, config.N:] = X
+        del H
+        out.append(FeatureBatch(D=D, layer=l, t=t))
     return out
 
 

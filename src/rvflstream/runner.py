@@ -21,11 +21,11 @@ from .errors import ConfigError, ContractError
 from .learners import ContinualModel, RegStyle, fit_baseline
 from .metrics import (
     AccuracyMatrix,
+    Targets,
     TraceSeries,
     compute_acc,
     compute_bwt,
     compute_fwt,
-    immediate_metrics,
 )
 from .network import NetworkConfig
 from .stream import (
@@ -376,7 +376,7 @@ def run_experiment(config):
         ends_at[t_end].append(q)
 
     Q = config.split.Q
-    Y_te = one_hot(test.y, train.m)
+    targets = Targets(one_hot(test.y, train.m))
     task_rows = [np.isin(test.y, np.asarray(tk.classes)) for tk in tasks]
     for q, (tk, rows) in enumerate(zip(tasks, task_rows)):
         if not rows.any():
@@ -398,9 +398,12 @@ def run_experiment(config):
         finished = ends_at.get(batch.t, [])
         if config.eval_every == "batch" or finished or batch.t == stream.T:
             if test_feats is None:
+                # Built once per run: every evaluation writes its
+                # class-major logits into buf.
                 test_feats = model.eval_features(test.X)
-            scores = immediate_metrics(
-                model.per_learner_probs(eval_feats=test_feats), Y_te,
+                buf = np.empty((net.L, net.m, len(test.y)))
+            scores = targets.score(
+                model.per_learner_probs(eval_feats=test_feats, out=buf),
                 mode=config.ensemble)
             trace.append(batch.t, scores.accuracy(seen[test.y]),
                          scores.accuracy(), scores.regret, scores.kl)

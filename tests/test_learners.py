@@ -29,6 +29,7 @@ from rvflstream.learners import (
     step_kf_bayes,
     step_ridge,
 )
+from rvflstream.metrics import Targets
 from rvflstream.network import (
     NetworkConfig,
     extract_features,
@@ -1145,6 +1146,30 @@ class TestContinualModel:
             assert np.allclose(P[layer], softmax(rows[layer] @ st.theta),
                                rtol=0, atol=1e-15)
 
+    def test_out_buffer_holds_the_stack(self):
+        model, X_te = self.trained()
+        feats = model.eval_features(X_te)
+        want = model.per_learner_probs(eval_feats=feats)
+        buf = np.full((3, 3, 9), 7.0)
+        got = model.per_learner_probs(eval_feats=feats, out=buf)
+        assert np.array_equal(got, want)
+        assert got.base is buf and got.shape == (3, 9, 3)
+        assert np.array_equal(model.per_learner_probs(X_te, out=buf), want)
+
+    def test_out_buffer_of_another_shape_dtype_or_layout_is_rejected(self):
+        model, X_te = self.trained()
+        feats = model.eval_features(X_te)
+        read_only = np.full((3, 3, 9), 7.0)
+        read_only.flags.writeable = False
+        bad = [np.full((3, 9, 3), 7.0), np.full((2, 3, 9), 7.0),
+               np.full((3, 3, 9), 7.0, dtype=np.float32),
+               np.full((3, 3, 9), 7.0, order="F"),
+               np.full((3, 3, 18), 7.0)[:, :, ::2], read_only]
+        for buf in bad:
+            with pytest.raises(ContractError, match="out must be"):
+                model.per_learner_probs(eval_feats=feats, out=buf)
+            assert np.all(buf == 7.0)
+
     @pytest.mark.parametrize("mode", ["mean", "median"])
     def test_predict_proba_fuses_per_learner_probs(self, mode):
         model, X_te = self.trained()
@@ -1220,6 +1245,45 @@ class TestContinualModel:
         P = model.predict_proba(rng.standard_normal((9, 3)))
         assert P.shape == (9, 2)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestReadPathAllocations:
+    def test_prepared_evaluation_allocates_less_than_one_stack(self):
+        # With the logits buffer and the targets built once, as the runner
+        # does, an evaluation holds no (L, m, n) array of its own.
+        rng = np.random.default_rng(12)
+        L, m, n = 3, 10, 4000
+        model = ContinualModel(NetworkConfig(L=L, N=64, s=16, m=m, seed=1),
+                               RegStyle(kind="ridge"))
+        X = rng.standard_normal((2, 40, 16))
+        Y = np.eye(m)[rng.integers(0, m, (2, 40))]
+        model.observe(X[0], Y[0], X[1])
+        model.observe(X[1], Y[1], None)
+        feats = model.eval_features(rng.standard_normal((n, 16)))
+        buf = np.empty((L, m, n))
+        targets = Targets(np.eye(m)[rng.integers(0, m, n)])
+
+        def evaluate():
+            return targets.score(model.per_learner_probs(eval_feats=feats, out=buf))
+
+        want = evaluate()
+        got, peak = _traced_peak(evaluate)
+        assert peak < L * m * n * 8, f"peak {peak / (L * m * n * 8):.2f} stacks"
+        assert (got.regret, got.kl) == (want.regret, want.kl)
+        assert np.array_equal(got.hits, want.hits)
+
+    def test_column_major_features_peak_below_one_extra_layer(self):
+        # The stored layers, one layer's H and the D in hand: no layer is
+        # held in both layouts.
+        n, s, N, L = 10_000, 64, 128, 3
+        config = NetworkConfig(L=L, N=N, s=s, m=10, seed=2)
+        weights = init_random_weights(config)
+        X = np.random.default_rng(2).standard_normal((n, s))
+        feats, peak = _traced_peak(
+            lambda: extract_features(X, weights, config, order="F"))
+        d = config.feature_dim
+        assert all(fb.D.flags.f_contiguous for fb in feats)
+        assert peak < (L + 1) * n * d * 8, f"peak {peak / (n * d * 8):.2f} layers"
 
 
 class TestBaselines:

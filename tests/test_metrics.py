@@ -10,7 +10,9 @@ import pytest
 from rvflstream.errors import ContractError
 from rvflstream.metrics import (
     AccuracyMatrix,
+    Targets,
     TraceSeries,
+    _first_argmax,
     compute_acc,
     compute_bwt,
     compute_fwt,
@@ -275,6 +277,116 @@ class TestImmediateMetrics:
             immediate_metrics(P, Y, mode="max")
         with pytest.raises(ContractError):
             immediate_metrics(P, Y).accuracy(np.zeros(len(Y), dtype=bool))
+
+
+class TestTargets:
+    """Targets.score against the formulas it replaced, bit for bit."""
+
+    @staticmethod
+    def reference(P, Y, mode):
+        # The pre-change formulas: one layer sum, median fusion of the
+        # stack as given, the regret summed row-major, the KL over the
+        # targets > 0.
+        P = np.asarray(P, dtype=float)
+        L, n = P.shape[0], Y.shape[0]
+        S = P.sum(axis=0)
+        probs = S / L if mode == "mean" else fuse_probs(P, mode=mode)
+        R = np.ascontiguousarray((S - L * Y) / (L * n))
+        mask = Y > 0
+        summed = np.maximum(S[mask], np.finfo(float).tiny)
+        terms = Y[mask] * np.log(L * Y[mask] / summed)
+        return (probs, probs.argmax(axis=1) == Y.argmax(axis=1),
+                float(np.sum(R * R)), float(terms.sum() / n))
+
+    @staticmethod
+    def stack(seed, L=3, n=300, m=10, soft=False):
+        # Random softmax outputs with three planted rows: a tie between
+        # classes 0 and 2 targeting 2 (a miss: the first maximum wins),
+        # the same tie targeting 0 (a hit), and a row whose true class
+        # underflows to 0 in every learner. Soft targets spread each
+        # row's mass over two classes, with ties in the target too.
+        rng = np.random.default_rng(seed)
+        P = softmax(rng.standard_normal((L, n, m)) * 4)
+        y = rng.integers(0, m, n)
+        P[:, :2] = 0.0
+        P[:, :2, [0, 2]] = 0.5
+        y[:2] = (2, 0)
+        P[:, 2] = softmax(np.r_[800.0, np.zeros(m - 1)])
+        y[2] = m - 1
+        Y = np.eye(m)[y]
+        if soft:
+            w = 0.5 + rng.random((n, 1)) / 2
+            w[::7] = 0.5
+            Y = w * Y + (1 - w) * np.eye(m)[(y + 1) % m]
+        return P, Y
+
+    @staticmethod
+    def assert_same(got, want):
+        probs, hits, regret, kl = want
+        assert np.array_equal(got.probs, probs)
+        assert np.array_equal(got.hits, hits)
+        assert got.regret == regret
+        assert got.kl == kl
+
+    @pytest.mark.parametrize("mode", ["mean", "median"])
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("layout", ["stack", "list", "class_major"])
+    def test_score_is_the_reference_bit_for_bit(self, mode, soft, layout):
+        P, Y = self.stack(5, soft=soft)
+        given = {"stack": P, "list": list(P),
+                 "class_major": np.ascontiguousarray(
+                     P.transpose(0, 2, 1)).transpose(0, 2, 1)}[layout]
+        want = self.reference(given, Y, mode)
+        assert want[1][:2].tolist() == [False, True]
+        assert np.isfinite(want[3])
+        self.assert_same(Targets(Y).score(given, mode), want)
+        self.assert_same(immediate_metrics(given, Y, mode=mode), want)
+
+    @pytest.mark.parametrize("mode", ["mean", "median"])
+    def test_one_targets_scores_stacks_in_turn(self, mode):
+        # The scratch is reused across calls; no result may alias it.
+        Y = self.stack(0)[1]
+        targets = Targets(Y)
+        stacks = [softmax(np.random.default_rng(s).standard_normal((3, 300, 10)))
+                  for s in (1, 2, 3)]
+        results, snapshots = [], []
+        for P in stacks:
+            got = targets.score(P, mode)
+            self.assert_same(got, astuple_of(Targets(Y).score(P, mode)))
+            results.append(got)
+            snapshots.append((got.probs.copy(), got.hits.copy(), got.regret, got.kl))
+        for got, snap in zip(results, snapshots):
+            self.assert_same(got, snap)
+
+    def test_targets_are_copied_and_checked(self):
+        P, Y = self.stack(7)
+        targets = Targets(Y)
+        want = targets.score(P)
+        Y[:] = 0.0
+        self.assert_same(targets.score(P), astuple_of(want))
+        for bad in (np.zeros((0, 10)), np.zeros(10)):
+            with pytest.raises(ContractError):
+                Targets(bad)
+        with pytest.raises(ContractError):
+            targets.score(P[:, :-1])
+        with pytest.raises(ContractError):
+            targets.score(P, mode="max")
+
+    def test_first_argmax_is_numpys_argmax(self):
+        # Ties at the first class, at later classes, and NaN columns.
+        rng = np.random.default_rng(4)
+        A = rng.integers(0, 3, (6, 40)).astype(float)
+        A[:, :4] = np.nan
+        A[2:, 4] = np.nan
+        A[0, 5], A[3, 5] = np.nan, np.nan
+        A[:, 6] = -np.inf
+        got = _first_argmax(A)
+        assert np.array_equal(got, np.argmax(A, axis=0))
+        assert np.array_equal(got, A.T.argmax(axis=1))
+
+
+def astuple_of(scores):
+    return scores.probs, scores.hits, scores.regret, scores.kl
 
 
 class TestTraceSeries:

@@ -121,6 +121,24 @@ class TestExtractFeatures:
         H2 = np.tanh(D1 @ w.layers[1])
         assert np.allclose(feats[1].D, np.hstack([H2, X]), rtol=1e-15)
 
+    @pytest.mark.parametrize("N", [12, 33])
+    def test_layout_does_not_change_a_bit(self, N):
+        # Every D is written straight in the requested order, but each
+        # forward gemm reads row-major rows: at 52 rows and N=33,
+        # OpenBLAS rounds a column-major D @ W differently, so feeding
+        # the stored column-major D to the next layer would move the
+        # deeper layers' last bits.
+        cfg = small_config(N=N, s=5)
+        w = init_random_weights(cfg)
+        X = np.random.default_rng(1).standard_normal((52, 5))
+        want = [fb.D for fb in extract_features(X, w, cfg)]
+        for order in ("C", "F"):
+            for X_in in (X, np.asfortranarray(X)):
+                got = extract_features(X_in, w, cfg, order=order)
+                for fb, D in zip(got, want):
+                    assert fb.D.flags[order + "_CONTIGUOUS"]
+                    assert np.array_equal(fb.D, D)
+
     def test_nonfinite_input_rejected(self):
         cfg = small_config()
         w = init_random_weights(cfg)

@@ -322,6 +322,36 @@ class TestOneEvaluationPass:
         assert sum(rows) == 80 + 52 + 80
         assert len(evaluations) == len(report.trace.t) == report.resolved["T"]
 
+    @pytest.mark.parametrize("mode", ["mean", "median"])
+    def test_last_row_is_immediate_metrics_of_the_final_model(self, mode):
+        # The runner scores into a reused buffer against run-constant
+        # targets; its last row must be the plain allocating read path's.
+        from rvflstream import runner
+        from rvflstream.metrics import immediate_metrics
+
+        tree = self.tree()
+        tree["ensemble"] = mode
+        config = validate_config(tree)
+        models, model_class = [], runner.ContinualModel
+
+        def record_model(*args, **kwargs):
+            models.append(model_class(*args, **kwargs))
+            return models[-1]
+
+        runner.ContinualModel = record_model
+        try:
+            report = run_experiment(config)
+        finally:
+            runner.ContinualModel = model_class
+        _, test = make_gaussian_dataset(seed=config.dataset["seed"], **{
+            k: config.dataset[k] for k in ("classes", "dims", "separation",
+                                           "samples", "test_samples")})
+        want = immediate_metrics(models[-1].per_learner_probs(test.X),
+                                 one_hot(test.y, report.resolved["m"]), mode)
+        assert report.trace.regret[-1] == want.regret
+        assert report.trace.kl[-1] == want.kl
+        assert report.trace.acc_full[-1] == want.accuracy()
+
     @pytest.mark.parametrize("standardize", [False, True])
     def test_baselines_on_the_runners_features_are_bit_identical(
             self, standardize):
