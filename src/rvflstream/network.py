@@ -62,7 +62,7 @@ class NetworkConfig:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.m < 2:
             raise ContractError(f"m must be >= 2 for classification, got {self.m}")
-        if self.activation not in ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
             raise ContractError(
                 f"unknown activation {self.activation!r}; "
                 f"choose from {sorted(ACTIVATIONS)}"

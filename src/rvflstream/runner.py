@@ -11,7 +11,8 @@ import json
 import math
 import time
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,27 +41,10 @@ from .stream import (
 
 DATASET_KINDS = ("synthetic", "idx", "csv")
 
-_SYNTHETIC_KEYS = ("classes", "dims", "separation", "samples", "test_samples")
-# Required keys of the dataset section by kind; idx and csv ones are paths.
-_DATASET_KEYS = {
-    "synthetic": _SYNTHETIC_KEYS,
-    "idx": ("train_images", "train_labels", "test_images", "test_labels"),
-    "csv": ("train", "test"),
-}
-
-# The keys each config section may hold; anything else is a typo or a
-# removed option and is rejected rather than silently ignored.
-_ALLOWED_KEYS = {
-    "config": ("dataset", "split", "batch_size", "network", "style", "eval_every",
-               "ensemble", "baselines", "shuffle_within", "seeds", "out"),
-    "synthetic": ("kind",) + _DATASET_KEYS["synthetic"],
-    "idx": ("kind",) + _DATASET_KEYS["idx"],
-    "csv": ("kind",) + _DATASET_KEYS["csv"] + ("label_column", "delimiter", "m"),
-    "split": ("Q",),
-    "network": ("L", "N", "activation", "lam", "standardize"),
-    "style": ("kind", "k", "kappa", "sigma", "init_mode", "k_source", "fast_k"),
-    "seeds": ("weights", "order", "synthetic"),
-}
+# The two defaults a schema key may have besides a value: a REQUIRED key
+# must be given, and an absent OMIT key is left out, so the class or
+# function that receives its section applies its own default.
+REQUIRED, OMIT = object(), object()
 
 
 @dataclass
@@ -78,23 +62,6 @@ class RunConfig:
     shuffle_within: bool = True
     out_dir: Path | None = None
     raw: dict = field(default_factory=dict)
-
-
-def _require(tree, key, where):
-    if key not in tree:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return tree[key]
-
-
-def _check_keys(tree, allowed, where):
-    if not isinstance(tree, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    for key in tree:
-        if key not in allowed:
-            raise ConfigError(
-                f"{where}: unknown key {key!r}; allowed: {', '.join(allowed)}"
-            )
-    return dict(tree)
 
 
 def _number(value, name, cast):
@@ -117,121 +84,183 @@ def _number(value, name, cast):
     return number
 
 
-def _seed(value, name):
-    """A seed: a non-negative integer; a ConfigError naming the key otherwise."""
-    if (seed := _number(value, name, int)) < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
-    return seed
+_int = partial(_number, cast=int)
+_float = partial(_number, cast=float)
 
 
-def _flag(tree, key, default, name):
-    """A YAML boolean; a ConfigError naming the key for anything else."""
-    value = tree.get(key, default)
+def _at_least(low, kind):
+    """An integer check that also refuses values below low."""
+    def check(value, name):
+        if (number := _int(value, name)) < low:
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        return number
+    return check
+
+
+_seed = _at_least(0, "a non-negative integer")
+
+
+def _flag(value, name):
+    """A YAML boolean."""
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
     return value
 
 
-def _synthetic_field(spec, key, where):
-    """A required synthetic dataset field: separation a float, the rest ints."""
-    value = _require(spec, key, where)
-    return _number(value, f"{where}.{key}", float if key == "separation" else int)
+def _text(value, name):
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _optional_text(value, name):
+    return None if value is None else _text(value, name)
+
+
+def _one_of(*options):
+    def check(value, name):
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {options}, got {value!r}")
+        return value
+    return check
+
+
+def _path(value, name):
+    if not Path(_text(value, name)).exists():
+        raise ConfigError(f"{name}: path does not exist: {value}")
+    return value
+
+
+def _lam(value, name):
+    """One lam shared by every layer, or a list with one per layer."""
+    if isinstance(value, list):
+        return [_float(v, name) for v in value]
+    return _float(value, name)
+
+
+def _label_column(value, name):
+    """A header name, or an integer column position."""
+    return value if isinstance(value, str) else _int(value, name)
+
+
+def _delimiter(value, name):
+    if not (isinstance(value, str) and len(value) == 1):
+        raise ConfigError(f"{name} must be a one-character string, got {value!r}")
+    return value
+
+
+def _walk(tree, where, schema):
+    """Check the mapping tree against schema; return its values and defaults.
+
+    schema maps each allowed key to (check, default). A key the schema
+    does not hold is rejected; each present value and each value default
+    goes through check(value, dotted name), which returns it cleaned or
+    raises a ConfigError naming the key.
+    """
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for key in tree:
+        if key not in schema:
+            raise ConfigError(
+                f"{where}: unknown key {key!r}; allowed: {', '.join(schema)}"
+            )
+    prefix = "" if where == "config" else f"{where}."
+    values = {key: schema[key][0](value, prefix + key) for key, value in tree.items()}
+    for key, (check, default) in schema.items():
+        if key in values or default is OMIT:
+            continue
+        if default is REQUIRED:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        values[key] = check(default, prefix + key)
+    return values
+
+
+_kind = _one_of(*DATASET_KINDS)
+
+
+def _section(tree, where):
+    """A nested section, named by its key."""
+    return _walk(tree, where, SCHEMA[where])
+
+
+def _dataset(tree, where):
+    """The dataset section, walked with the table of its kind."""
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    if "kind" not in tree:
+        raise ConfigError(f"{where}: missing required key 'kind'")
+    return _walk(tree, where, SCHEMA[_kind(tree["kind"], f"{where}.kind")])
+
+
+_GAUSSIAN = {"classes": (_int, REQUIRED), "dims": (_int, REQUIRED),
+             "separation": (_float, REQUIRED), "samples": (_int, REQUIRED),
+             "test_samples": (_int, REQUIRED)}
+
+# Every key each config section may hold, with its check and default;
+# anything else is a typo or a removed option and is rejected rather
+# than silently ignored. Ranges and allowed choices that a class owns
+# (RegStyle, NetworkConfig, TaskSplitSpec) are checked by that class.
+SCHEMA = {
+    "synthetic": {"kind": (_kind, REQUIRED), **_GAUSSIAN},
+    "idx": {"kind": (_kind, REQUIRED), **dict.fromkeys(
+        ("train_images", "train_labels", "test_images", "test_labels"),
+        (_path, REQUIRED))},
+    "csv": {"kind": (_kind, REQUIRED), "train": (_path, REQUIRED),
+            "test": (_path, REQUIRED), "label_column": (_label_column, OMIT),
+            "delimiter": (_delimiter, OMIT), "m": (_int, OMIT)},
+    "split": {"Q": (_int, 1)},
+    "network": {"L": (_int, 3), "N": (_int, 32), "activation": (_text, OMIT),
+                "lam": (_lam, OMIT), "standardize": (_flag, OMIT)},
+    "style": {"kind": (_text, "ridge"), "k": (_float, OMIT),
+              "kappa": (_float, OMIT), "sigma": (_float, OMIT),
+              "init_mode": (_text, OMIT), "k_source": (_text, OMIT),
+              "fast_k": (_optional_text, OMIT)},
+    "seeds": dict.fromkeys(("weights", "order", "synthetic"), (_seed, 0)),
+}
+SCHEMA["config"] = {
+    "dataset": (_dataset, REQUIRED),
+    "split": (_section, {}),
+    "batch_size": (_at_least(1, "a positive integer"), REQUIRED),
+    "network": (_section, {}),
+    "style": (_section, {}),
+    "eval_every": (_one_of("batch", "task"), OMIT),
+    "ensemble": (_one_of("mean", "median"), OMIT),
+    "baselines": (_flag, OMIT),
+    "shuffle_within": (_flag, OMIT),
+    "seeds": (_section, {}),
+    "out": (_optional_text, OMIT),
+}
+
+
+def _build(cls, where, values):
+    """cls(**values), its ContractError reported under the section's name."""
+    try:
+        return cls(**values)
+    except ContractError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def validate_config(tree):
     """Turn a parsed config tree into a RunConfig, checking every field."""
-    if not isinstance(tree, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(tree, _ALLOWED_KEYS["config"], "config")
-    for name in ("split", "network", "style", "seeds"):
-        _check_keys(tree.get(name, {}), _ALLOWED_KEYS[name], name)
-
-    ds = _require(tree, "dataset", "config")
-    if not isinstance(ds, dict):
-        raise ConfigError("dataset must be a mapping")
-    kind = _require(ds, "kind", "dataset")
-    if kind not in DATASET_KINDS:
-        raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
-    ds = _check_keys(ds, _ALLOWED_KEYS[kind], "dataset")
-    for key in _DATASET_KEYS[kind]:
-        if kind == "synthetic":
-            ds[key] = _synthetic_field(ds, key, "dataset")
-            continue
-        value = _require(ds, key, "dataset")
-        if not Path(value).exists():
-            raise ConfigError(f"dataset.{key}: path does not exist: {value}")
-
-    seeds = dict(tree.get("seeds", {}))
-    for name in _ALLOWED_KEYS["seeds"]:
-        seeds[name] = _seed(seeds.get(name, 0), f"seeds.{name}")
-    if kind == "synthetic":
-        ds["seed"] = seeds["synthetic"]
-
-    split_tree = dict(tree.get("split", {}))
-    try:
-        split = TaskSplitSpec(
-            Q=_number(split_tree.get("Q", 1), "split.Q", int),
-            order_seed=seeds["order"],
-        )
-    except ContractError as exc:
-        raise ConfigError(f"split: {exc}") from exc
-
-    batch_size = _number(_require(tree, "batch_size", "config"), "batch_size", int)
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-
-    net_tree = dict(tree.get("network", {}))
-    # One lam shared by every layer, or a list with one per layer.
-    lam = net_tree.get("lam", 1.0)
-    if isinstance(lam, list):
-        lam = [_number(v, "network.lam", float) for v in lam]
-    else:
-        lam = _number(lam, "network.lam", float)
-    network = {
-        "L": _number(net_tree.get("L", 3), "network.L", int),
-        "N": _number(net_tree.get("N", 32), "network.N", int),
-        "activation": net_tree.get("activation", "relu"),
-        "lam": lam,
-        "seed": seeds["weights"],
-        "standardize": _flag(net_tree, "standardize", False, "network.standardize"),
-    }
-
-    style_tree = dict(tree.get("style", {}))
-    try:
-        style = RegStyle(
-            kind=style_tree.get("kind", "ridge"),
-            k=_number(style_tree.get("k", 0.0), "style.k", float),
-            kappa=_number(style_tree.get("kappa", 1.0), "style.kappa", float),
-            sigma=_number(style_tree.get("sigma", 1e-5), "style.sigma", float),
-            init_mode=style_tree.get("init_mode", "theorem"),
-            k_source=style_tree.get("k_source", "pseudo"),
-            fast_k=style_tree.get("fast_k"),
-        )
-    except ContractError as exc:
-        raise ConfigError(f"style: {exc}") from exc
-
-    eval_every = tree.get("eval_every", "batch")
-    if eval_every not in ("batch", "task"):
-        raise ConfigError(f"eval_every must be 'batch' or 'task', got {eval_every!r}")
-    ensemble = tree.get("ensemble", "mean")
-    if ensemble not in ("mean", "median"):
-        raise ConfigError(f"ensemble must be 'mean' or 'median', got {ensemble!r}")
-
-    out = tree.get("out")
-    raw = dict(tree)
-    raw["seeds"] = seeds
+    top = _walk(tree, "config", SCHEMA["config"])
+    seeds, dataset = top.pop("seeds"), top.pop("dataset")
+    if dataset["kind"] == "synthetic":
+        dataset["seed"] = seeds["synthetic"]
+    # Every NetworkConfig default is filled in, so that two configs that
+    # build the same network hold equal dicts.
+    network = {f.name: f.default for f in fields(NetworkConfig)
+               if f.default is not MISSING}
+    network.update(top.pop("network"), seed=seeds["weights"])
+    out = top.pop("out", None)
     return RunConfig(
-        dataset=ds,
-        split=split,
-        batch_size=batch_size,
+        dataset=dataset,
+        split=_build(TaskSplitSpec, "split",
+                     dict(top.pop("split"), order_seed=seeds["order"])),
         network=network,
-        style=style,
-        eval_every=eval_every,
-        ensemble=ensemble,
-        baselines=_flag(tree, "baselines", True, "baselines"),
-        shuffle_within=_flag(tree, "shuffle_within", True, "shuffle_within"),
+        style=_build(RegStyle, "style", top.pop("style")),
         out_dir=Path(out) if out else None,
-        raw=raw,
+        raw=dict(tree, seeds=seeds),
+        **top,
     )
 
 
@@ -255,30 +284,15 @@ def with_seed_offset(config, offset):
     """Shift every seed by a constant; used for paired repeat runs."""
     if offset == 0:
         return config
-    ds = dict(config.dataset)
-    if ds.get("kind") == "synthetic":
-        ds["seed"] = int(ds.get("seed", 0)) + offset
-    network = dict(config.network)
-    network["seed"] = network["seed"] + offset
-    split = replace(config.split, order_seed=config.split.order_seed + offset)
-    return replace(config, dataset=ds, network=network, split=split)
-
-
-def _make_synthetic(spec):
-    return make_gaussian_dataset(
-        classes=int(spec["classes"]),
-        dims=int(spec["dims"]),
-        separation=float(spec["separation"]),
-        samples=int(spec["samples"]),
-        test_samples=int(spec["test_samples"]),
-        seed=int(spec.get("seed", 0)),
-    )
+    seeds = {name: seed + offset for name, seed in config.raw["seeds"].items()}
+    return validate_config(dict(config.raw, seeds=seeds))
 
 
 def _load_datasets(ds):
     kind = ds["kind"]
     if kind == "synthetic":
-        return _make_synthetic(ds)
+        return make_gaussian_dataset(
+            **{key: value for key, value in ds.items() if key != "kind"})
     if kind == "idx":
         train = load_idx(ds["train_images"], ds["train_labels"], split="train")
         test = load_idx(ds["test_images"], ds["test_labels"], split="test")
@@ -358,7 +372,8 @@ def run_experiment(config):
     which the learning path itself never reads (audited in the report).
     """
     train, test = _load_datasets(config.dataset)
-    net = NetworkConfig(s=train.X.shape[1], m=train.m, **config.network)
+    net = _build(NetworkConfig, "network",
+                 dict(config.network, s=train.X.shape[1], m=train.m))
     tasks = split_class_incremental(train, config.split,
                                     shuffle_within=config.shuffle_within)
     stream = batchify(tasks, config.batch_size, train.m)
@@ -513,10 +528,7 @@ def compare_styles(configs, repeats=1):
         raise ContractError(f"repeats must be >= 1, got {repeats}")
 
     def non_style(cfg):
-        tree = dict(cfg.raw)
-        tree.pop("style", None)
-        tree.pop("out", None)
-        return json.dumps(tree, sort_keys=True)
+        return replace(cfg, style=None, out_dir=None, raw=None)
 
     reference = non_style(configs[0])
     for cfg in configs[1:]:
@@ -570,13 +582,8 @@ def render_table(rows):
 def bake_synthetic(spec_path, out_dir):
     """Materialize a synthetic dataset spec into CSV feature files."""
     spec = _read_yaml(spec_path, "spec file")
-    if not isinstance(spec, dict):
-        raise ConfigError("synthetic spec must be a mapping")
-    for key in _SYNTHETIC_KEYS:
-        _synthetic_field(spec, key, "synthetic spec")
-    _seed(spec.get("seed", 0), "synthetic spec.seed")
-
-    train, test = _make_synthetic(spec)
+    train, test = make_gaussian_dataset(**_walk(
+        spec, "synthetic spec", {**_GAUSSIAN, "seed": (_seed, OMIT)}))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, ds in (("train", train), ("test", test)):

@@ -46,6 +46,13 @@ class TestActivations:
         with pytest.raises(ContractError):
             small_config(activation="gelu")
 
+    @pytest.mark.parametrize("activation", [["relu"], {"relu": 1}, None])
+    def test_non_string_activation_rejected(self, activation):
+        # A list or a dict used to reach the dict lookup and raise
+        # TypeError: unhashable.
+        with pytest.raises(ContractError, match="unknown activation"):
+            small_config(activation=activation)
+
 
 class TestNetworkConfig:
     def test_scalar_lam_broadcasts(self):

@@ -162,6 +162,17 @@ class TestSeedOffset:
         assert shifted.dataset["seed"] == 12
         assert cfg.network["seed"] == 3      # original untouched
 
+    def test_echoed_seeds_reproduce_the_run(self):
+        # Offset 5 on seeds (3, 4, 5) runs with (8, 9, 10); the report
+        # used to echo the unshifted seeds.
+        shifted = run_experiment(with_seed_offset(validate_config(base_tree()), 5))
+        want = {"weights": 8, "order": 9, "synthetic": 10}
+        assert shifted.seeds == want
+        assert shifted.config["seeds"] == want
+        again = run_experiment(validate_config(base_tree(seeds=shifted.seeds)))
+        assert again.stream_hash == shifted.stream_hash
+        assert again.final == shifted.final
+
 
 class TestRunExperiment:
     def test_end_to_end_report(self):
@@ -453,6 +464,19 @@ class TestCompareStyles:
         with pytest.raises(ContractError, match="repeats"):
             compare_styles(self.configs(), repeats=0)
 
+    @pytest.mark.parametrize("override", [
+        {"ensemble": "mean"},
+        {"batch_size": 8.0},
+        {"network": {"L": 2, "N": 6, "lam": 1.0, "activation": "relu"}},
+    ])
+    def test_same_run_written_differently_is_accepted(self, override):
+        # Explicit defaults and integral floats used to be rejected: the
+        # raw trees were compared rather than the validated configs.
+        cfgs = self.configs()
+        cfgs[1] = validate_config(base_tree(style={"kind": "kf"}, **override))
+        assert [r["style"] for r in compare_styles(cfgs)] == ["ridge", "kf",
+                                                             "kf_bayes"]
+
     def test_rejects_non_style_differences(self):
         cfgs = self.configs()
         cfgs[1] = validate_config(base_tree(style={"kind": "kf"},
@@ -585,6 +609,35 @@ class TestCli:
         assert f"{name} must be {kind}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("dataset.m", "ten"),
+        ("dataset.m", 4.5),
+        ("dataset.delimiter", 5),
+        ("dataset.delimiter", ",,"),
+        ("dataset.label_column", [1]),
+        ("dataset.label_column", 1.5),
+        ("dataset.train", 5),
+        ("out", 5),
+        ("network.activation", ["relu"]),
+    ])
+    def test_malformed_value_is_exit_2(self, tmp_path, capsys, name, value):
+        # Each of these used to end in a traceback, or, for the two
+        # fractional numbers, to be truncated or passed through.
+        rows = np.column_stack([np.arange(16.0).reshape(8, 2), np.arange(8) % 4])
+        paths = {}
+        for split in ("train", "test"):
+            paths[split] = str(tmp_path / f"{split}.csv")
+            np.savetxt(paths[split], rows, fmt="%.17g", delimiter=",")
+        tree = base_tree(dataset={"kind": "csv", **paths})
+        section, _, key = name.rpartition(".")
+        (tree[section] if section else tree)[key] = value
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_is_accepted(self):
         tree = base_tree(batch_size=8.0)
         tree["network"]["L"] = 2.0
@@ -624,6 +677,17 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{name} must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_synthetic_spec_key_is_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"classes": 2, "dims": 3,
+                                        "separation": 2.0, "samples": 5,
+                                        "test_samples": 2, "rows": 10}))
+        code = cli.main(["bake-synthetic", "--spec", str(spec),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "synthetic spec: unknown key 'rows'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["abc", -2])
