@@ -23,10 +23,10 @@ k-weighted Gram of the upcoming unlabeled batch and is rebuilt from
 eta_dag every step. State size never grows with t.
 
 The current batch's data term is applied to a head through its b x d
-block. Fixed pairs (ridge, kf and an overridden kf_bayes) form the
-complete rate with a second Woodbury correction and move theta by it;
-with a forward term they also form the d x d Gram D_next^T D_next, the
-reference form the k = 1 pin checks bit for bit. No other step does.
+block. The fixed pairs of ridge and kf write the new eta_dag densely and
+move theta by the complete rate; with a forward term they also form the
+d x d Gram D_next^T D_next, the reference form the k = 1 pin checks bit
+for bit. No other step does.
 
 An adaptive kf_bayes layer carries eta_dag in the deferred form
 E - A^T A: a d x d base E and a block A of the correction rows of its
@@ -49,12 +49,12 @@ model take turns and a batch pays at most one flush while L * b <= R.
 Per layer, the state is d^2 + R d numbers. A layer with R // b < 2
 flushes every step, which is the dense rank-b write.
 
-Every step keeps only its forward term: the upcoming block and k_next,
-and for an adaptive step V = D_next eta_dag. V serves two steps: the
+Every step keeps only its forward term, one layout for every style: the
+upcoming block, k_next and V = D_next eta_dag. V serves two steps: the
 next absorb takes its D_t rows from it, and the correction rows W_f of
-the complete rate follow from it in O(b^2 d) (_forward_rows). A
-previous_complete step takes the previous complete rate from them, and
-eta is built from them when it is read.
+the complete rate follow from it in O(b^2 d) (_forward_rows). kf's step
+and every read of eta build the complete rate from them (_complete_rate),
+and a previous_complete step takes the previous complete rate from them.
 """
 
 import dataclasses
@@ -176,20 +176,19 @@ class SubLearnerState:
     _flush_due), so r never exceeds R. Reading eta_dag builds E - A^T A
     when rows are carried.
 
-    A step stores only its forward term, its own copy of D_next with
-    k_next, O(b * d), or None when it had none. An adaptive step adds
-    V = D_next eta_dag. V serves two steps: the next absorb takes the
-    rows of its D_t from it when that D_t equals the stored D_next, and
-    the complete rate's correction
+    A step stores only its forward term, O(b * d), or None when it had
+    none: the triple (D_next, k_next, V) of its own copy of D_next, the
+    weight and V = D_next eta_dag on the new eta_dag. V serves two
+    steps: the next absorb takes the rows of its D_t from it when that
+    D_t equals the stored D_next, and the complete rate's correction
     eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows from
     it in O(b^2 d); a previous_complete step takes its projections from
     that correction. The stored k_next is the next adaptive step's k_cur.
-    Reading eta writes one fresh d x d array on every read: for an
-    adaptive forward term E - [A; W_f]^T [A; W_f], and for a fixed pair,
-    or an inner system that is not positive definite,
-    woodbury_update(eta_dag, D_next, k_next). It returns eta_dag when
-    there is no forward term. No step writes into an array an earlier
-    state holds.
+    Reading eta writes one fresh d x d array on every read,
+    E - [A; W_f]^T [A; W_f], or woodbury_update(eta_dag, D_next, k_next)
+    when the inner system is not positive definite (_complete_rate). It
+    returns eta_dag when there is no forward term. No step writes into
+    an array an earlier state holds.
     """
 
     theta: np.ndarray
@@ -227,11 +226,7 @@ class SubLearnerState:
             return None
         if self._forward is None:
             return self.eta_dag
-        W_f = _forward_rows(self)
-        if W_f is None:
-            return woodbury_update(self.eta_dag, *self._forward[:2],
-                                   batch_index=self.t)
-        return _minus_gram(self.base, np.vstack([self.rows, W_f]), self.t)
+        return _complete_rate(self)
 
     @property
     def d(self):
@@ -335,14 +330,14 @@ def _project(X, base, rows):
 
 
 def _cached_rows(state, D):
-    """The V = D eta_dag the previous adaptive step kept, or None.
+    """The V = D eta_dag the previous step kept, or None.
 
     It serves only when the state's stored D_next equals D by content.
     The stored block is the step's own copy, so a caller's array
     changed in place since then no longer matches it.
     """
     forward = state._forward
-    if forward is None or len(forward) < 3 or not np.array_equal(forward[0], D):
+    if forward is None or not np.array_equal(forward[0], D):
         return None
     return forward[2]
 
@@ -394,13 +389,25 @@ def _forward_rows(state):
     """The rows W_f of the complete rate's correction, or None.
 
     eta = eta_dag - W_f^T W_f with W_f = sqrt(k_next) L^{-1} V, from the
-    V = D_next eta_dag an adaptive step keeps. None for a state without
-    V, or when the inner system is not positive definite.
+    forward term (D_next, k_next, V) the state's step kept. None when
+    the inner system is not positive definite.
     """
-    if state._forward is None or len(state._forward) < 3:
-        return None
     D_next, k_next, V = state._forward
     return _correction_rows(V, D_next, k_next, state.t)[1]
+
+
+def _complete_rate(state):
+    """eta = (eta_dag^{-1} + k_next D_next^T D_next)^{-1} of a forward term.
+
+    E - [A; W_f]^T [A; W_f] in one d x d write, or the dense
+    woodbury_update of the built eta_dag when the inner system is not
+    positive definite.
+    """
+    W_f = _forward_rows(state)
+    if W_f is None:
+        return woodbury_update(state.eta_dag, *state._forward[:2],
+                               batch_index=state.t)
+    return _minus_gram(state.base, np.vstack([state.rows, W_f]), state.t)
 
 
 def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
@@ -408,15 +415,13 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
 
     The step absorbs D_t into eta_dag (skipped at t == 1 in paper_strict
     mode, reproducing the literal listing where eta_dag stays at eta_0)
-    and takes (k_cur, k_next) from the fixed pair or, when pair is None,
-    adapts them from eta_dag.
+    and takes (k_cur, k_next) from the fixed pair of ridge or kf or,
+    when pair is None, the kf_bayes step, adapts them from eta_dag.
 
-    A fixed pair writes the new eta_dag, forms the complete rate eta with
-    a second Woodbury correction and moves the head by
+    A fixed pair writes the new eta_dag densely, forms the complete rate
+    eta from the forward term (_complete_rate) and moves the head by
     theta -= eta [((1 - k_cur) G_t + k_next G_next) theta - D_t^T Y_t],
-    applying G_next as a matrix. The forward term is skipped when D_next
-    is None or k_next == 0. A kf_bayes state moves its ridge head q along
-    the new eta_dag as well.
+    applying G_next as a matrix.
 
     An adaptive step touches no d x d matrix beyond the absorb, which
     appends its rows to the carried ones and writes the base only on a
@@ -431,9 +436,10 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     so no earlier k is left in it. k_cur is the previous step's k_next,
     the weight on G_t carried into this step (_adaptive_pair).
 
-    The new state keeps its own copy of D_next with k_next, and for an
-    adaptive step V, or None without a forward term. A caller that
-    changes its D_next array afterwards changes no state.
+    The forward term is skipped when D_next is None or k_next == 0.
+    Otherwise the new state keeps (its own copy of D_next, k_next, V),
+    with V = D_next eta_dag on the new eta_dag, whichever the style; a
+    caller that changes its D_next array afterwards changes no state.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -455,36 +461,33 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
             if absorb:
                 base = woodbury_update(base, D, 1.0, batch_index=t)
             rows = state.rows[:0]
-            k_cur, k_next = pair
-        forward = None if DN is None or k_next == 0.0 else (DN.copy(), k_next)
+            (k_cur, k_next), proj = pair, None
+        forward = None
+        if DN is not None and k_next != 0.0:
+            V = DN @ base if proj is None else proj[len(D):]
+            forward = (DN.copy(), k_next, V)
+        new_state = dataclasses.replace(state, base=base, rows=rows, t=t,
+                                        _forward=forward)
         if pair is None:
-            A, V = proj[:D.shape[0]], proj[D.shape[0]:]
             if absorb:
-                q = q - A.T @ (D @ q - Y)
+                q = q - proj[:len(D)].T @ (D @ q - Y)
             theta = q
             if forward is not None:
-                S = np.eye(DN.shape[0]) + k_next * (V @ DN.T)
+                S = np.eye(len(DN)) + k_next * (V @ DN.T)
                 theta = q - k_next * (V.T @ _solve_inner(S, DN @ q))
-                forward += (V,)
         else:
-            if q is not None and absorb:
-                q = q - base @ (D.T @ (D @ q - Y))
             # The current side of the drift minus the cross term, through
             # the b x d block instead of the Gram G_t.
-            u = (1.0 - k_cur) * (D @ theta) - Y
-            if forward is None:
-                step = base @ (D.T @ u)
-            else:
-                eta = woodbury_update(base, DN, k_next, batch_index=t)
-                step = eta @ (k_next * ((DN.T @ DN) @ theta) + D.T @ u)
-            theta = theta - step
+            drift = D.T @ ((1.0 - k_cur) * (D @ theta) - Y)
+            if forward is not None:
+                drift = k_next * ((DN.T @ DN) @ theta) + drift
+            theta = theta - new_state.eta @ drift
         if not np.all(np.isfinite(theta)):
             raise NumericalFailure("weight update is non-finite")
     except NumericalFailure as exc:
         exc.batch_index, exc.layer = t, layer
         raise
-    new_state = dataclasses.replace(state, theta=theta, base=base, rows=rows,
-                                    t=t, q=q, _forward=forward)
+    new_state.theta, new_state.q = theta, q
     return new_state, (k_cur, k_next)
 
 
@@ -588,9 +591,9 @@ def _adaptive_pair(state, before, proj, D, DN, rng):
     are taken on the previous complete rate instead, once one exists:
     before on a state without a forward term, and otherwise
     before - (D_next @ W_f^T) @ W_f, with the correction rows W_f built
-    from the V the previous step kept. A fixed-pair forward term, or one
-    whose inner system is not positive definite, builds the previous
-    complete rate instead. k_next is 0 at the end of the stream.
+    from the V the previous step kept. A forward term whose inner system
+    is not positive definite builds the previous complete rate instead.
+    k_next is 0 at the end of the stream.
     """
     style = state.style
 
@@ -612,7 +615,7 @@ def _adaptive_pair(state, before, proj, D, DN, rng):
     return k_cur, clamped(P @ DN.T)
 
 
-def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
+def step_kf_bayes(state, D_t, Y_t, D_next=None, rng=None):
     """One Bayes-adaptive forward step.
 
     k_next is recomputed every step from the rate matrix and the
@@ -631,25 +634,16 @@ def step_kf_bayes(state, D_t, Y_t, D_next=None, k_override=None, rng=None):
         state: kf_bayes SubLearnerState.
         D_t, Y_t: the labeled batch.
         D_next: the upcoming unlabeled batch, or None.
-        k_override: test hook; a (k_cur, k_next) pair that bypasses the
-            adaptive formula and the clamp, and takes the fixed-pair
-            form of the step. The ridge head still advances, so a later
-            adaptive step starts from it.
         rng: generator for the random_pick fast variant.
 
     Returns:
-        (new_state, pair) where pair is the recorded (k_cur, k_next) or
-        None when an override suppressed the adaptive formula.
+        (new_state, pair) where pair is the recorded (k_cur, k_next).
     """
     if state.style.kind != "kf_bayes":
         raise ContractError(
             f"step_kf_bayes needs a kf_bayes style, got {state.style.kind!r}"
         )
-    pair = None
-    if k_override is not None:
-        pair = float(k_override[0]), float(k_override[1])
-    new_state, pair = _step(state, D_t, Y_t, D_next, pair, rng)
-    return new_state, (None if k_override is not None else pair)
+    return _step(state, D_t, Y_t, D_next, None, rng)
 
 
 class ContinualModel:
@@ -733,8 +727,7 @@ class ContinualModel:
                 self.states[i], pair = step_kf_bayes(
                     state, D_t, Y, D_n, rng=self._fast_rng
                 )
-                if pair is not None:
-                    self.k_trace.record(i + 1, t, pair[0], pair[1])
+                self.k_trace.record(i + 1, t, *pair)
         self._pending = None if nxt is None else (X_next, nxt)
 
     def eval_features(self, X):

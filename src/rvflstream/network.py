@@ -29,6 +29,28 @@ ACTIVATIONS = {
 }
 
 
+def check_layers(L, N, activation, lam):
+    """NetworkConfig's rules for L, N, activation and lam; lam per layer.
+
+    None of them needs the data, so a config is checked by them before
+    its dataset is read. Raises ContractError naming the broken field;
+    returns the L per-layer regularization strengths as floats.
+    """
+    for name, value in (("L", L), ("N", N)):
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1, got {value}")
+    if not isinstance(activation, str) or activation not in ACTIVATIONS:
+        raise ContractError(
+            f"unknown activation {activation!r}; choose from {sorted(ACTIVATIONS)}"
+        )
+    lams = (float(lam),) * L if np.isscalar(lam) else tuple(float(v) for v in lam)
+    if len(lams) != L:
+        raise ContractError(f"lam must be scalar or length {L}, got {len(lams)} values")
+    if any(not v > 0 for v in lams):
+        raise ContractError("every lam must be positive")
+    return lams
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Shape and randomness of the backbone.
@@ -57,30 +79,16 @@ class NetworkConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        for name in ("L", "N", "s"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_layers(self.L, self.N, self.activation, self.lam)
+        if self.s < 1:
+            raise ContractError(f"s must be >= 1, got {self.s}")
         if self.m < 2:
             raise ContractError(f"m must be >= 2 for classification, got {self.m}")
-        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
-            raise ContractError(
-                f"unknown activation {self.activation!r}; "
-                f"choose from {sorted(ACTIVATIONS)}"
-            )
-        lams = self.lambdas
-        if len(lams) != self.L:
-            raise ContractError(
-                f"lam must be scalar or length {self.L}, got {len(lams)} values"
-            )
-        if any(not v > 0 for v in lams):
-            raise ContractError("every lam must be positive")
 
     @property
     def lambdas(self):
         """Per-layer regularization strengths, always length L."""
-        if np.isscalar(self.lam):
-            return (float(self.lam),) * self.L
-        return tuple(float(v) for v in self.lam)
+        return check_layers(self.L, self.N, self.activation, self.lam)
 
     @property
     def feature_dim(self):

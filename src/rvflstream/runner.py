@@ -7,8 +7,10 @@ function of (config, seeds) except the wall-clock section.
 """
 
 import hashlib
+import inspect
 import json
 import math
+import sys
 import time
 from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -28,7 +30,7 @@ from .metrics import (
     compute_bwt,
     compute_fwt,
 )
-from .network import NetworkConfig
+from .network import NetworkConfig, check_layers
 from .stream import (
     TaskSplitSpec,
     batchify,
@@ -98,6 +100,18 @@ def _at_least(low, kind):
 
 
 _seed = _at_least(0, "a non-negative integer")
+
+# The side of the largest square float64 array an index-sized integer
+# can address. A count that sizes arrays (layers, hidden nodes, classes)
+# above it ended in an OverflowError or a MemoryError.
+_MAX_SIZE = math.isqrt(sys.maxsize // 8)
+
+
+def _size(value, name):
+    """An integer check that also refuses counts above _MAX_SIZE."""
+    if (number := _int(value, name)) > _MAX_SIZE:
+        raise ConfigError(f"{name} must be at most {_MAX_SIZE}, got {value!r}")
+    return number
 
 
 def _flag(value, name):
@@ -178,6 +192,11 @@ def _walk(tree, where, schema):
 _kind = _one_of(*DATASET_KINDS)
 
 
+def _default(func, name):
+    """The default func gives its parameter name, so it is written once."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _section(tree, where):
     """A nested section, named by its key."""
     return _walk(tree, where, SCHEMA[where])
@@ -206,10 +225,12 @@ SCHEMA = {
         ("train_images", "train_labels", "test_images", "test_labels"),
         (_path, REQUIRED))},
     "csv": {"kind": (_kind, REQUIRED), "train": (_path, REQUIRED),
-            "test": (_path, REQUIRED), "label_column": (_label_column, OMIT),
-            "delimiter": (_delimiter, OMIT), "m": (_int, OMIT)},
+            "test": (_path, REQUIRED),
+            "label_column": (_label_column, _default(load_csv_features, "label_column")),
+            "delimiter": (_delimiter, _default(load_csv_features, "delimiter")),
+            "m": (_size, OMIT)},
     "split": {"Q": (_int, 1)},
-    "network": {"L": (_int, 3), "N": (_int, 32), "activation": (_text, OMIT),
+    "network": {"L": (_size, 3), "N": (_size, 32), "activation": (_text, OMIT),
                 "lam": (_lam, OMIT), "standardize": (_flag, OMIT)},
     "style": {"kind": (_text, "ridge"), "k": (_float, OMIT),
               "kappa": (_float, OMIT), "sigma": (_float, OMIT),
@@ -246,11 +267,15 @@ def validate_config(tree):
     seeds, dataset = top.pop("seeds"), top.pop("dataset")
     if dataset["kind"] == "synthetic":
         dataset["seed"] = seeds["synthetic"]
-    # Every NetworkConfig default is filled in, so that two configs that
-    # build the same network hold equal dicts.
+    # Every NetworkConfig default is filled in and lam is held per layer,
+    # so that two configs that build the same network hold equal dicts.
+    # The network's rules that need no data run here, before any file is
+    # read.
     network = {f.name: f.default for f in fields(NetworkConfig)
                if f.default is not MISSING}
     network.update(top.pop("network"), seed=seeds["weights"])
+    network["lam"] = _build(check_layers, "network", {
+        key: network[key] for key in ("L", "N", "activation", "lam")})
     out = top.pop("out", None)
     return RunConfig(
         dataset=dataset,
@@ -299,7 +324,7 @@ def _load_datasets(ds):
         m = max(train.m, test.m)
         train.m = test.m = m
         return train, test
-    opts = {key: ds[key] for key in ("label_column", "delimiter") if key in ds}
+    opts = {key: ds[key] for key in ("label_column", "delimiter")}
     train = load_csv_features(ds["train"], m=ds.get("m"), split="train", **opts)
     test = load_csv_features(ds["test"], m=train.m, split="test", **opts)
     return train, test

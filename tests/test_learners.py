@@ -236,22 +236,50 @@ class TestPaperStrictFirstHead:
 
 
 class TestFixedPairOwnsItsForwardBlock:
-    @pytest.mark.parametrize("how", ["kf", "override"])
+    @pytest.mark.parametrize("how", ["kf"])
     def test_caller_changing_d_next_leaves_eta(self, how):
-        # eta is rebuilt from the stored (D_next, k_next) on every read,
-        # so the state must hold its own copy of D_next.
+        # eta is rebuilt from the stored (D_next, k_next, V) on every
+        # read, so the state must hold its own copy of D_next.
         rng = np.random.default_rng(88)
         d, m, b = 6, 2, 3
         (D, Y), (D_next, _) = random_stream(rng, 2, b, d, m)
-        if how == "kf":
-            state = step_kf(fresh_state(d=d, m=m, kind="kf", k=0.5),
-                            D, Y, D_next)
-        else:
-            state, _ = step_kf_bayes(fresh_state(d=d, m=m, kind="kf_bayes"),
-                                     D, Y, D_next, k_override=(0.5, 0.5))
+        state = step_kf(fresh_state(d=d, m=m, kind="kf", k=0.5), D, Y, D_next)
         eta = state.eta.copy()
         D_next *= 2.0
         assert np.array_equal(state.eta, eta)
+
+
+class TestForwardLayout:
+    @pytest.mark.parametrize("style_kw", [
+        {"kind": "ridge"},
+        {"kind": "kf", "k": 0.0},
+        {"kind": "kf", "k": 0.5},
+        {"kind": "kf_bayes"},
+        {"kind": "kf_bayes", "init_mode": "paper_strict"},
+    ])
+    def test_every_style_keeps_d_next_k_next_and_v(self, style_kw):
+        # A step with a forward term keeps (D_next, k_next, V) with
+        # V = D_next eta_dag on the new eta_dag, whichever the style;
+        # ridge, kf at k = 0 and the closing step keep none.
+        rng = np.random.default_rng(89)
+        d, m, b, T = 150, 2, 5, 12
+        stream = random_stream(rng, T, b, d, m)
+        state = fresh_state(d=d, m=m, **style_kw)
+        for i, (D, Y) in enumerate(stream):
+            D_next = stream[i + 1][0] if i + 1 < T else None
+            if state.style.kind == "ridge":
+                state = step_ridge(state, D, Y)
+            elif state.style.kind == "kf":
+                state = step_kf(state, D, Y, D_next)
+            else:
+                state, _ = step_kf_bayes(state, D, Y, D_next)
+            if D_next is None or state.style.kind == "ridge" or style_kw.get("k") == 0.0:
+                assert state._forward is None, f"step {i + 1}"
+                continue
+            stored, k_next, V = state._forward
+            assert np.array_equal(stored, D_next) and stored is not D_next
+            assert k_next > 0
+            assert _rel(V, D_next @ state.eta_dag) <= 1e-12, f"step {i + 1}"
 
 
 class TestTelescoping:
@@ -380,39 +408,6 @@ class TestBayesStep:
         assert pair[1] == 0.0
         assert state.t == 1
 
-    def test_override_bypasses_adaptation(self):
-        # Forcing (k, k) must reproduce the constant-k step bitwise.
-        rng = np.random.default_rng(55)
-        d, m, b, k = 3, 2, 2, 0.8
-        bayes = fresh_state(d=d, m=m, kind="kf_bayes")
-        const = fresh_state(d=d, m=m, kind="kf", k=k)
-        stream = random_stream(rng, 4, b, d, m)
-        for i, (D, Y) in enumerate(stream):
-            D_next = stream[i + 1][0] if i + 1 < len(stream) else None
-            override = (k, k) if D_next is not None else (k, 0.0)
-            bayes, pair = step_kf_bayes(bayes, D, Y, D_next,
-                                        k_override=override)
-            const = step_kf(const, D, Y, D_next)
-            assert pair is None
-            assert np.array_equal(bayes.theta, const.theta)
-
-    def test_adaptive_step_after_override_is_the_closed_form(self):
-        # Overridden steps take the dense chain but still advance the
-        # ridge head, so the adaptive steps after them land on the
-        # closed form with their own k_next.
-        rng = np.random.default_rng(57)
-        d, m, b, T = 12, 2, 3, 8
-        stream = random_stream(rng, T, b, d, m)
-        state = fresh_state(d=d, m=m, kind="kf_bayes")
-        for i, (D, Y) in enumerate(stream):
-            D_next = stream[i + 1][0] if i + 1 < T else None
-            if i in (2, 3):
-                state, _ = step_kf_bayes(state, D, Y, D_next, k_override=(0.5, 0.5))
-                continue
-            state, (_, k_next) = step_kf_bayes(state, D, Y, D_next)
-            ref = offline_kf_fit(stream[:i + 1], D_next, k_next, 1.0).theta
-            assert _rel(state.theta, ref) <= 1e-9, f"step {i + 1}"
-
     def test_previous_complete_source_differs(self):
         rng = np.random.default_rng(66)
         d, m, b = 3, 2, 2
@@ -491,21 +486,21 @@ def _count_dxd_work(monkeypatch):
     return calls, writes
 
 
-def _replay_reference(dense, stream, i, D_next, k_next, lam=1.0):
-    """The head an adaptive step must reach, from the dense replay.
+def _closed_form(stream, i, D_next, k_next, init_mode="theorem", lam=1.0):
+    """theta, eta_dag and eta after step i + 1, straight from the Grams.
 
-    The dense chain replays the pairs through k_override; they are
-    (previous k_next, k_next), which telescope, so it stays on the
-    closed form. In paper_strict mode it also takes the first batch's
-    kick eta_0 D_1^T Y_1, which the adaptive head skips along with
-    eta_dag: there the reference is the closed form over batches 2..t,
-    and zero after batch 1.
+    theta is offline_kf_fit over the absorbed batches with the forward
+    term (D_next, k_next); eta_dag and eta are explicit inverses of the
+    information matrix without and with that term. paper_strict absorbs
+    batches 2..t only, so its head is zero after batch 1.
     """
-    if dense.style.init_mode == "theorem":
-        return dense.theta
-    if i == 0:
-        return np.zeros_like(dense.theta)
-    return offline_kf_fit(stream[1:i + 1], D_next, k_next, lam).theta
+    seen = stream[1 if init_mode == "paper_strict" else 0:i + 1]
+    d, m = stream[0][0].shape[1], stream[0][1].shape[1]
+    info = lam * np.eye(d) + sum((D.T @ D for D, _ in seen), np.zeros((d, d)))
+    theta = (offline_kf_fit(seen, D_next, k_next, lam).theta if seen
+             else np.zeros((d, m)))
+    full = info if D_next is None else info + k_next * (D_next.T @ D_next)
+    return theta, np.linalg.inv(info), np.linalg.inv(full)
 
 
 class TestImplicitForwardRate:
@@ -516,16 +511,16 @@ class TestImplicitForwardRate:
     ])
     def test_matches_dense_replay(self, style_kw, monkeypatch):
         # The adaptive step carries the ridge head and applies the forward
-        # correction through the b' x b' system only; replaying its pairs
-        # through k_override takes the dense form with a second Woodbury.
-        # Both must agree at every step, the closing step (no D_next)
-        # included, and k_cur must be the previous step's k_next.
+        # correction through the b' x b' system only. Its head must equal
+        # the closed form with the pair it records, and eta the explicit
+        # inverse, at every step, the closing step (no D_next) included,
+        # and k_cur must be the previous step's k_next.
         rng = np.random.default_rng(71)
         d, m, b, T = 10, 3, 4, 24
         calls, writes = _count_dxd_work(monkeypatch)
         stream = random_stream(rng, T, b, d, m)
         adaptive = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
-        dense = fresh_state(d=d, m=m, kind="kf_bayes", **style_kw)
+        init_mode = adaptive.style.init_mode
         pair = None
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
@@ -539,10 +534,9 @@ class TestImplicitForwardRate:
             # d=10 carries no rows at b=4: the absorb is the one write.
             assert calls == []
             assert len(writes) == (0 if skipped else 1), f"step {i + 1}"
-            dense, _ = step_kf_bayes(dense, D, Y, D_next, k_override=pair)
-            want = _replay_reference(dense, stream, i, D_next, pair[1])
-            assert _rel(adaptive.theta, want) <= 1e-9, f"step {i + 1}"
-            assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
+            theta, _, eta = _closed_form(stream, i, D_next, pair[1], init_mode)
+            assert _rel(adaptive.theta, theta) <= 1e-9, f"step {i + 1}"
+            assert _rel(adaptive.eta, eta) <= 1e-9, f"step {i + 1}"
         assert pair[1] == 0.0
 
 
@@ -619,14 +613,13 @@ class TestDeferredAbsorb:
         stream = random_stream(rng, T, b, d, m)
         stream[-1] = (stream[-1][0][:3], stream[-1][1][:3])
         adaptive = fresh_state(d=d, m=m, kind="kf_bayes", init_mode=init_mode)
-        dense = fresh_state(d=d, m=m, kind="kf_bayes", init_mode=init_mode)
         flushes = 0
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
             prev = adaptive
             adaptive, pair = step_kf_bayes(adaptive, D, Y, D_next)
-            dense, _ = step_kf_bayes(dense, D, Y, D_next, k_override=pair)
-            want = _replay_reference(dense, stream, i, D_next, pair[1])
+            theta, eta_dag, eta = _closed_form(stream, i, D_next, pair[1],
+                                               init_mode)
             if i > 0 and len(adaptive.rows) == 0:
                 flushes += 1
                 assert np.array_equal(adaptive.base, adaptive.base.T)
@@ -635,9 +628,9 @@ class TestDeferredAbsorb:
                 assert adaptive.base is prev.base, f"step {i + 1}"
                 assert len(adaptive.rows) == len(prev.rows) + len(D)
                 assert np.array_equal(adaptive.rows[:len(prev.rows)], prev.rows)
-            assert _rel(adaptive.theta, want) <= 1e-9, f"step {i + 1}"
-            assert _rel(adaptive.eta_dag, dense.eta_dag) <= 1e-9, f"step {i + 1}"
-            assert _rel(adaptive.eta, dense.eta) <= 1e-9, f"step {i + 1}"
+            assert _rel(adaptive.theta, theta) <= 1e-9, f"step {i + 1}"
+            assert _rel(adaptive.eta_dag, eta_dag) <= 1e-9, f"step {i + 1}"
+            assert _rel(adaptive.eta, eta) <= 1e-9, f"step {i + 1}"
         assert flushes == 3
         assert pair[1] == 0.0
 
@@ -901,21 +894,21 @@ class TestCachedProjection:
                 want = [n + len(X_next)] * config.L
             assert counts == want, f"batch {t + 1}"
 
-    @pytest.mark.parametrize("case", ["other_batch", "mutated", "override"])
+    @pytest.mark.parametrize("case", ["other_batch", "mutated"])
     def test_unmatched_block_takes_the_full_product(self, case, monkeypatch):
-        # A D_t other than the stored D_next, the caller's D_next array
-        # changed in place after the step, and a state a fixed pair left
-        # behind (no V) all project D_t afresh; the step then equals one
-        # from the same state with V dropped from its forward term, which
-        # keeps k_next as the step's k_cur, bit for bit.
+        # A D_t other than the stored D_next, and the caller's D_next
+        # array changed in place after the step, both project D_t afresh;
+        # the step then equals one from the same state with the cache
+        # turned off, which keeps k_next as the step's k_cur, bit for bit.
+        from rvflstream import learners
+
         rng = np.random.default_rng(86)
         d, m, b = 160, 3, 5
         stream = random_stream(rng, 4, b, d, m)
         state = fresh_state(d=d, m=m, kind="kf_bayes")
         state, _ = step_kf_bayes(state, *stream[0], stream[1][0])
         D_next = stream[1][0].copy()
-        override = (0.5, 0.5) if case == "override" else None
-        state, _ = step_kf_bayes(state, *stream[1], D_next, k_override=override)
+        state, _ = step_kf_bayes(state, *stream[1], D_next)
         D_t = D_next
         if case == "other_batch":
             D_t = stream[3][0]
@@ -924,8 +917,8 @@ class TestCachedProjection:
         counts = _count_projected_rows(monkeypatch)
         got, got_pair = step_kf_bayes(state, D_t, stream[2][1], stream[3][0])
         assert counts == [2 * b]
-        bare = dataclasses.replace(state, _forward=state._forward[:2])
-        want, want_pair = step_kf_bayes(bare, D_t, stream[2][1], stream[3][0])
+        monkeypatch.setattr(learners, "_cached_rows", lambda state, D: None)
+        want, want_pair = step_kf_bayes(state, D_t, stream[2][1], stream[3][0])
         assert got_pair == want_pair
         assert got_pair[0] == state._forward[1]
         for name in ("theta", "q", "base", "rows"):
@@ -948,17 +941,14 @@ class TestPreviousCompleteSource:
         # k_next comes from the previous complete rate, taken from the
         # absorb's product and the forward rows the previous step kept:
         # no Woodbury call and at most one d x d write (the flush). The
-        # reference builds that rate with the dense chain. k_cur is the
-        # previous k_next; the first step takes it from the rule.
-        from rvflstream.solvers import woodbury_update as woodbury
-
+        # reference inverts that rate's information matrix. k_cur is the
+        # previous k_next; the first step takes it from the rule, on
+        # eta_dag with D_t absorbed.
         calls, writes = _count_dxd_work(monkeypatch)
         rng = np.random.default_rng(75)
         d, m, b, T = 150, 3, 16, 25
         stream = random_stream(rng, T, b, d, m)
         state = fresh_state(d=d, m=m, kind="kf_bayes",
-                            k_source="previous_complete")
-        dense = fresh_state(d=d, m=m, kind="kf_bayes",
                             k_source="previous_complete")
         style = state.style
 
@@ -969,7 +959,10 @@ class TestPreviousCompleteSource:
         k_next = None
         for i, (D, Y) in enumerate(stream):
             D_next = stream[i + 1][0] if i + 1 < T else None
-            basis = dense.eta if dense.t else woodbury(dense.eta_dag, D, 1.0)
+            if i == 0:
+                basis = np.linalg.inv(np.eye(d) + D.T @ D)
+            else:
+                basis = _closed_form(stream, i - 1, D, k_next)[2]
             calls.clear()
             writes.clear()
             previous = k_next
@@ -982,9 +975,8 @@ class TestPreviousCompleteSource:
                 assert k_cur == previous, f"step {i + 1}"
             want = 0.0 if D_next is None else rule(D_next, basis)
             assert k_next == pytest.approx(want, rel=1e-10), f"step {i + 1}"
-            dense, _ = step_kf_bayes(dense, D, Y, D_next,
-                                     k_override=(k_cur, k_next))
-            assert _rel(state.theta, dense.theta) <= 1e-9, f"step {i + 1}"
+            theta = _closed_form(stream, i, D_next, k_next)[0]
+            assert _rel(state.theta, theta) <= 1e-9, f"step {i + 1}"
 
 
 class TestOneBlasPool:

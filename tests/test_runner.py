@@ -477,6 +477,41 @@ class TestCompareStyles:
         assert [r["style"] for r in compare_styles(cfgs)] == ["ridge", "kf",
                                                              "kf_bayes"]
 
+    def csv_configs(self, tmp_path, dataset=None, network=None):
+        rows = np.column_stack([np.arange(24.0).reshape(12, 2), np.arange(12) % 4])
+        paths = {}
+        for split in ("train", "test"):
+            paths[split] = str(tmp_path / f"{split}.csv")
+            np.savetxt(paths[split], rows, fmt="%.17g", delimiter=",")
+        written = {"dataset": {"kind": "csv", **paths, **(dataset or {})},
+                   "network": {"L": 3, "N": 6, "lam": 1.0, **(network or {})}}
+        trees = [base_tree(dataset={"kind": "csv", **paths},
+                           network={"L": 3, "N": 6, "lam": 1.0},
+                           style={"kind": "ridge"}),
+                 base_tree(style={"kind": "kf"}, **written)]
+        return [validate_config(t) for t in trees]
+
+    @pytest.mark.parametrize("dataset, network", [
+        ({"delimiter": ","}, None),
+        ({"label_column": -1}, None),
+        (None, {"lam": [1.0, 1.0, 1.0]}),
+    ])
+    def test_same_values_written_out_are_accepted(self, tmp_path, dataset,
+                                                  network):
+        # The csv loader's defaults and a per-layer lam list of equal
+        # values build the same run as leaving them out.
+        cfgs = self.csv_configs(tmp_path, dataset, network)
+        assert [r["style"] for r in compare_styles(cfgs)] == ["ridge", "kf"]
+
+    @pytest.mark.parametrize("dataset, network", [
+        ({"delimiter": ";"}, None),
+        (None, {"lam": [1.0, 1.0, 2.0]}),
+    ])
+    def test_other_values_are_rejected(self, tmp_path, dataset, network):
+        cfgs = self.csv_configs(tmp_path, dataset, network)
+        with pytest.raises(ContractError, match="only in style"):
+            compare_styles(cfgs)
+
     def test_rejects_non_style_differences(self):
         cfgs = self.configs()
         cfgs[1] = validate_config(base_tree(style={"kind": "kf"},
@@ -619,10 +654,14 @@ class TestCli:
         ("dataset.train", 5),
         ("out", 5),
         ("network.activation", ["relu"]),
+        ("network.L", 1e30),
+        ("network.N", 1099511627776),
+        ("dataset.m", 1e30),
     ])
     def test_malformed_value_is_exit_2(self, tmp_path, capsys, name, value):
         # Each of these used to end in a traceback, or, for the two
-        # fractional numbers, to be truncated or passed through.
+        # fractional numbers, to be truncated or passed through. The
+        # last three sized arrays no index-sized integer can address.
         rows = np.column_stack([np.arange(16.0).reshape(8, 2), np.arange(8) % 4])
         paths = {}
         for split in ("train", "test"):
@@ -636,6 +675,34 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("network, message", [
+        ({"L": 0}, "network: L must be >= 1, got 0"),
+        ({"N": 0}, "network: N must be >= 1, got 0"),
+        ({"activation": "foo"}, "network: unknown activation 'foo'"),
+        ({"lam": -1}, "network: every lam must be positive"),
+        ({"L": 3, "lam": [1.0, 1.0]}, "network: lam must be scalar or length 3"),
+    ])
+    def test_network_rules_run_before_the_data_is_read(
+            self, tmp_path, capsys, monkeypatch, network, message):
+        from rvflstream import runner
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(runner, "load_idx", unread)
+        paths = {}
+        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            paths[key] = str(tmp_path / key)
+            (tmp_path / key).write_bytes(b"")
+        tree = base_tree(dataset={"kind": "idx", **paths},
+                         network={"L": 2, "N": 6, **network})
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_integral_float_is_accepted(self):
