@@ -102,8 +102,9 @@ def _at_least(low, kind):
 _seed = _at_least(0, "a non-negative integer")
 
 # The side of the largest square float64 array an index-sized integer
-# can address. A count that sizes arrays (layers, hidden nodes, classes)
-# above it ended in an OverflowError or a MemoryError.
+# can address. A count that sizes arrays (layers, hidden nodes, classes,
+# rows) above it would end in numpy's OverflowError, MemoryError or
+# ValueError instead of a message naming its key.
 _MAX_SIZE = math.isqrt(sys.maxsize // 8)
 
 
@@ -211,9 +212,9 @@ def _dataset(tree, where):
     return _walk(tree, where, SCHEMA[_kind(tree["kind"], f"{where}.kind")])
 
 
-_GAUSSIAN = {"classes": (_int, REQUIRED), "dims": (_int, REQUIRED),
-             "separation": (_float, REQUIRED), "samples": (_int, REQUIRED),
-             "test_samples": (_int, REQUIRED)}
+_GAUSSIAN = {"classes": (_size, REQUIRED), "dims": (_size, REQUIRED),
+             "separation": (_float, REQUIRED), "samples": (_size, REQUIRED),
+             "test_samples": (_size, REQUIRED)}
 
 # Every key each config section may hold, with its check and default;
 # anything else is a typo or a removed option and is rejected rather

@@ -630,6 +630,7 @@ class TestCli:
         ("style.kappa", float("inf"), "a finite number"),
         ("style.sigma", float("-inf"), "a finite number"),
         ("dataset.separation", float("nan"), "a finite number"),
+        ("dataset.samples", 1e30, "at most 1073741823"),
     ])
     def test_inexact_number_is_exit_2(self, tmp_path, capsys, name, value, kind):
         # Booleans, fractional integers and non-finite floats used to be
