@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 2 for configuration or input-format
-problems, 3 when a run aborts on a numerical failure.
+problems and for a run that needs more memory than the machine has, 3
+when a run aborts on a numerical failure.
 """
 
 import argparse
@@ -100,6 +101,12 @@ def main(argv=None):
         return handlers[args.command](args)
     except (ConfigError, ContractError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A config under the size bound can still ask for more memory
+        # than is free; numpy's message names the array it could not get.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -64,6 +64,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalFailure
 from .network import (
+    BLOCK_ROWS,
     FeatureBatch,
     NetworkConfig,
     extract_features,
@@ -71,10 +72,12 @@ from .network import (
     init_random_weights,
 )
 from .solvers import (
+    _add_terms,
     _correction_rows,
+    _gram_terms,
     _minus_gram,
     _solve_inner,
-    offline_kf_fit,
+    _solve_terms,
     solve_spd,
     woodbury_update,
 )
@@ -829,10 +832,18 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
         with predictions restricted to that task's classes. "fine_tune"
         (refit on each task in order, overwriting the weights) is the
         last expert and "non_incremental" (fit on the first task, then
-        frozen) the first; both are evaluated on the full test set. The
-        test set, unless test_feats is given, and each task's pool meet
-        the backbone once; offline is offline_kf_fit over the tasks'
-        feature blocks, so no task's inputs are stacked.
+        frozen) the first; both are evaluated on the full test set.
+
+    The test set, unless test_feats is given, and each task's pool meet
+    the backbone once, in one pass over the pools: each layer's Gram
+    D^T D and cross term D^T Y of a pool are formed once, solved for
+    that pool's expert and added to the pooled sums in task order, the
+    sums offline_kf_fit forms over the tasks' feature blocks, and then
+    the pool's features are dropped. So no task's inputs are stacked and
+    only one pool's features are held at a time. The experts are scored
+    on row-block views of the test features, so no test rows are copied;
+    apart from the stored features, only the logits of the full-test
+    scores are test-sized.
     """
     tasks = list(tasks)
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
@@ -857,20 +868,36 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
         per_task = np.array([np.mean(hit[rows]) for rows in task_rows])
         return BaselineResult(kind, float(np.mean(hit)), per_task)
 
-    pools = [(extract_features(prepare(tk.X), weights, config),
-              one_hot(tk.y, config.m)) for tk in tasks]
+    def own_accuracy(heads, rows, cls):
+        # The expert's hits on its task's rows, scored over row-block
+        # views of the test store that hold any of them.
+        hit = np.zeros(len(y_te), dtype=bool)
+        for i in range(0, len(y_te), BLOCK_ROWS):
+            block = slice(i, i + BLOCK_ROWS)
+            if rows[block].any():
+                hit[block] = _predict([D[block] for D in test_feats], heads,
+                                      class_mask=cls) == y_te[block]
+        return np.mean(hit[rows])
 
-    def ridge_heads(group):
-        # Per-layer offline ridge heads over a group of pools' feature blocks.
-        return [offline_kf_fit([(fs[l].D, Y) for fs, Y in group], None, 0.0, lam).theta
-                for l, lam in enumerate(config.lambdas)]
-
-    experts = [ridge_heads([pool]) for pool in pools]
-    own = np.array([
-        np.mean(_predict([D[rows] for D in test_feats], heads, class_mask=cls) == y_te[rows])
-        for heads, rows, cls in zip(experts, task_rows, classes)
-    ])
-    pooled = ridge_heads(pools)
+    # One pass over the pools: each layer's Gram and cross term serve the
+    # pool's expert and join the pooled sums in task order, then the
+    # pool's features go.
+    sums = [None] * config.L
+    experts = []
+    for tk in tasks:
+        feats = extract_features(prepare(tk.X), weights, config)
+        Y = one_hot(tk.y, config.m)
+        heads = []
+        for l, lam in enumerate(config.lambdas):
+            terms = _gram_terms(feats[l].D, Y)
+            heads.append(_solve_terms(*_add_terms(None, terms, lam)).theta)
+            sums[l] = _add_terms(sums[l], terms, lam)
+        experts.append(heads)
+        del feats
+    pooled = [_solve_terms(*sums_l).theta for sums_l in sums]
+    del sums
+    own = np.array([own_accuracy(heads, rows, cls)
+                    for heads, rows, cls in zip(experts, task_rows, classes)])
     return {"offline": scored("offline", pooled),
             "separate": BaselineResult("separate", float(own.mean()), own),
             "fine_tune": scored("fine_tune", experts[-1]),

@@ -14,6 +14,12 @@ import numpy as np
 from .errors import ContractError, NumericalFailure
 
 
+# Rows per block of the forward pass: a block's activations and scratch
+# stay small next to the stored layers, and a batch of the stream takes
+# a single block.
+BLOCK_ROWS = 256
+
+
 def _sigmoid(z):
     # exp only sees -|z| <= 0, so it cannot overflow for any z.
     e = np.exp(-np.abs(z))
@@ -146,19 +152,23 @@ def extract_features(X, weights, config, t=0, order="C"):
     H_l = g([H_{l-1} | X] W_l), i.e. g(D_{l-1} W_l). The raw input is
     reconnected to every layer's design matrix.
 
+    The rows go through all L layers BLOCK_ROWS at a time, and each
+    block's H and X are written straight into the stored D of every
+    layer, so no whole layer exists in a second layout and no n x N H
+    exists at all. Each forward gemm reads row-major rows: X for layer
+    1, then the block's [H | X], which for order "C" is the stored
+    block itself and for "F" one block-sized row-major scratch. OpenBLAS
+    can round D @ W differently for a column-major D at small sizes, and
+    a row's product does not depend on the rows around it, so the values
+    depend neither on the order, the layout of X nor the block size.
+
     Args:
         X: b x s input rows, finite.
         weights: RandomWeights from init_random_weights.
         config: matching NetworkConfig.
         t: batch index stamped onto the returned FeatureBatch objects.
-        order: memory layout of every returned D. "F" stores each D
-            column-major, so that D^T is C-contiguous. Each layer writes
-            its H and X straight into a fresh D of this order. The
-            forward gemm always reads row-major rows (for "F", a
-            temporary copy freed as soon as the product exists),
-            because OpenBLAS can round D @ W differently for a
-            column-major D at small sizes; so the values do not depend
-            on the order or on the layout of X.
+        order: memory layout of every returned D; "F" stores each D
+            column-major, so that D^T is C-contiguous.
 
     Returns:
         List of L FeatureBatch objects in layer order.
@@ -166,7 +176,8 @@ def extract_features(X, weights, config, t=0, order="C"):
     Raises:
         ContractError: wrong column count or non-finite input.
         NumericalFailure: an activation produced non-finite output,
-            reported with the layer index.
+            reported with the layer index (the first failing layer of
+            the first block that fails).
     """
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != config.s:
@@ -179,23 +190,30 @@ def extract_features(X, weights, config, t=0, order="C"):
         )
 
     act = ACTIVATIONS[config.activation]
-    out = []
-    D = X
-    for l, W in enumerate(weights.layers, start=1):
-        H = act(np.ascontiguousarray(D) @ W)
-        if not np.all(np.isfinite(H)):
-            raise NumericalFailure(
-                "activation output is non-finite", batch_index=t, layer=l
-            )
-        # The gemm's row-major input and product are freed before D is
-        # allocated, and H before the next gemm, so the peak is the
-        # stored layers, one layer's H and the D in hand.
-        D = np.empty((len(X), config.feature_dim), order=order)
-        D[:, :config.N] = H
-        D[:, config.N:] = X
-        del H
-        out.append(FeatureBatch(D=D, layer=l, t=t))
-    return out
+    N, n = config.N, len(X)
+    Ds = [np.empty((n, config.feature_dim), order=order) for _ in weights.layers]
+    scratch = (None if order == "C"
+               else np.empty((min(n, BLOCK_ROWS), config.feature_dim)))
+    for i in range(0, n, BLOCK_ROWS):
+        rows = slice(i, i + BLOCK_ROWS)
+        Xb = X[rows]
+        inp = Xb
+        if scratch is not None:
+            scratch[:len(Xb), N:] = Xb
+        for l, (W, D) in enumerate(zip(weights.layers, Ds), start=1):
+            H = act(inp @ W)
+            if not np.all(np.isfinite(H)):
+                raise NumericalFailure(
+                    "activation output is non-finite", batch_index=t, layer=l
+                )
+            D[rows, :N] = H
+            D[rows, N:] = Xb
+            if scratch is None:
+                inp = D[rows]
+            else:
+                inp = scratch[:len(Xb)]
+                inp[:, :N] = H
+    return [FeatureBatch(D=D, layer=l, t=t) for l, D in enumerate(Ds, start=1)]
 
 
 def softmax(Z):

@@ -295,22 +295,47 @@ def offline_kf_fit(batches, D_next, k, lam):
     if k < 0:
         raise ContractError(f"k must be nonnegative, got {k}")
 
-    d = gram = cross = None
+    sums = d = None
     for D_i, Y_i in batches:
-        D_i, Y_i = _checked_block(D_i, Y_i, d)
-        if d is None:
-            d = D_i.shape[1]
-            gram = lam * np.eye(d)
-        gram += D_i.T @ D_i
-        term = D_i.T @ Y_i
-        cross = term if cross is None else cross + term
+        terms = _gram_terms(D_i, Y_i, d)
+        d = len(terms[0])
+        sums = _add_terms(sums, terms, lam)
+    gram, cross = sums
     if D_next is not None:
         D_next = np.asarray(D_next, dtype=float)
         if D_next.ndim != 2 or D_next.shape[1] != d or not np.all(np.isfinite(D_next)):
             raise ContractError(f"D_next must be finite with {d} columns, got {D_next.shape}")
         if k != 0.0:
             gram += k * (D_next.T @ D_next)
+    return _solve_terms(gram, cross)
 
+
+def _gram_terms(D, Y, d=None):
+    """One labeled block's (D^T D, D^T Y), after _checked_block's checks."""
+    D, Y = _checked_block(D, Y, d)
+    return D.T @ D, D.T @ Y
+
+
+def _add_terms(sums, terms, lam):
+    """The running (gram, cross) of offline_kf_fit with one block added.
+
+    sums None starts the Gram at lam * I and the cross term at the
+    block's own; otherwise the block's Gram is added in place and its
+    cross term added out of place, so terms are never written and the
+    sums of any task order equal offline_kf_fit's over that order.
+    """
+    gram_i, cross_i = terms
+    if sums is None:
+        gram = lam * np.eye(len(gram_i))
+        gram += gram_i
+        return gram, cross_i
+    gram, cross = sums
+    gram += gram_i
+    return gram, cross + cross_i
+
+
+def _solve_terms(gram, cross):
+    """OfflineSolution of gram theta = cross; NumericalFailure if not finite."""
     theta = solve_spd(gram, cross)
     if not np.all(np.isfinite(theta)):
         raise NumericalFailure("offline solve produced non-finite weights")

@@ -6,6 +6,7 @@ import pytest
 from rvflstream.errors import ContractError, NumericalFailure
 from rvflstream.network import (
     ACTIVATIONS,
+    BLOCK_ROWS,
     NetworkConfig,
     ensemble_decision,
     extract_features,
@@ -139,6 +140,24 @@ class TestExtractFeatures:
         w = init_random_weights(cfg)
         X = np.random.default_rng(1).standard_normal((52, 5))
         want = [fb.D for fb in extract_features(X, w, cfg)]
+        for order in ("C", "F"):
+            for X_in in (X, np.asfortranarray(X)):
+                got = extract_features(X_in, w, cfg, order=order)
+                for fb, D in zip(got, want):
+                    assert fb.D.flags[order + "_CONTIGUOUS"]
+                    assert np.array_equal(fb.D, D)
+
+    def test_row_blocks_do_not_change_a_bit(self):
+        # Three blocks, the last one partial, against every layer run on
+        # the whole matrix at once, row-major.
+        cfg = small_config(N=33, s=5)
+        w = init_random_weights(cfg)
+        X = np.random.default_rng(3).standard_normal((2 * BLOCK_ROWS + 7, 5))
+        act = ACTIVATIONS[cfg.activation]
+        want, D = [], X
+        for W in w.layers:
+            D = np.hstack([act(D @ W), X])
+            want.append(D)
         for order in ("C", "F"):
             for X_in in (X, np.asfortranarray(X)):
                 got = extract_features(X_in, w, cfg, order=order)

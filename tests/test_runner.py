@@ -822,6 +822,28 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576)", ""])
+    def test_out_of_memory_is_exit_2(self, tmp_path, capsys, monkeypatch,
+                                     command, message):
+        from rvflstream import runner
+
+        def boom(_):
+            raise MemoryError(message)
+
+        # compare reaches run_experiment through runner; run imports it.
+        monkeypatch.setattr(runner, "run_experiment", boom)
+        monkeypatch.setattr(cli, "run_experiment", boom)
+        p = self.write_cfg(tmp_path)
+        args = (["run", "--config", str(p), "--out", str(tmp_path / "out")]
+                if command == "run" else ["compare", "--configs", str(p)])
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: out of memory" + (f": {message}" if message else "")]
+        assert not (tmp_path / "out").exists()
+
     def test_test_set_without_a_tasks_classes_is_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         for name, rows, classes in (("train", 40, 4), ("test", 12, 3)):
