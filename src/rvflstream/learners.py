@@ -64,12 +64,12 @@ import numpy as np
 
 from .errors import ContractError, NumericalFailure
 from .network import (
-    BLOCK_ROWS,
     FeatureBatch,
     NetworkConfig,
     extract_features,
     fuse_probs,
     init_random_weights,
+    row_blocks,
 )
 from .solvers import (
     _add_terms,
@@ -840,10 +840,10 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
     that pool's expert and added to the pooled sums in task order, the
     sums offline_kf_fit forms over the tasks' feature blocks, and then
     the pool's features are dropped. So no task's inputs are stacked and
-    only one pool's features are held at a time. The experts are scored
-    on row-block views of the test features, so no test rows are copied;
-    apart from the stored features, only the logits of the full-test
-    scores are test-sized.
+    only one pool's features are held at a time. Each separate expert
+    scores its task's test rows once, copied out of the test features a
+    row block at a time, so apart from the stored features only the
+    logits of the full-test scores are test-sized.
     """
     tasks = list(tasks)
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
@@ -869,15 +869,16 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
         return BaselineResult(kind, float(np.mean(hit)), per_task)
 
     def own_accuracy(heads, rows, cls):
-        # The expert's hits on its task's rows, scored over row-block
-        # views of the test store that hold any of them.
-        hit = np.zeros(len(y_te), dtype=bool)
-        for i in range(0, len(y_te), BLOCK_ROWS):
-            block = slice(i, i + BLOCK_ROWS)
-            if rows[block].any():
-                hit[block] = _predict([D[block] for D in test_feats], heads,
-                                      class_mask=cls) == y_te[block]
-        return np.mean(hit[rows])
+        # The expert scores each of its task's test rows once, copied out
+        # of the store a row block at a time, whatever the rows' order.
+        idx = np.flatnonzero(rows)
+        hits = np.float64(0)  # nan for a task without test rows, as np.mean
+        for block in row_blocks(len(idx)):
+            b = idx[block]
+            hits += np.count_nonzero(
+                _predict([D[b] for D in test_feats], heads, class_mask=cls)
+                == y_te[b])
+        return hits / len(idx)
 
     # One pass over the pools: each layer's Gram and cross term serve the
     # pool's expert and join the pooled sums in task order, then the

@@ -1378,7 +1378,8 @@ class TestBaselines:
         # each expert scored on a copy of its task's test rows.
         from rvflstream import learners
 
-        tasks, test = self._shuffled_pairs(6, 8, 1.0, 30, 100, seed=21)
+        # 300 test rows a class: each expert scores its 600 rows in blocks.
+        tasks, test = self._shuffled_pairs(6, 8, 1.0, 30, 300, seed=21)
         config = NetworkConfig(L=2, N=16, s=8, m=6, lam=1e-3, seed=6)
         solve, solved = learners._solve_terms, []
 

@@ -12,6 +12,7 @@ from rvflstream.network import (
     extract_features,
     fuse_probs,
     init_random_weights,
+    row_blocks,
     softmax,
 )
 
@@ -147,12 +148,14 @@ class TestExtractFeatures:
                     assert fb.D.flags[order + "_CONTIGUOUS"]
                     assert np.array_equal(fb.D, D)
 
-    def test_row_blocks_do_not_change_a_bit(self):
-        # Three blocks, the last one partial, against every layer run on
-        # the whole matrix at once, row-major.
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 7])
+    def test_row_blocks_do_not_change_a_bit(self, n):
+        # A partial last block, or one row past a whole block, against
+        # every layer run on the whole matrix at once, row-major.
         cfg = small_config(N=33, s=5)
         w = init_random_weights(cfg)
-        X = np.random.default_rng(3).standard_normal((2 * BLOCK_ROWS + 7, 5))
+        X = np.random.default_rng(3).standard_normal((n, 5))
         act = ACTIVATIONS[cfg.activation]
         want, D = [], X
         for W in w.layers:
@@ -164,6 +167,15 @@ class TestExtractFeatures:
                 for fb, D in zip(got, want):
                     assert fb.D.flags[order + "_CONTIGUOUS"]
                     assert np.array_equal(fb.D, D)
+
+    @pytest.mark.parametrize("n", [0, 1, 20, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 1])
+    def test_row_blocks_cover_the_rows_without_a_one_row_block(self, n):
+        blocks = list(row_blocks(n))
+        assert [i for blk in blocks for i in range(n)[blk]] == list(range(n))
+        sizes = [blk.stop - blk.start for blk in blocks]
+        assert all(size == BLOCK_ROWS for size in sizes[:-1])
+        assert all(1 < size <= BLOCK_ROWS + 1 for size in sizes) or sizes == [1]
 
     def test_nonfinite_input_rejected(self):
         cfg = small_config()
