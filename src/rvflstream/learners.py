@@ -63,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalFailure
+from .metrics import Targets
 from .network import (
     FeatureBatch,
     NetworkConfig,
@@ -797,17 +798,8 @@ class BaselineResult:
     per_task_accuracy: np.ndarray
 
 
-def _predict(feats, thetas, class_mask=None):
-    """Ensemble class predictions from per-layer design matrices."""
-    probs = fuse_probs(_layer_probs(feats, thetas))
-    if class_mask is not None:
-        blocked = np.full_like(probs, -np.inf)
-        blocked[:, class_mask] = probs[:, class_mask]
-        probs = blocked
-    return probs.argmax(axis=1)
-
-
-def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
+def fit_baseline(tasks, test, config, prepare=None, test_feats=None,
+                 mode="mean"):
     """Train and evaluate the four non-continual baselines in one pass.
 
     Args:
@@ -824,15 +816,22 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
             ContinualModel.eval_features returns them under the same
             config and prepare; None runs the test set through the
             backbone here, into the same column-major layout.
+        mode: ensemble fusion of every baseline's layers, "mean" or
+            "median", the rule the continual run is scored under.
 
     Returns:
         {kind: BaselineResult} in BASELINE_KINDS order. "offline" is
         ridge on the whole stream, the accuracy upper bound. "separate"
         fits one expert per task, each evaluated only on its own task
-        with predictions restricted to that task's classes. "fine_tune"
+        with predictions restricted to that task's classes (the first
+        maximum among them, in ascending class order). "fine_tune"
         (refit on each task in order, overwriting the weights) is the
         last expert and "non_incremental" (fit on the first task, then
         frozen) the first; both are evaluated on the full test set.
+
+    Raises:
+        ContractError: no tasks or no task annotations, test_feats that
+            do not fit, a task without test rows, or an unknown mode.
 
     The test set, unless test_feats is given, and each task's pool meet
     the backbone once, in one pass over the pools: each layer's Gram
@@ -840,10 +839,12 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
     that pool's expert and added to the pooled sums in task order, the
     sums offline_kf_fit forms over the tasks' feature blocks, and then
     the pool's features are dropped. So no task's inputs are stacked and
-    only one pool's features are held at a time. Each separate expert
-    scores its task's test rows once, copied out of the test features a
-    row block at a time, so apart from the stored features only the
-    logits of the full-test scores are test-sized.
+    only one pool's features are held at a time. The three full-test
+    baselines are scored as the runner scores the learner, by
+    metrics.Targets.score on one (L, m, n) logits buffer. Each separate
+    expert scores its task's test rows once, copied out of the test
+    features a row block at a time, so apart from the stored features
+    only that buffer and the targets are test-sized.
     """
     tasks = list(tasks)
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
@@ -860,25 +861,8 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
         raise ContractError(
             f"test_feats must be {config.L} arrays of shape "
             f"({len(y_te)}, {config.feature_dim})")
-    classes = [np.asarray(tk.classes, dtype=int) for tk in tasks]
+    classes = [np.sort(np.asarray(tk.classes, dtype=int)) for tk in tasks]
     task_rows = [np.isin(y_te, cls) for cls in classes]
-
-    def scored(kind, thetas):
-        hit = _predict(test_feats, thetas) == y_te
-        per_task = np.array([np.mean(hit[rows]) for rows in task_rows])
-        return BaselineResult(kind, float(np.mean(hit)), per_task)
-
-    def own_accuracy(heads, rows, cls):
-        # The expert scores each of its task's test rows once, copied out
-        # of the store a row block at a time, whatever the rows' order.
-        idx = np.flatnonzero(rows)
-        hits = np.float64(0)  # nan for a task without test rows, as np.mean
-        for block in row_blocks(len(idx)):
-            b = idx[block]
-            hits += np.count_nonzero(
-                _predict([D[b] for D in test_feats], heads, class_mask=cls)
-                == y_te[b])
-        return hits / len(idx)
 
     # One pass over the pools: each layer's Gram and cross term serve the
     # pool's expert and join the pooled sums in task order, then the
@@ -897,9 +881,31 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None):
         del feats
     pooled = [_solve_terms(*sums_l).theta for sums_l in sums]
     del sums
-    own = np.array([own_accuracy(heads, rows, cls)
-                    for heads, rows, cls in zip(experts, task_rows, classes)])
+
+    targets = Targets(one_hot(y_te, config.m))
+    buf = np.empty((config.L, config.m, len(y_te)))
+
+    def scored(kind, thetas):
+        scores = targets.score(_layer_probs(test_feats, thetas, out=buf), mode)
+        per_task = np.array([scores.accuracy(rows) for rows in task_rows])
+        return BaselineResult(kind, scores.accuracy(), per_task)
+
+    def separate():
+        # Each expert scores each of its task's test rows once, copied out
+        # of the store a row block at a time, whatever the rows' order.
+        own = []
+        for heads, rows, cls in zip(experts, task_rows, classes):
+            idx = np.flatnonzero(rows)
+            hits = 0
+            for b in (idx[block] for block in row_blocks(len(idx))):
+                probs = fuse_probs(_layer_probs([D[b] for D in test_feats], heads), mode)
+                hits += np.count_nonzero(cls[probs[:, cls].argmax(axis=1)] == y_te[b])
+            own.append(hits / len(idx))
+        return BaselineResult("separate", float(np.mean(own)), np.array(own))
+
+    # In BASELINE_KINDS order, so a task without test rows fails in the
+    # offline score before its expert divides by zero.
     return {"offline": scored("offline", pooled),
-            "separate": BaselineResult("separate", float(own.mean()), own),
+            "separate": separate(),
             "fine_tune": scored("fine_tune", experts[-1]),
             "non_incremental": scored("non_incremental", experts[0])}

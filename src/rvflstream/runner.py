@@ -324,10 +324,13 @@ def _load_datasets(ds):
         test = load_idx(ds["test_images"], ds["test_labels"], split="test")
         m = max(train.m, test.m)
         train.m = test.m = m
-        return train, test
-    opts = {key: ds[key] for key in ("label_column", "delimiter")}
-    train = load_csv_features(ds["train"], m=ds.get("m"), split="train", **opts)
-    test = load_csv_features(ds["test"], m=train.m, split="test", **opts)
+    else:
+        opts = {key: ds[key] for key in ("label_column", "delimiter")}
+        train = load_csv_features(ds["train"], m=ds.get("m"), split="train", **opts)
+        test = load_csv_features(ds["test"], m=train.m, split="test", **opts)
+    if test.X.shape[1] != train.X.shape[1]:
+        raise ConfigError(f"dataset: the test set has {test.X.shape[1]} features "
+                          f"and the train set {train.X.shape[1]}")
     return train, test
 
 
@@ -455,7 +458,7 @@ def run_experiment(config):
     learning_reads = stream.annotation_reads - sanctioned
 
     baselines = (fit_baseline(tasks, test, net, prepare=model._prepare,
-                              test_feats=test_feats)
+                              test_feats=test_feats, mode=config.ensemble)
                  if config.baselines else {})
     if baselines:
         for q in range(Q):

@@ -177,19 +177,22 @@ def batchify(tasks, b, m):
     Tasks are concatenated and cut without regard to boundaries, so a
     batch may straddle two tasks; the per-batch annotation records the
     task of the batch's last row. The final batch may be short and is
-    flagged. Targets are one-hot over the full class load m.
+    flagged. Targets are one-hot over the full class load m. A task
+    without rows is a ContractError naming it and its classes.
     """
     if b < 1:
         raise ContractError(f"batch size must be >= 1, got {b}")
     tasks = list(tasks)
+    for q, tk in enumerate(tasks):
+        if len(tk.y) == 0:
+            raise ContractError(f"task {q} (classes {list(tk.classes)}) "
+                                f"has no training rows")
     X = np.vstack([tk.X for tk in tasks])
     y = np.concatenate([tk.y for tk in tasks])
-    task_of_row = np.concatenate(
-        [np.full(len(tk.y), q, dtype=int) for q, tk in enumerate(tasks)]
-    )
+    ends = np.cumsum([len(tk.y) for tk in tasks])
     n = len(y)
 
-    batches, annotations = [], []
+    batches = []
     for t, start in enumerate(range(0, n, b), start=1):
         stop = min(start + b, n)
         batches.append(
@@ -200,12 +203,11 @@ def batchify(tasks, b, m):
                 short=(stop - start) < b,
             )
         )
-        annotations.append(int(task_of_row[stop - 1]))
+    # The task of each batch's last row: the first task ending past it.
+    last_rows = np.minimum(np.arange(1, len(batches) + 1) * b, n) - 1
+    annotations = np.searchsorted(ends, last_rows, side="right").tolist()
 
-    task_end = [
-        int(np.flatnonzero(task_of_row == q).max() // b) + 1
-        for q in range(len(tasks))
-    ]
+    task_end = ((ends - 1) // b + 1).tolist()
     return BatchStream(batches, annotations, task_end, b=b, m=m)
 
 

@@ -23,7 +23,7 @@ from rvflstream.learners import (
     RegStyle,
     SubLearnerState,
     _carry_cap,
-    _predict,
+    _layer_probs,
     compute_adaptive_k,
     fit_baseline,
     step_kf,
@@ -53,6 +53,16 @@ from rvflstream.stream import (
 def fresh_state(d=3, m=2, lam=1.0, **style_kw):
     style = RegStyle(**style_kw)
     return SubLearnerState.initial(d, m, lam, style)
+
+
+def ensemble_classes(feats, thetas, class_mask=None):
+    """The mean ensemble's first-maximum class per row, over class_mask."""
+    probs = fuse_probs(_layer_probs(feats, thetas))
+    if class_mask is not None:
+        blocked = np.full_like(probs, -np.inf)
+        blocked[:, class_mask] = probs[:, class_mask]
+        probs = blocked
+    return probs.argmax(axis=1)
 
 
 def random_stream(rng, T, b, d, m):
@@ -1339,6 +1349,12 @@ class TestBaselines:
             fit_baseline(self.tasks, self.test, self.config,
                          test_feats=[D[:-1] for D in feats])
 
+    def test_task_without_test_rows_is_a_contract_error(self):
+        test = LabeledDataset(self.test.X[self.test.y < 2],
+                              self.test.y[self.test.y < 2], 4, split="test")
+        with pytest.raises(ContractError, match="empty test set"):
+            fit_baseline(self.tasks, test, self.config)
+
     def test_one_call_extracts_test_set_and_each_pool_once(self, monkeypatch):
         from rvflstream import learners
 
@@ -1410,12 +1426,12 @@ class TestBaselines:
         task_rows = [np.isin(y, tk.classes) for tk in tasks]
 
         def scored(thetas):
-            hit = _predict(feats, thetas) == y
+            hit = ensemble_classes(feats, thetas) == y
             return float(np.mean(hit)), np.array([np.mean(hit[rows]) for rows in task_rows])
 
         own = np.array([
-            np.mean(_predict([D[rows] for D in feats], ex,
-                             class_mask=np.asarray(tk.classes)) == y[rows])
+            np.mean(ensemble_classes([D[rows] for D in feats], ex,
+                                     class_mask=np.asarray(tk.classes)) == y[rows])
             for ex, rows, tk in zip(experts, task_rows, tasks)])
         want = {"offline": scored(pooled),
                 "separate": (float(own.mean()), own),

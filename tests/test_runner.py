@@ -389,6 +389,72 @@ class TestOneEvaluationPass:
                                   own[kind].per_task_accuracy)
 
 
+class TestBaselinesFollowTheEnsembleRule:
+    @pytest.mark.parametrize("mode", ["mean", "median"])
+    def test_baselines_equal_a_reference_fused_by_the_runs_rule(self, mode):
+        # A stream on which mean and median fusion score the baselines
+        # apart: a median run's FWT reads -0.2333 with median-fused
+        # baselines and -0.2542 with mean-fused ones.
+        from rvflstream.learners import BASELINE_KINDS, _layer_probs
+        from rvflstream.solvers import offline_kf_fit
+
+        dataset = {"kind": "synthetic", "classes": 6, "dims": 8,
+                   "separation": 0.6, "samples": 30, "test_samples": 60}
+        config = validate_config(base_tree(
+            dataset=dataset, split={"Q": 3}, batch_size=10,
+            network={"L": 5, "N": 12, "activation": "tanh"}, ensemble=mode,
+            seeds={"weights": 1, "order": 1, "synthetic": 1}))
+        report = run_experiment(config)
+
+        train, test = make_gaussian_dataset(
+            seed=1, **{k: v for k, v in dataset.items() if k != "kind"})
+        net = NetworkConfig(s=8, m=6, **config.network)
+        tasks = split_class_incremental(train, config.split)
+        weights = init_random_weights(net)
+        feats = [fb.D for fb in extract_features(test.X, weights, net, order="F")]
+        pools = [(extract_features(tk.X, weights, net), one_hot(tk.y, 6))
+                 for tk in tasks]
+        task_rows = [np.isin(test.y, tk.classes) for tk in tasks]
+
+        def heads(group):
+            return [offline_kf_fit([(fs[l].D, Y) for fs, Y in group],
+                                   None, 0.0, lam).theta
+                    for l, lam in enumerate(net.lambdas)]
+
+        def predicted(thetas, rows, fusion, cls=None):
+            probs = fuse_probs(_layer_probs([D[rows] for D in feats], thetas),
+                               mode=fusion)
+            if cls is not None:
+                masked = np.full_like(probs, -np.inf)
+                masked[:, cls] = probs[:, cls]
+                probs = masked
+            return probs.argmax(axis=1)
+
+        def reference(fusion):
+            everything = np.ones(len(test.y), dtype=bool)
+
+            def scored(thetas):
+                hit = predicted(thetas, everything, fusion) == test.y
+                return float(np.mean(hit)), [np.mean(hit[r]) for r in task_rows]
+
+            experts = [heads([pool]) for pool in pools]
+            own = [np.mean(predicted(ex, r, fusion, list(tk.classes)) == test.y[r])
+                   for ex, r, tk in zip(experts, task_rows, tasks)]
+            return {"offline": scored(heads(pools)),
+                    "separate": (float(np.mean(own)), own),
+                    "fine_tune": scored(experts[-1]),
+                    "non_incremental": scored(experts[0])}
+
+        want = reference(mode)
+        for kind in BASELINE_KINDS:
+            got = report.baselines[kind]
+            assert got.accuracy == want[kind][0], kind
+            assert np.array_equal(got.per_task_accuracy, want[kind][1]), kind
+        assert np.array_equal(report.independent, want["separate"][1])
+        # The two rules disagree on this stream, so the check has teeth.
+        assert reference("median") != reference("mean")
+
+
 class TestStreamHash:
     def test_digest_is_the_bytes_digest(self):
         # Reports compare stream_sha256 across commits, so the digest of
@@ -862,6 +928,68 @@ class TestCli:
         err = capsys.readouterr().err
         assert "test set has no rows for task" in err
         assert "(classes [3])" in err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _write_idx(root, split, labels, rng):
+        paths = {key: str(root / f"{split}-{key}") for key in ("images", "labels")}
+        with open(paths["images"], "wb") as f:
+            f.write(struct.pack(">iiii", 2051, len(labels), 4, 4))
+            f.write(rng.integers(0, 256, (len(labels), 16), dtype=np.uint8).tobytes())
+        with open(paths["labels"], "wb") as f:
+            f.write(struct.pack(">ii", 2049, len(labels)))
+            f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+        return {f"{split}_{key}": path for key, path in paths.items()}
+
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_task_without_training_rows_is_exit_2(self, tmp_path, capsys, kind):
+        # Class 3 has test rows but no training rows, and has a task of
+        # its own: csv through m, idx through the test set's labels.
+        rng = np.random.default_rng(2)
+        train_y, test_y = np.arange(30) % 3, np.arange(12) % 4
+        if kind == "csv":
+            for name, y in (("train", train_y), ("test", test_y)):
+                np.savetxt(tmp_path / f"{name}.csv",
+                           np.column_stack([rng.standard_normal((len(y), 3)), y]),
+                           fmt="%.17g", delimiter=",")
+            dataset = {"kind": "csv", "train": str(tmp_path / "train.csv"),
+                       "test": str(tmp_path / "test.csv"), "m": 4}
+        else:
+            dataset = {"kind": "idx",
+                       **self._write_idx(tmp_path, "train", train_y, rng),
+                       **self._write_idx(tmp_path, "test", test_y, rng)}
+        p = self.write_cfg(tmp_path, base_tree(dataset=dataset, split={"Q": 4}))
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "(classes [3]) has no training rows" in err
+        assert err.startswith("error: task ")
+        assert not (tmp_path / "out").exists()
+
+    def test_train_test_width_mismatch_is_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        from rvflstream import runner
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("the stream was built")
+
+        monkeypatch.setattr(runner, "batchify", unreached)
+        rng = np.random.default_rng(3)
+        for name, width in (("train", 3), ("test", 4)):
+            labels = np.arange(30) % 2
+            np.savetxt(tmp_path / f"{name}.csv",
+                       np.column_stack([rng.standard_normal((30, width)), labels]),
+                       fmt="%.17g", delimiter=",")
+        tree = base_tree(dataset={"kind": "csv",
+                                  "train": str(tmp_path / "train.csv"),
+                                  "test": str(tmp_path / "test.csv")})
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dataset: the test set has 4 features and the train set 3"]
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_features_are_exit_3(self, tmp_path, capsys):

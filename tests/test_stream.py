@@ -115,6 +115,26 @@ class TestBatchify:
         assert list(stream.boundary_annotations) == [0, 1, 1]
         assert list(stream.task_end_batches) == [2, 3]
 
+    @pytest.mark.parametrize("sizes, b", [
+        ([5, 4], 4), ([4, 4], 2), ([1, 7, 2, 3], 3), ([3, 1, 1], 5), ([6], 1)])
+    def test_annotations_match_a_row_by_row_reference(self, sizes, b):
+        # Each row's task, read off at every batch's last row and at
+        # every task's last row.
+        task_of_row = np.repeat(np.arange(len(sizes)), sizes)
+        stream = batchify(self.make_tasks(sizes), b, 2 * len(sizes))
+        last = [min(t * b, len(task_of_row)) - 1 for t in range(1, stream.T + 1)]
+        assert list(stream.boundary_annotations) == [int(task_of_row[r]) for r in last]
+        assert list(stream.task_end_batches) == [
+            int(np.flatnonzero(task_of_row == q).max() // b) + 1
+            for q in range(len(sizes))]
+        assert all(type(v) is int for v in stream.boundary_annotations)
+        assert all(type(v) is int for v in stream.task_end_batches)
+
+    def test_task_without_rows_is_named(self):
+        tasks = self.make_tasks([3, 0, 2])
+        with pytest.raises(ContractError, match=r"task 1 \(classes \[2, 3\]\)"):
+            batchify(tasks, 2, 6)
+
     def test_annotation_reads_are_counted(self):
         stream = batchify(self.make_tasks([4, 4]), 2, 4)
         assert stream.annotation_reads == 0
