@@ -399,13 +399,18 @@ def run_experiment(config):
     post-step weights answer the evaluation request. Task-level rows of
     the accuracy matrix are recorded from the stream's side channel,
     which the learning path itself never reads (audited in the report).
+
+    The training rows are held once, in the task split: the loaded
+    train set is released as soon as it is split, and the stream's
+    batches are views of the tasks' rows.
     """
     train, test = _load_datasets(config.dataset)
     net = _build(NetworkConfig, "network",
                  dict(config.network, s=train.X.shape[1], m=train.m))
     tasks = split_class_incremental(train, config.split,
                                     shuffle_within=config.shuffle_within)
-    stream = batchify(tasks, config.batch_size, train.m)
+    del train
+    stream = batchify(tasks, config.batch_size, net.m)
     digest = stream_sha256(stream)
     model = ContinualModel(net, config.style)
 
@@ -420,7 +425,7 @@ def run_experiment(config):
         ends_at[t_end].append(q)
 
     Q = config.split.Q
-    targets = Targets(one_hot(test.y, train.m))
+    targets = Targets(one_hot(test.y, net.m))
     task_rows = [np.isin(test.y, np.asarray(tk.classes)) for tk in tasks]
     for q, (tk, rows) in enumerate(zip(tasks, task_rows)):
         if not rows.any():
@@ -429,7 +434,7 @@ def run_experiment(config):
     acc_mat = AccuracyMatrix(Q)
     trace = TraceSeries()
     wall = []
-    seen = np.zeros(train.m, dtype=bool)
+    seen = np.zeros(net.m, dtype=bool)
     test_feats = None
 
     for i, batch in enumerate(stream):

@@ -1,6 +1,6 @@
 """Data ingestion and boundary-free stream construction.
 
-Class-incremental task splits are built here, then flattened into a
+Class-incremental task splits are built here, then cut into a
 batch stream whose learner-facing items carry no task identity at all.
 Task indices live in a metrics-only side channel on the stream object;
 reads of that channel are counted so a run can prove the learning path
@@ -149,6 +149,10 @@ def split_class_incremental(dataset, spec, shuffle_within=True):
 
     Returns:
         Ordered list of Task objects covering every sample exactly once.
+        Each task's X is its own copy of its rows and is read-only: the
+        stream's batches view it, and the baselines refit on it, so it
+        must never be written. The dataset may be released after the
+        split.
     """
     per = spec.classes_per_task(dataset.m)
     rng = np.random.default_rng(spec.order_seed)
@@ -161,24 +165,27 @@ def split_class_incremental(dataset, spec, shuffle_within=True):
             idx = idx[rng.permutation(len(idx))]
         else:
             idx = idx[np.argsort(dataset.y[idx], kind="stable")]
+        X = dataset.X[idx]
+        X.flags.writeable = False
         tasks.append(
-            Task(
-                X=dataset.X[idx],
-                y=dataset.y[idx],
-                classes=tuple(int(c) for c in np.sort(group)),
-            )
+            Task(X=X, y=dataset.y[idx],
+                 classes=tuple(int(c) for c in np.sort(group)))
         )
     return tasks
 
 
 def batchify(tasks, b, m):
-    """Flatten ordered tasks into a stream of b-row batches.
+    """Cut ordered tasks into a stream of b-row batches.
 
-    Tasks are concatenated and cut without regard to boundaries, so a
-    batch may straddle two tasks; the per-batch annotation records the
-    task of the batch's last row. The final batch may be short and is
-    flagged. Targets are one-hot over the full class load m. A task
-    without rows is a ContractError naming it and its classes.
+    The tasks are read as one row sequence and cut without regard to
+    boundaries, so a batch may straddle two tasks or more; the per-batch
+    annotation records the task of the batch's last row. Every batch's
+    X is read-only. A batch inside one task is a row-slice view of that
+    task's X; only a batch that straddles tasks is a copy, so the stream
+    adds at most b rows per task boundary to the rows the tasks hold.
+    The final batch may be short and is flagged. Targets are one-hot
+    over the full class load m. A task without rows is a ContractError
+    naming it and its classes.
     """
     if b < 1:
         raise ContractError(f"batch size must be >= 1, got {b}")
@@ -187,25 +194,28 @@ def batchify(tasks, b, m):
         if len(tk.y) == 0:
             raise ContractError(f"task {q} (classes {list(tk.classes)}) "
                                 f"has no training rows")
-    X = np.vstack([tk.X for tk in tasks])
-    y = np.concatenate([tk.y for tk in tasks])
-    ends = np.cumsum([len(tk.y) for tk in tasks])
-    n = len(y)
+    sizes = [len(tk.y) for tk in tasks]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    n = int(ends[-1])
 
-    batches = []
+    batches, annotations = [], []
     for t, start in enumerate(range(0, n, b), start=1):
         stop = min(start + b, n)
+        # The tasks of the batch's first and last rows, and each one's
+        # share of rows [start, stop).
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        cuts = [(tasks[p], slice(max(start, starts[p]) - starts[p],
+                                 min(stop, ends[p]) - starts[p]))
+                for p in range(first, last + 1)]
+        Xs = [tk.X[cut] for tk, cut in cuts]
+        X = Xs[0] if len(Xs) == 1 else np.concatenate(Xs)
+        X.flags.writeable = False
+        y = np.concatenate([tk.y[cut] for tk, cut in cuts])
         batches.append(
-            StreamBatch(
-                X=X[start:stop],
-                Y=one_hot(y[start:stop], m),
-                t=t,
-                short=(stop - start) < b,
-            )
+            StreamBatch(X=X, Y=one_hot(y, m), t=t, short=(stop - start) < b)
         )
-    # The task of each batch's last row: the first task ending past it.
-    last_rows = np.minimum(np.arange(1, len(batches) + 1) * b, n) - 1
-    annotations = np.searchsorted(ends, last_rows, side="right").tolist()
+        annotations.append(int(last))
 
     task_end = ((ends - 1) // b + 1).tolist()
     return BatchStream(batches, annotations, task_end, b=b, m=m)

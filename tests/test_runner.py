@@ -2,6 +2,7 @@
 
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -299,6 +300,37 @@ class TestPixelStream:
 
         ridge, bayes = final("ridge"), final("kf_bayes")
         assert bayes >= ridge - 0.05, f"kf_bayes {bayes:.3f}, ridge {ridge:.3f}"
+
+
+class TestTrainingRowsHeldOnce:
+    @pytest.mark.parametrize("kind", ["synthetic", "idx"])
+    def test_loaded_train_set_is_released_before_the_model_is_built(
+            self, tmp_path, monkeypatch, kind):
+        # The task split holds the only copy of the training rows; the
+        # loaded set must not outlive it.
+        from rvflstream import runner
+
+        load, model_class = runner._load_datasets, runner.ContinualModel
+        loaded, released = [], []
+
+        def watched_load(ds):
+            train, test = load(ds)
+            loaded.append(weakref.ref(train.X))
+            return train, test
+
+        def record_model(*args, **kwargs):
+            released.append(loaded[-1]() is None)
+            return model_class(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_load_datasets", watched_load)
+        monkeypatch.setattr(runner, "ContinualModel", record_model)
+        tree = base_tree()
+        if kind == "idx":
+            tree.update(dataset=_write_pixel_standin(tmp_path, 3, 10, 5),
+                        split={"Q": 5})
+        report = run_experiment(validate_config(tree))
+        assert released == [True]
+        assert report.boundary_audit["ok"]
 
 
 class TestOneEvaluationPass:

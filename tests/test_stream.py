@@ -1,6 +1,7 @@
 """Task splitting, batch streaming, and dataset loader tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ class TestSplit:
         with pytest.raises(ContractError):
             split_class_incremental(ds, TaskSplitSpec(Q=3))
 
+    def test_task_rows_are_read_only_copies(self):
+        # The stream's batches view these rows and the baselines refit on
+        # them, so a write must fail instead of changing both.
+        ds = toy_dataset(classes=4)
+        tasks = split_class_incremental(ds, TaskSplitSpec(Q=2))
+        for tk in tasks:
+            assert not tk.X.flags.writeable
+            assert not np.shares_memory(tk.X, ds.X)
+            with pytest.raises(ValueError):
+                tk.X[0, 0] = 1.0
+
 
 class TestBatchify:
     def make_tasks(self, sizes, classes_per_task=2):
@@ -158,6 +170,84 @@ class TestBatchify:
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ContractError):
             batchify(self.make_tasks([4]), 0, 2)
+
+
+def random_tasks(sizes, dims=3, seed=0):
+    """Tasks of distinct random rows, one class per task."""
+    rng = np.random.default_rng(seed)
+    return [Task(X=rng.standard_normal((n, dims)), y=np.full(n, q), classes=(q,))
+            for q, n in enumerate(sizes)]
+
+
+class TestBatchesViewTheTasks:
+    @pytest.mark.parametrize("sizes, b", [
+        ([4, 8, 12], 4),        # b divides every task: no batch straddles
+        ([7, 3, 5], 5),         # uneven tasks, b divides their total only
+        ([5, 2, 6], 4),         # batch 2 spans three tasks; 1-row last batch
+        ([3, 1, 1, 5], 7),      # batch 1 spans four tasks; short last batch
+        ([9], 4),               # one task, short last batch
+        ([6, 6], 1),
+    ])
+    def test_stream_matches_the_stacked_construction(self, sizes, b):
+        tasks = random_tasks(sizes)
+        X = np.vstack([tk.X for tk in tasks])
+        y = np.concatenate([tk.y for tk in tasks])
+        stream = batchify(tasks, b, len(sizes))
+        starts = range(0, len(y), b)
+        assert stream.T == len(starts)
+        for batch, start in zip(stream, starts):
+            want = X[start:start + b]
+            assert batch.X.dtype == want.dtype
+            assert batch.X.shape == want.shape
+            assert np.ascontiguousarray(batch.X).tobytes() == want.tobytes()
+            assert np.array_equal(batch.Y, one_hot(y[start:start + b], len(sizes)))
+            assert batch.short == (len(want) < b)
+
+    @pytest.mark.parametrize("sizes, b", [([7, 3, 5], 5), ([5, 2, 6], 4),
+                                          ([4, 8, 12], 4)])
+    def test_batches_inside_a_task_view_its_rows(self, sizes, b):
+        tasks = random_tasks(sizes)
+        task_of_row = np.repeat(np.arange(len(sizes)), sizes)
+        for t, batch in enumerate(batchify(tasks, b, len(sizes))):
+            owners = set(task_of_row[t * b:(t + 1) * b])
+            for q, tk in enumerate(tasks):
+                # A straddling batch is a copy, so it shares no task's rows.
+                assert np.shares_memory(batch.X, tk.X) == (owners == {q})
+
+    @pytest.mark.parametrize("sizes, b", [([5, 2, 6], 4), ([4, 8], 4)])
+    def test_writing_into_a_batch_raises_and_leaves_its_task(self, sizes, b):
+        ds = LabeledDataset(X=np.vstack([tk.X for tk in random_tasks(sizes)]),
+                            y=np.repeat(np.arange(len(sizes)), sizes),
+                            m=len(sizes))
+        tasks = split_class_incremental(ds, TaskSplitSpec(Q=len(sizes)))
+        before = [tk.X.copy() for tk in tasks]
+        for batch in batchify(tasks, b, ds.m):
+            with pytest.raises(ValueError):
+                batch.X[0, 0] = 1e6
+        for tk, X in zip(tasks, before):
+            assert np.array_equal(tk.X, X)
+
+    def test_batches_of_hand_built_tasks_are_read_only(self):
+        tasks = random_tasks([3, 4])
+        for batch in batchify(tasks, 2, 2):
+            assert not batch.X.flags.writeable
+        assert all(tk.X.flags.writeable for tk in tasks)
+
+    @pytest.mark.parametrize("b", [20, 30])
+    def test_peak_memory_is_a_small_share_of_the_rows(self, b):
+        # Stacking the tasks allocates all of their rows again (a ratio
+        # of 1.01 here); views allocate the targets and the straddling
+        # batches only (0.011 at b=20, 0.054 at b=30).
+        tasks = random_tasks([400] * 5, dims=784)
+        row_bytes = sum(tk.X.nbytes for tk in tasks)
+        tracemalloc.start()
+        try:
+            stream = batchify(tasks, b, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.T == -(-2000 // b)
+        assert peak < 0.1 * row_bytes, f"peak {peak / row_bytes:.3f} of the rows"
 
 
 def write_idx_pair(tmp_path, images, labels):
