@@ -63,7 +63,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalFailure
-from .metrics import Targets
 from .network import (
     FeatureBatch,
     NetworkConfig,
@@ -798,24 +797,20 @@ class BaselineResult:
     per_task_accuracy: np.ndarray
 
 
-def fit_baseline(tasks, test, config, prepare=None, test_feats=None,
-                 mode="mean"):
+def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
     """Train and evaluate the four non-continual baselines in one pass.
 
     Args:
         tasks: ordered task list from split_class_incremental; these
             baselines alone may see the boundaries.
-        test: held-out LabeledDataset used for all accuracies.
-        config: NetworkConfig shared with the continual runs, so the
-            random backbone is identical.
-        prepare: the continual model's input preprocessing, applied to
-            every input before the backbone, so that under
-            network.standardize the baselines see the learner's frozen
-            z-scores; None feeds the raw inputs.
-        test_feats: the test set's per-layer design matrices as
-            ContinualModel.eval_features returns them under the same
-            config and prepare; None runs the test set through the
-            backbone here, into the same column-major layout.
+        model: the run's ContinualModel. The baselines take its config,
+            its random backbone and its input preprocessing, so under
+            network.standardize they see the z-scores the learner froze
+            from its first observed batch.
+        targets: metrics.Targets of the test set. Its target classes are
+            the test labels, and it scores every baseline.
+        test_feats: the test set's per-layer design matrices, as
+            model.eval_features returns them.
         mode: ensemble fusion of every baseline's layers, "mean" or
             "median", the rule the continual run is scored under.
 
@@ -831,32 +826,28 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None,
 
     Raises:
         ContractError: no tasks or no task annotations, test_feats that
-            do not fit, a task without test rows, or an unknown mode.
+            do not fit, a task without test rows, an unknown mode, or a
+            standardizing model that has observed no batch.
 
-    The test set, unless test_feats is given, and each task's pool meet
-    the backbone once, in one pass over the pools: each layer's Gram
-    D^T D and cross term D^T Y of a pool are formed once, solved for
-    that pool's expert and added to the pooled sums in task order, the
-    sums offline_kf_fit forms over the tasks' feature blocks, and then
-    the pool's features are dropped. So no task's inputs are stacked and
-    only one pool's features are held at a time. The three full-test
-    baselines are scored as the runner scores the learner, by
-    metrics.Targets.score on one (L, m, n) logits buffer. Each separate
-    expert scores its task's test rows once, copied out of the test
-    features a row block at a time, so apart from the stored features
-    only that buffer and the targets are test-sized.
+    Only the task pools meet the backbone, each once, in one pass: each
+    layer's Gram D^T D and cross term D^T Y of a pool are formed once,
+    solved for that pool's expert and added to the pooled sums in task
+    order, the sums offline_kf_fit forms over the tasks' feature blocks,
+    and then the pool's features are dropped. So no task's inputs are
+    stacked and only one pool's features are held at a time. The three
+    full-test baselines are scored as the runner scores the learner, by
+    targets.score on one (L, m, n) logits buffer. Each separate expert
+    scores its task's test rows once, copied out of the test features a
+    row block at a time, so beyond boolean row masks only that buffer
+    and each score's fused probabilities are test-sized.
     """
     tasks = list(tasks)
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
         raise ContractError("baselines require task annotations")
 
-    prepare = prepare or (lambda X: X)
-    weights = init_random_weights(config)
-    y_te = np.asarray(test.y)
-    if test_feats is None:
-        test_feats = [fb.D for fb in extract_features(
-            prepare(test.X), weights, config, order="F")]
-    elif len(test_feats) != config.L or any(
+    config = model.config
+    y_te = targets.cls
+    if len(test_feats) != config.L or any(
             np.shape(D) != (len(y_te), config.feature_dim) for D in test_feats):
         raise ContractError(
             f"test_feats must be {config.L} arrays of shape "
@@ -870,7 +861,7 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None,
     sums = [None] * config.L
     experts = []
     for tk in tasks:
-        feats = extract_features(prepare(tk.X), weights, config)
+        feats = model._features(tk.X, 0)
         Y = one_hot(tk.y, config.m)
         heads = []
         for l, lam in enumerate(config.lambdas):
@@ -882,7 +873,6 @@ def fit_baseline(tasks, test, config, prepare=None, test_feats=None,
     pooled = [_solve_terms(*sums_l).theta for sums_l in sums]
     del sums
 
-    targets = Targets(one_hot(y_te, config.m))
     buf = np.empty((config.L, config.m, len(y_te)))
 
     def scored(kind, thetas):

@@ -374,7 +374,8 @@ class RunReport:
             "resolved": self.resolved,
             "seeds": self.seeds,
             "stream_sha256": self.stream_hash,
-            "trace": asdict(self.trace),
+            "trace": {k: [clean(v) for v in vs]
+                      for k, vs in asdict(self.trace).items()},
             "acc_matrix": [[clean(float(v)) for v in row] for row in self.acc_matrix],
             "independent": [clean(float(v)) for v in self.independent],
             "final": {k: clean(v) for k, v in self.final.items()},
@@ -402,7 +403,13 @@ def run_experiment(config):
 
     The training rows are held once, in the task split: the loaded
     train set is released as soon as it is split, and the stream's
-    batches are views of the tasks' rows.
+    batches are views of the tasks' rows. The test set is held once
+    too: the first evaluation stores its per-layer features and
+    releases the loaded inputs, and its labels live on in the run's
+    metrics.Targets, which scores the learner and the baselines.
+
+    acc_seen is NaN at an evaluation whose seen classes have no test
+    rows; report.json writes it as null.
     """
     train, test = _load_datasets(config.dataset)
     net = _build(NetworkConfig, "network",
@@ -448,22 +455,27 @@ def run_experiment(config):
         if config.eval_every == "batch" or finished or batch.t == stream.T:
             if test_feats is None:
                 # Built once per run: every evaluation writes its
-                # class-major logits into buf.
+                # class-major logits into buf, and targets holds the
+                # labels.
                 test_feats = model.eval_features(test.X)
-                buf = np.empty((net.L, net.m, len(test.y)))
+                del test
+                buf = np.empty((net.L, net.m, len(targets.cls)))
             scores = targets.score(
                 model.per_learner_probs(eval_feats=test_feats, out=buf),
                 mode=config.ensemble)
-            trace.append(batch.t, scores.accuracy(seen[test.y]),
-                         scores.accuracy(), scores.regret, scores.kl)
+            seen_rows = seen[targets.cls]
+            acc_seen = (scores.accuracy(seen_rows) if seen_rows.any()
+                        else math.nan)
+            trace.append(batch.t, acc_seen, scores.accuracy(),
+                         scores.regret, scores.kl)
             for q in finished:
                 for j in range(q + 1):
                     acc_mat.record(q, j, scores.accuracy(task_rows[j]))
 
     learning_reads = stream.annotation_reads - sanctioned
 
-    baselines = (fit_baseline(tasks, test, net, prepare=model._prepare,
-                              test_feats=test_feats, mode=config.ensemble)
+    baselines = (fit_baseline(tasks, model, targets, test_feats,
+                              mode=config.ensemble)
                  if config.baselines else {})
     if baselines:
         for q in range(Q):

@@ -275,6 +275,8 @@ def load_idx(images_path, labels_path=None, split="train"):
         raise FormatError(
             f"image/label counts differ: {count} vs {count_l}"
         )
+    if count == 0:
+        raise FormatError(f"{images_path}: item count is 0, no images")
     return LabeledDataset(
         X=images.reshape(count, rows * cols).astype(float) / 255.0,
         y=labels.astype(int),

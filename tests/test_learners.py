@@ -1023,7 +1023,7 @@ class TestOneBlasPool:
         train, test = make_gaussian_dataset(classes=3, dims=4, separation=4.0,
                                             samples=10, test_samples=5, seed=3)
         tasks = [Task(train.X, train.y, (0, 1, 2))]
-        res = fit_baseline(tasks, test, config)["offline"]
+        res = fit_baseline(tasks, *baseline_inputs(config, test))["offline"]
         assert np.isfinite(res.accuracy)
 
 
@@ -1291,6 +1291,13 @@ class TestReadPathAllocations:
         assert peak < 1.05 * L * n * d * 8, f"peak {peak / (n * d * 8):.2f} layers"
 
 
+def baseline_inputs(config, test):
+    """A fresh model, the test targets and the stored test features, as
+    the runner hands them to fit_baseline."""
+    model = ContinualModel(config, RegStyle(kind="ridge"))
+    return model, Targets(one_hot(test.y, config.m)), model.eval_features(test.X)
+
+
 class TestBaselines:
     def setup_method(self):
         train, test = make_gaussian_dataset(
@@ -1306,73 +1313,61 @@ class TestBaselines:
         self.test = test
         self.config = NetworkConfig(L=2, N=8, s=5, m=4, lam=1.0, seed=5)
 
+    def fit(self, test=None):
+        test = self.test if test is None else test
+        return fit_baseline(self.tasks, *baseline_inputs(self.config, test))
+
     def test_offline_dominates(self):
-        res = fit_baseline(self.tasks, self.test, self.config)["offline"]
+        res = self.fit()["offline"]
         assert res.accuracy > 0.9
 
     def test_separate_scores_own_tasks(self):
-        res = fit_baseline(self.tasks, self.test, self.config)["separate"]
+        res = self.fit()["separate"]
         assert res.per_task_accuracy.shape == (2,)
         assert np.all(res.per_task_accuracy > 0.9)
 
     def test_non_incremental_forgets_later_tasks(self):
-        res = fit_baseline(self.tasks, self.test, self.config)["non_incremental"]
+        res = self.fit()["non_incremental"]
         assert res.per_task_accuracy[0] > 0.9
         # Never saw task 2's classes; at most chance there.
         assert res.per_task_accuracy[1] <= 0.5
 
     def test_fine_tune_tracks_last_task(self):
-        res = fit_baseline(self.tasks, self.test, self.config)["fine_tune"]
+        res = self.fit()["fine_tune"]
         assert res.per_task_accuracy[-1] > 0.9
 
     def test_given_test_features_are_not_extracted_again(self, monkeypatch):
-        from rvflstream import learners
+        # Only the task pools meet the backbone, each once (offline reuses
+        # their features), and the caller's targets score every baseline.
+        from rvflstream import learners, metrics
 
-        feats = [fb.D for fb in extract_features(
-            self.test.X, init_random_weights(self.config), self.config,
-            order="F")]
-        own = fit_baseline(self.tasks, self.test, self.config)
+        model, targets, feats = baseline_inputs(self.config, self.test)
         extract, rows = learners.extract_features, []
+        init, built = metrics.Targets.__init__, []
 
         def counted(X, *args, **kwargs):
             rows.append(len(X))
             return extract(X, *args, **kwargs)
 
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
         monkeypatch.setattr(learners, "extract_features", counted)
-        given = fit_baseline(self.tasks, self.test, self.config, test_feats=feats)
-        assert len(self.test.y) not in rows
-        for kind in BASELINE_KINDS:
-            assert given[kind].accuracy == own[kind].accuracy
-            assert np.array_equal(given[kind].per_task_accuracy,
-                                  own[kind].per_task_accuracy)
+        monkeypatch.setattr(metrics.Targets, "__init__", counted_init)
+        results = fit_baseline(self.tasks, model, targets, feats)
+        assert sorted(rows) == sorted(len(tk.y) for tk in self.tasks)
+        assert built == []
+        assert list(results) == list(BASELINE_KINDS)
+        assert [res.kind for res in results.values()] == list(BASELINE_KINDS)
         with pytest.raises(ContractError, match="test_feats"):
-            fit_baseline(self.tasks, self.test, self.config,
-                         test_feats=[D[:-1] for D in feats])
+            fit_baseline(self.tasks, model, targets, [D[:-1] for D in feats])
 
     def test_task_without_test_rows_is_a_contract_error(self):
         test = LabeledDataset(self.test.X[self.test.y < 2],
                               self.test.y[self.test.y < 2], 4, split="test")
         with pytest.raises(ContractError, match="empty test set"):
-            fit_baseline(self.tasks, test, self.config)
-
-    def test_one_call_extracts_test_set_and_each_pool_once(self, monkeypatch):
-        from rvflstream import learners
-
-        extract, rows = learners.extract_features, []
-
-        def counted(X, *args, **kwargs):
-            rows.append(len(X))
-            return extract(X, *args, **kwargs)
-
-        monkeypatch.setattr(learners, "extract_features", counted)
-        results = fit_baseline(self.tasks, self.test, self.config)
-        assert len(rows) == len(self.tasks) + 1
-        assert list(results) == list(BASELINE_KINDS)
-        assert [res.kind for res in results.values()] == list(BASELINE_KINDS)
-        # The test set and each task's pool; offline reuses the pools'
-        # features, so no stacked pool is extracted.
-        pools = [len(tk.y) for tk in self.tasks]
-        assert sorted(rows) == sorted([len(self.test.y), *pools])
+            self.fit(test)
 
     @staticmethod
     def _shuffled_pairs(classes, dims, separation, samples, test_samples, seed):
@@ -1397,6 +1392,7 @@ class TestBaselines:
         # 300 test rows a class: each expert scores its 600 rows in blocks.
         tasks, test = self._shuffled_pairs(6, 8, 1.0, 30, 300, seed=21)
         config = NetworkConfig(L=2, N=16, s=8, m=6, lam=1e-3, seed=6)
+        inputs = baseline_inputs(config, test)
         solve, solved = learners._solve_terms, []
 
         def recorded(gram, cross):
@@ -1405,7 +1401,7 @@ class TestBaselines:
             return sol
 
         monkeypatch.setattr(learners, "_solve_terms", recorded)
-        got = fit_baseline(tasks, test, config)
+        got = fit_baseline(tasks, *inputs)
 
         weights = init_random_weights(config)
         feats = [fb.D for fb in extract_features(test.X, weights, config, order="F")]
@@ -1443,19 +1439,17 @@ class TestBaselines:
             assert np.array_equal(got[kind].per_task_accuracy, want[kind][1])
 
     def test_given_test_features_peak_below_a_quarter_layer_beyond_the_logits(self):
-        # With the test store given, fit_baseline builds nothing test-sized
-        # but the (L, m, n) logits of a full-test score and their fused
-        # (n, m) mean; weights, Grams, heads and one pool's features stay
-        # under a quarter of one stored layer here. Copying each task's
-        # test rows out of the store, L/Q = 0.6 layer, breaks the bound.
+        # fit_baseline builds nothing test-sized but the (L, m, n) logits
+        # of a full-test score and their fused (n, m) mean; Grams, heads
+        # and one pool's features stay under a quarter of one stored layer
+        # here. Copying each task's test rows out of the store, L/Q = 0.6
+        # layer, breaks the bound.
         L, m, s, N = 3, 10, 32, 128
         tasks, test = self._shuffled_pairs(m, s, 2.0, 20, 1000, seed=22)
         config = NetworkConfig(L=L, N=N, s=s, m=m, seed=7)
-        feats = [fb.D for fb in extract_features(
-            test.X, init_random_weights(config), config, order="F")]
+        inputs = baseline_inputs(config, test)
         n, d = len(test.y), config.feature_dim
-        _, peak = _traced_peak(
-            lambda: fit_baseline(tasks, test, config, test_feats=feats))
+        _, peak = _traced_peak(lambda: fit_baseline(tasks, *inputs))
         logits = (L + 1) * m * n * 8
         assert peak < logits + n * d * 8 / 4, (
             f"{(peak - logits) / (n * d * 8):.2f} layers beyond the logits")

@@ -333,6 +333,34 @@ class TestTrainingRowsHeldOnce:
         assert report.boundary_audit["ok"]
 
 
+class TestTestInputsHeldOnce:
+    @pytest.mark.parametrize("eval_every", ["batch", "task"])
+    def test_loaded_test_inputs_are_released_before_the_baselines(
+            self, monkeypatch, eval_every):
+        # The stored test features and the run's targets replace the
+        # loaded test set; its inputs must not outlive the first
+        # evaluation.
+        from rvflstream import runner
+
+        load, fit = runner._load_datasets, runner.fit_baseline
+        loaded, released = [], []
+
+        def watched_load(ds):
+            train, test = load(ds)
+            loaded.append(weakref.ref(test.X))
+            return train, test
+
+        def watched_fit(*args, **kwargs):
+            released.append(loaded[-1]() is None)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_load_datasets", watched_load)
+        monkeypatch.setattr(runner, "fit_baseline", watched_fit)
+        run_experiment(validate_config(
+            base_tree(eval_every=eval_every, baselines=True)))
+        assert released == [True]
+
+
 class TestOneEvaluationPass:
     def tree(self):
         # 52 test rows: no batch, task pool or pooled stack has that size.
@@ -398,27 +426,33 @@ class TestOneEvaluationPass:
     @pytest.mark.parametrize("standardize", [False, True])
     def test_baselines_on_the_runners_features_are_bit_identical(
             self, standardize):
+        # The report's baselines are fit_baseline on the run's model,
+        # targets and test store. A model that observed only the first
+        # batch has the run's backbone and, under standardize, its
+        # z-scores, which that batch froze.
         from rvflstream.learners import (BASELINE_KINDS, ContinualModel,
                                          fit_baseline)
+        from rvflstream.metrics import Targets
 
         tree = self.tree()
         tree["network"]["standardize"] = standardize
         config = validate_config(tree)
+        report = run_experiment(config)
         train, test = make_gaussian_dataset(seed=config.dataset["seed"], **{
             k: config.dataset[k] for k in ("classes", "dims", "separation",
                                            "samples", "test_samples")})
         net = NetworkConfig(s=train.X.shape[1], m=train.m, **config.network)
-        tasks = split_class_incremental(train, config.split)
+        tasks = split_class_incremental(train, config.split,
+                                        shuffle_within=config.shuffle_within)
         model = ContinualModel(net, config.style)
         first = batchify(tasks, config.batch_size, train.m)[0]
         model.observe(first.X, first.Y)
-        given = fit_baseline(tasks, test, net, prepare=model._prepare,
-                             test_feats=model.eval_features(test.X))
-        own = fit_baseline(tasks, test, net, prepare=model._prepare)
+        want = fit_baseline(tasks, model, Targets(one_hot(test.y, train.m)),
+                            model.eval_features(test.X), mode=config.ensemble)
         for kind in BASELINE_KINDS:
-            assert given[kind].accuracy == own[kind].accuracy
-            assert np.array_equal(given[kind].per_task_accuracy,
-                                  own[kind].per_task_accuracy)
+            assert report.baselines[kind].accuracy == want[kind].accuracy
+            assert np.array_equal(report.baselines[kind].per_task_accuracy,
+                                  want[kind].per_task_accuracy)
 
 
 class TestBaselinesFollowTheEnsembleRule:
@@ -998,6 +1032,55 @@ class TestCli:
         assert "(classes [3]) has no training rows" in err
         assert err.startswith("error: task ")
         assert not (tmp_path / "out").exists()
+
+    def test_empty_idx_pair_is_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        dataset = {"kind": "idx",
+                   **self._write_idx(tmp_path, "train", [], rng),
+                   **self._write_idx(tmp_path, "test", np.arange(8) % 4, rng)}
+        p = self.write_cfg(tmp_path, base_tree(dataset=dataset))
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'train-images'}: item count is 0, no images"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_batch_whose_seen_classes_have_no_test_rows_is_null(
+            self, tmp_path, capsys, order):
+        # The test set has no class 0 and the train rows are sorted by
+        # class, so under these order seeds the first batches see class 0
+        # alone: acc_seen has no rows to score there, yet every task has
+        # test rows and the run is valid.
+        rng = np.random.default_rng(0)
+        for name, y in (("train", np.repeat(np.arange(4), 10)),
+                        ("test", np.repeat(np.arange(1, 4), 4))):
+            X = rng.standard_normal((len(y), 3)) + y[:, None]
+            np.savetxt(tmp_path / f"{name}.csv", np.column_stack([X, y]),
+                       fmt="%.17g", delimiter=",")
+        tree = base_tree(dataset={"kind": "csv",
+                                  "train": str(tmp_path / "train.csv"),
+                                  "test": str(tmp_path / "test.csv"), "m": 4},
+                         batch_size=5, network={"L": 2, "N": 6},
+                         style={"kind": "ridge"}, shuffle_within=False,
+                         seeds={"weights": 3, "order": order})
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+
+        def bare(name):
+            raise AssertionError(f"report.json holds a bare {name}")
+
+        report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                            parse_constant=bare)
+        acc_seen = report["trace"]["acc_seen"]
+        assert acc_seen[0] is None
+        assert np.isfinite(acc_seen[-1])
+        assert report["final"]["acc_seen"] == acc_seen[-1]
+        curves = (tmp_path / "out" / "curves.csv").read_text().splitlines()
+        assert curves[1].split(",")[1] == "nan"
 
     def test_train_test_width_mismatch_is_exit_2(self, tmp_path, capsys,
                                                  monkeypatch):
