@@ -1369,6 +1369,27 @@ class TestBaselines:
         with pytest.raises(ContractError, match="empty test set"):
             self.fit(test)
 
+    def test_one_call_extracts_test_set_and_each_pool_once(self, monkeypatch):
+        # The runner's path: the model stores the test features once, and
+        # one fit_baseline call runs each task's pool through the same
+        # backbone once; offline reuses the pools' features, so no stacked
+        # pool is extracted.
+        from rvflstream import learners
+
+        extract, rows = learners.extract_features, []
+
+        def counted(X, *args, **kwargs):
+            rows.append(len(X))
+            return extract(X, *args, **kwargs)
+
+        monkeypatch.setattr(learners, "extract_features", counted)
+        results = self.fit()
+        assert len(rows) == len(self.tasks) + 1
+        assert list(results) == list(BASELINE_KINDS)
+        assert [res.kind for res in results.values()] == list(BASELINE_KINDS)
+        pools = [len(tk.y) for tk in self.tasks]
+        assert sorted(rows) == sorted([len(self.test.y), *pools])
+
     @staticmethod
     def _shuffled_pairs(classes, dims, separation, samples, test_samples, seed):
         # Tasks of two classes each, and a test set whose rows are
