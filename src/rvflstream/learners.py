@@ -65,6 +65,7 @@ import numpy as np
 from .errors import ContractError, NumericalFailure
 from .network import (
     FeatureBatch,
+    FeatureStore,
     NetworkConfig,
     extract_features,
     fuse_probs,
@@ -207,9 +208,13 @@ class SubLearnerState:
     def initial(cls, d, m, lam, style):
         if not lam > 0:
             raise ContractError(f"lam must be positive, got {lam}")
+        # I / lam written in place: the same bytes as np.eye(d) / lam,
+        # without a second d x d array.
+        base = np.zeros((d, d))
+        np.fill_diagonal(base, 1.0 / lam)
         return cls(
             theta=np.zeros((d, m)),
-            base=np.eye(d) / lam,
+            base=base,
             t=0,
             lam=float(lam),
             style=style,
@@ -688,9 +693,8 @@ class ContinualModel:
             X = (X - mu) / sd
         return X
 
-    def _features(self, X, t, order="C"):
-        return extract_features(self._prepare(X), self.weights, self.config,
-                                t=t, order=order)
+    def _features(self, X, t):
+        return extract_features(self._prepare(X), self.weights, self.config, t=t)
 
     def observe(self, X_t, Y_t, X_next=None):
         """Step every sub-learner on batch (X_t, Y_t).
@@ -734,19 +738,35 @@ class ContinualModel:
         self._pending = None if nxt is None else (X_next, nxt)
 
     def eval_features(self, X):
-        """Precompute per-layer design matrices for a fixed test set.
+        """Precompute the design matrices of a fixed test set, X held once.
 
-        Each is an ordinary n x d array, stored column-major so that the
-        logits' gemm reads its transpose contiguously (see _layer_probs).
+        Returns a network.FeatureStore: one column-major n x (L N + s)
+        block [H_1 | ... | H_L | X] of the prepared rows, n (L N + s)
+        doubles. Each block of row_blocks runs through extract_features
+        on its own and its H_l and X are copied in, so beyond the store
+        only one block's features exist at a time. len() of the store is
+        L, and iterating it, or indexing it by layer, yields each
+        layer's [H_l | X] one layer at a time, equal bit for bit to the D
+        that extract_features gives.
         """
-        return [fb.D for fb in self._features(X, 0, order="F")]
+        X = self._prepare(X)
+        store = FeatureStore.empty(len(X), self.config)
+        for rows in row_blocks(len(X)):
+            feats = extract_features(X[rows], self.weights, self.config)
+            for l in range(store.L):
+                store.hidden(l)[rows] = feats[l].D[:, :store.N]
+            store.X[rows] = X[rows]
+            del feats  # before the next block's features exist
+        return store
 
     def per_learner_probs(self, X=None, eval_feats=None, out=None):
         """Every sub-learner's softmax outputs on X or eval_feats: (L, n, m).
 
-        The result is a view of a class-major (L, m, n) array: out when
-        it is given, which lets a caller that evaluates the same test set
-        repeatedly reuse one buffer (see _layer_probs).
+        eval_feats is the FeatureStore eval_features returns. The result
+        is a view of a class-major (L, m, n) array: out when it is given,
+        which lets a caller that evaluates the same test set repeatedly
+        reuse one buffer. Each layer's logits sum the X part, then the H
+        part (see _layer_probs).
         """
         feats = self.eval_features(X) if eval_feats is None else eval_feats
         return _layer_probs(feats, [st.theta for st in self.states], out)
@@ -755,18 +775,25 @@ class ContinualModel:
         return fuse_probs(self.per_learner_probs(X, eval_feats), mode=mode)
 
 
-def _layer_probs(feats, thetas, out=None):
-    """softmax(D_l theta_l) of every layer as one (L, n, m) array.
+def _layer_logits(store, thetas, out=None):
+    """[H_l | X] theta_l of every layer, class-major, as one (L, m, n) array.
 
-    The logits are written class-major, theta_l^T D_l^T into one
-    (L, m, n) array, whose D^T is C-contiguous for a column-major D: out
-    when it is given (a C-contiguous, writeable float64 array of that
-    shape, else ContractError before anything is written), else a new
-    one. The softmax runs in place on it, its max, exp, sum and divide
-    each along rows of n, and the (L, n, m) view of it is returned.
-    network.softmax on that view gives the same bits.
+    Written into out when it is given (a C-contiguous, writeable float64
+    array of that shape, else ContractError before anything is
+    written), else into a new array, which is returned. With theta_l
+    split into its H rows and its X rows, the X parts of all layers are
+    one stacked (L m x s) product with X^T, written straight into it,
+    and each layer's H_l^T product is then added through one (m, n)
+    scratch. So each logit sums the X part, then the H part, and X is
+    read once per evaluation.
+
+    Args:
+        store: the network.FeatureStore of the rows.
+        thetas: L heads, each (N + s) x m.
+        out: optional (L, m, n) buffer.
     """
-    shape = (len(thetas), thetas[0].shape[1], len(feats[0]))
+    L, m, n, N = len(thetas), thetas[0].shape[1], store.n, store.N
+    shape = (L, m, n)
     if out is None:
         out = np.empty(shape)
     elif (out.shape != shape or out.dtype != np.float64
@@ -774,8 +801,23 @@ def _layer_probs(feats, thetas, out=None):
         raise ContractError(
             f"out must be a writeable C-contiguous float64 array of shape "
             f"{shape}, got {out.dtype} {out.shape}")
-    for D, theta, Z in zip(feats, thetas, out):
-        np.matmul(theta.T, D.T, out=Z)
+    theta_X = np.stack([theta[N:].T for theta in thetas])
+    np.matmul(theta_X.reshape(L * m, -1), store.X.T, out=out.reshape(L * m, n))
+    scratch = np.empty((m, n))
+    for l, (theta, Z) in enumerate(zip(thetas, out)):
+        Z += np.matmul(theta[:N].T, store.hidden(l).T, out=scratch)
+    return out
+
+
+def _layer_probs(store, thetas, out=None):
+    """softmax([H_l | X] theta_l) of every layer as one (L, n, m) array.
+
+    The softmax runs in place on the class-major logits of
+    _layer_logits, out when it is given, its max, exp, sum and divide
+    each along rows of n, and the (L, n, m) view of them is returned.
+    network.softmax on that view gives the same bits.
+    """
+    out = _layer_logits(store, thetas, out)
     out -= out.max(axis=1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True)
@@ -809,8 +851,9 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
             from its first observed batch.
         targets: metrics.Targets of the test set. Its target classes are
             the test labels, and it scores every baseline.
-        test_feats: the test set's per-layer design matrices, as
-            model.eval_features returns them.
+        test_feats: the test set's network.FeatureStore, as
+            model.eval_features returns it: H_1 ... H_L and X held once,
+            in one n x (L N + s) block.
         mode: ensemble fusion of every baseline's layers, "mean" or
             "median", the rule the continual run is scored under.
 
@@ -837,9 +880,11 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
     stacked and only one pool's features are held at a time. The three
     full-test baselines are scored as the runner scores the learner, by
     targets.score on one (L, m, n) logits buffer. Each separate expert
-    scores its task's test rows once, copied out of the test features a
-    row block at a time, so beyond boolean row masks only that buffer
-    and each score's fused probabilities are test-sized.
+    scores its task's test rows once, a row block at a time, each block
+    one gather of its rows of the store's [H_1 | ... | H_L | X] block,
+    so beyond boolean row masks only that buffer and each score's fused
+    probabilities are test-sized. Every logit sums the X part, then the
+    H part, as the runner's evaluations do (_layer_probs).
     """
     tasks = list(tasks)
     if not tasks or any(not getattr(tk, "classes", None) for tk in tasks):
@@ -847,11 +892,12 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
 
     config = model.config
     y_te = targets.cls
-    if len(test_feats) != config.L or any(
-            np.shape(D) != (len(y_te), config.feature_dim) for D in test_feats):
+    if (not isinstance(test_feats, FeatureStore)
+            or (test_feats.L, test_feats.N, test_feats.X.shape)
+            != (config.L, config.N, (len(y_te), config.s))):
         raise ContractError(
-            f"test_feats must be {config.L} arrays of shape "
-            f"({len(y_te)}, {config.feature_dim})")
+            f"test_feats must be the FeatureStore of {len(y_te)} rows, "
+            f"{config.L} layers of {config.N} nodes and {config.s} inputs")
     classes = [np.sort(np.asarray(tk.classes, dtype=int)) for tk in tasks]
     task_rows = [np.isin(y_te, cls) for cls in classes]
 
@@ -881,14 +927,14 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
         return BaselineResult(kind, scores.accuracy(), per_task)
 
     def separate():
-        # Each expert scores each of its task's test rows once, copied out
-        # of the store a row block at a time, whatever the rows' order.
+        # Each expert scores each of its task's test rows once, gathered
+        # out of the store a row block at a time, whatever the rows' order.
         own = []
         for heads, rows, cls in zip(experts, task_rows, classes):
             idx = np.flatnonzero(rows)
             hits = 0
             for b in (idx[block] for block in row_blocks(len(idx))):
-                probs = fuse_probs(_layer_probs([D[b] for D in test_feats], heads), mode)
+                probs = fuse_probs(_layer_probs(test_feats.rows(b), heads), mode)
                 hits += np.count_nonzero(cls[probs[:, cls].argmax(axis=1)] == y_te[b])
             own.append(hits / len(idx))
         return BaselineResult("separate", float(np.mean(own)), np.array(own))

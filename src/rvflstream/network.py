@@ -159,7 +159,7 @@ def init_random_weights(config):
     return RandomWeights(layers=tuple(layers))
 
 
-def extract_features(X, weights, config, t=0, order="C"):
+def extract_features(X, weights, config, t=0):
     """Run the forward pass and return [H_l | X] for every layer.
 
     Layer 1 computes H_1 = g(X W_1); layer l >= 2 computes
@@ -167,25 +167,23 @@ def extract_features(X, weights, config, t=0, order="C"):
     reconnected to every layer's design matrix.
 
     The rows go through all L layers in the blocks of row_blocks, and
-    each block's H and X are written straight into the stored D of every
-    layer, so no whole layer exists in a second layout and no n x N H
-    exists at all. Each forward gemm reads row-major rows: X for layer
-    1, then the block's [H | X], which for order "C" is the stored
-    block itself and for "F" one block-sized row-major scratch, since
-    OpenBLAS can round D @ W differently for a column-major D. So the
-    values depend neither on the order nor on the layout of X. They
+    each block's H and X are written straight into the stored row-major
+    D of every layer, so no n x N H exists at all. Each forward gemm
+    reads row-major rows: X for layer 1, then the stored block of
+    [H | X], since OpenBLAS can round D @ W differently for a
+    column-major D. So the values do not depend on the layout of X, and
+    a call on one of those blocks alone, as ContinualModel.eval_features
+    makes to fill a FeatureStore, gives its rows the same bits. They
     match one gemm over all n rows bit for bit at the widths the tests
     pin; at others (N=500 on 784 inputs) OpenBLAS rounds a few rows in
-    the last bit by the row count of the gemm, as it does between
-    a stream batch and the whole test set.
+    the last bit by the row count of the gemm, as it does between a
+    stream batch and the whole test set.
 
     Args:
         X: b x s input rows, finite.
         weights: RandomWeights from init_random_weights.
         config: matching NetworkConfig.
         t: batch index stamped onto the returned FeatureBatch objects.
-        order: memory layout of every returned D; "F" stores each D
-            column-major, so that D^T is C-contiguous.
 
     Returns:
         List of L FeatureBatch objects in layer order.
@@ -208,14 +206,10 @@ def extract_features(X, weights, config, t=0, order="C"):
 
     act = ACTIVATIONS[config.activation]
     N, n = config.N, len(X)
-    Ds = [np.empty((n, config.feature_dim), order=order) for _ in weights.layers]
-    scratch = (None if order == "C"
-               else np.empty((min(n, BLOCK_ROWS + 1), config.feature_dim)))
+    Ds = [np.empty((n, config.feature_dim)) for _ in weights.layers]
     for rows in row_blocks(n):
         Xb = X[rows]
         inp = Xb
-        if scratch is not None:
-            scratch[:len(Xb), N:] = Xb
         for l, (W, D) in enumerate(zip(weights.layers, Ds), start=1):
             H = act(inp @ W)
             if not np.all(np.isfinite(H)):
@@ -224,12 +218,67 @@ def extract_features(X, weights, config, t=0, order="C"):
                 )
             D[rows, :N] = H
             D[rows, N:] = Xb
-            if scratch is None:
-                inp = D[rows]
-            else:
-                inp = scratch[:len(Xb)]
-                inp[:, :N] = H
+            inp = D[rows]
     return [FeatureBatch(D=D, layer=l, t=t) for l, D in enumerate(Ds, start=1)]
+
+
+class FeatureStore:
+    """A fixed test set's design matrices [H_l | X], with X held once.
+
+    One column-major n x (L N + s) block [H_1 | ... | H_L | X], so n (L N
+    + s) doubles where L separate [H_l | X] would take n L (N + s), and
+    every H_l^T and X^T is C-contiguous for the class-major logits (see
+    learners._layer_logits). len(store) is L. Iterating the store, or
+    indexing it by layer, builds [H_l | X] one layer at a time as a new
+    column-major n x (N + s) array, equal bit for bit to the l-th D of
+    extract_features on the same rows.
+
+    Attributes:
+        block: the n x (L N + s) array.
+        L: layers.
+        N: hidden nodes per layer.
+    """
+
+    def __init__(self, block, L, N):
+        self.block, self.L, self.N = block, L, N
+
+    @classmethod
+    def empty(cls, n, config):
+        """An unfilled store of n rows for config's backbone."""
+        L, N = config.L, config.N
+        return cls(np.empty((n, L * N + config.s), order="F"), L, N)
+
+    def __len__(self):
+        return self.L
+
+    def __getitem__(self, layer):
+        """[H_l | X] of 0-based layer l as a new column-major array."""
+        H = self.hidden(layer)
+        D = np.empty((self.n, self.N + self.X.shape[1]), order="F")
+        D[:, :self.N] = H
+        D[:, self.N:] = self.X
+        return D
+
+    def __iter__(self):
+        return (self[l] for l in range(self.L))
+
+    @property
+    def n(self):
+        return len(self.block)
+
+    @property
+    def X(self):
+        """The n x s input rows, held once for every layer."""
+        return self.block[:, self.L * self.N:]
+
+    def hidden(self, layer):
+        """H_l of 0-based layer l, an n x N view of the block."""
+        l = range(self.L)[layer]
+        return self.block[:, l * self.N:(l + 1) * self.N]
+
+    def rows(self, index):
+        """The store of the selected rows, gathered in one copy of the block."""
+        return FeatureStore(self.block[index], self.L, self.N)
 
 
 def softmax(Z):

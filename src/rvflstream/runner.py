@@ -473,6 +473,9 @@ def run_experiment(config):
                     acc_mat.record(q, j, scores.accuracy(task_rows[j]))
 
     learning_reads = stream.annotation_reads - sanctioned
+    # The baselines score into their own buffer; this one goes first, so
+    # the store's build sets the run's peak.
+    del buf
 
     baselines = (fit_baseline(tasks, model, targets, test_feats,
                               mode=config.ensemble)

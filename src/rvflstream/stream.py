@@ -277,8 +277,10 @@ def load_idx(images_path, labels_path=None, split="train"):
         )
     if count == 0:
         raise FormatError(f"{images_path}: item count is 0, no images")
+    # Scaled in one pass into one float64 array; the dtype is pinned, so
+    # numpy versions that cast by value give the same bytes.
     return LabeledDataset(
-        X=images.reshape(count, rows * cols).astype(float) / 255.0,
+        X=np.divide(images.reshape(count, rows * cols), 255.0, dtype=np.float64),
         y=labels.astype(int),
         m=int(labels.max()) + 1,
         split=split,

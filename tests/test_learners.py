@@ -23,7 +23,7 @@ from rvflstream.learners import (
     RegStyle,
     SubLearnerState,
     _carry_cap,
-    _layer_probs,
+    _layer_logits,
     compute_adaptive_k,
     fit_baseline,
     step_kf,
@@ -32,10 +32,12 @@ from rvflstream.learners import (
 )
 from rvflstream.metrics import Targets
 from rvflstream.network import (
+    BLOCK_ROWS,
     NetworkConfig,
     extract_features,
     fuse_probs,
     init_random_weights,
+    row_blocks,
     softmax,
 )
 from rvflstream.solvers import offline_kf_fit, offline_ridge_fit
@@ -55,9 +57,13 @@ def fresh_state(d=3, m=2, lam=1.0, **style_kw):
     return SubLearnerState.initial(d, m, lam, style)
 
 
-def ensemble_classes(feats, thetas, class_mask=None):
-    """The mean ensemble's first-maximum class per row, over class_mask."""
-    probs = fuse_probs(_layer_probs(feats, thetas))
+def ensemble_classes(layers, thetas, class_mask=None):
+    """The mean ensemble's first-maximum class per row, over class_mask.
+
+    Each layer's softmax comes from its own row-major [H_l | X] rows, one
+    gemm over all d columns, not through the test store.
+    """
+    probs = fuse_probs([softmax(D @ theta) for D, theta in zip(layers, thetas)])
     if class_mask is not None:
         blocked = np.full_like(probs, -np.inf)
         blocked[:, class_mask] = probs[:, class_mask]
@@ -103,6 +109,14 @@ class TestInitialState:
         assert np.array_equal(state.eta_dag, np.eye(4) / 2.0)
         assert state.eta is None
         assert state.t == 0
+
+    @pytest.mark.parametrize("lam", [1.0, 3.0, 1e-6])
+    def test_initial_rate_has_the_bytes_of_a_scaled_identity(self, lam):
+        # A pin: I / lam is written in place, with the bytes of
+        # np.eye(d) / lam, which rounds 1 / lam the same way.
+        state = fresh_state(d=37, m=2, lam=lam, kind="kf_bayes")
+        assert state.base.flags.c_contiguous
+        assert state.base.tobytes() == (np.eye(37) / lam).tobytes()
 
 
 class TestRidgeStep:
@@ -1121,35 +1135,72 @@ class TestContinualModel:
         assert P.shape == (3, 9, 3)
         assert np.allclose(P.sum(axis=2), 1.0, atol=1e-12)
         feats = model.eval_features(X_te)
+        assert len(feats) == 3
         assert np.array_equal(P, model.per_learner_probs(eval_feats=feats))
+        # The store sums each logit's X part, then its H part, so the
+        # one-gemm rule D theta is matched to rounding, not bit for bit.
         for layer, (D, st) in enumerate(zip(feats, model.states)):
-            assert np.array_equal(P[layer], softmax(D @ st.theta))
+            assert np.allclose(P[layer], softmax(D @ st.theta), rtol=1e-12, atol=0)
 
-    def test_read_path_is_class_major(self):
-        # The test features are ordinary n x d arrays stored column-major,
-        # equal to the row-major ones; the stack is an (L, n, m) view of
-        # class-major logits theta^T D^T, softmaxed over the class axis.
+    def trained_wide(self):
         rng = np.random.default_rng(9)
         model = self.small(L=3, N=40, s=12, m=10, style_kw={"kind": "kf", "k": 0.5})
         X = rng.standard_normal((4, 30, 12))
         Y = np.eye(10)[rng.integers(0, 10, (4, 30))]
         for t in range(4):
             model.observe(X[t], Y[t], X[t + 1] if t + 1 < 4 else None)
-        X_te = rng.standard_normal((500, 12)) * 3
+        return model, rng.standard_normal((600, 12)) * 3
+
+    def test_read_path_is_class_major(self):
+        # The store is one column-major [H_1 | H_2 | H_3 | X] block, so
+        # every H_l^T and X^T the logits read is C-contiguous; the stack
+        # is an (L, n, m) view of class-major logits, softmaxed over the
+        # class axis.
+        model, X_te = self.trained_wide()
         feats = model.eval_features(X_te)
+        assert feats.block.shape == (600, 3 * 40 + 12)
+        assert feats.block.flags.f_contiguous and feats.X.T.flags.c_contiguous
+        assert all(feats.hidden(l).T.flags.c_contiguous for l in range(3))
         rows = [fb.D for fb in model._features(X_te, 0)]
-        for D, D_rows in zip(feats, rows):
-            assert D.flags.f_contiguous and D.T.flags.c_contiguous
-            assert np.array_equal(D, D_rows)
         P = model.per_learner_probs(eval_feats=feats)
-        assert P.shape == (3, 500, 10)
+        assert P.shape == (3, 600, 10)
         assert P.transpose(0, 2, 1).flags.c_contiguous
-        for layer, (D, st) in enumerate(zip(feats, model.states)):
-            assert np.array_equal(P[layer], softmax((st.theta.T @ D.T).T))
+        for layer, st in enumerate(model.states):
             # The row-major rule softmax(D theta) sums in another order;
-            # at this shape it moves the last bit (by up to 3.3e-16).
+            # at this shape it moves the last bit.
             assert np.allclose(P[layer], softmax(rows[layer] @ st.theta),
                                rtol=0, atol=1e-15)
+
+    def test_store_layers_are_the_row_major_layers_bit_for_bit(self):
+        # A pin: indexing or iterating the store builds [H_l | X] one
+        # layer at a time, byte for byte the D of extract_features.
+        model, X_te = self.trained_wide()
+        feats = model.eval_features(X_te)
+        rows = [fb.D for fb in model._features(X_te, 0)]
+        assert len(feats) == len(rows) == 3
+        assert [D.tobytes() for D in feats] == [D.tobytes() for D in rows]
+        assert all(feats[l].tobytes() == rows[l].tobytes() for l in range(3))
+
+    def test_store_logits_match_the_one_gemm_reference(self):
+        # Each logit against [H_l | X] theta_l, the one-gemm rule on the
+        # layer's row-major rows, within 1e-12 of the scale |D| |theta| of
+        # its dot product: on the whole store, on a gathered store of
+        # shuffled rows, and through per_learner_probs(X).
+        model, X_te = self.trained_wide()
+        thetas = [st.theta for st in model.states]
+        rows = [fb.D for fb in model._features(X_te, 0)]
+        feats = model.eval_features(X_te)
+        picked = np.random.default_rng(10).permutation(600)[:300]
+        for store, index in ((feats, slice(None)), (feats.rows(picked), picked)):
+            Z = _layer_logits(store, thetas)
+            assert Z.shape == (3, 10, store.n)
+            for D, theta, Z_l in zip(rows, thetas, Z):
+                want = D[index] @ theta
+                scale = np.abs(D[index]) @ np.abs(theta)
+                assert np.all(np.abs(Z_l.T - want) <= 1e-12 * scale)
+        P = model.per_learner_probs(X_te)
+        for layer, (D, theta) in enumerate(zip(rows, thetas)):
+            assert np.allclose(P[layer], softmax(D @ theta), rtol=1e-12, atol=0)
 
     def test_out_buffer_holds_the_stack(self):
         model, X_te = self.trained()
@@ -1277,18 +1328,21 @@ class TestReadPathAllocations:
         assert (got.regret, got.kl) == (want.regret, want.kl)
         assert np.array_equal(got.hits, want.hits)
 
-    def test_column_major_features_peak_below_one_extra_layer(self):
-        # The stored layers and one row block's activations and scratch:
-        # no layer is held in both layouts, and no whole layer's H.
+    def test_store_holds_the_input_once(self):
+        # n (L N + s) doubles for the store, and beyond it what one row
+        # block's forward pass holds: L separate [H_l | X] would hold
+        # n L (N + s), the input L times.
         n, s, N, L = 10_000, 64, 128, 3
         config = NetworkConfig(L=L, N=N, s=s, m=10, seed=2)
-        weights = init_random_weights(config)
+        model = ContinualModel(config, RegStyle(kind="ridge"))
         X = np.random.default_rng(2).standard_normal((n, s))
-        feats, peak = _traced_peak(
-            lambda: extract_features(X, weights, config, order="F"))
-        d = config.feature_dim
-        assert all(fb.D.flags.f_contiguous for fb in feats)
-        assert peak < 1.05 * L * n * d * 8, f"peak {peak / (n * d * 8):.2f} layers"
+        _, block = _traced_peak(
+            lambda: extract_features(X[:BLOCK_ROWS + 1], model.weights, config))
+        feats, peak = _traced_peak(lambda: model.eval_features(X))
+        store = n * (L * N + s) * 8
+        assert feats.block.nbytes == store
+        assert peak < store + block, (
+            f"{(peak - store) / block:.2f} row blocks beyond the store")
 
 
 def baseline_inputs(config, test):
@@ -1363,6 +1417,29 @@ class TestBaselines:
         with pytest.raises(ContractError, match="test_feats"):
             fit_baseline(self.tasks, model, targets, [D[:-1] for D in feats])
 
+    def test_separate_experts_score_each_test_row_once(self, monkeypatch):
+        # Each expert gathers its task's test rows out of the store a row
+        # block at a time, one gather of [H_1 | ... | H_L | X] a block:
+        # every row once, and no other row.
+        from rvflstream.network import FeatureStore
+
+        tasks, test = self._shuffled_pairs(6, 8, 1.0, 30, 300, seed=21)
+        config = NetworkConfig(L=2, N=16, s=8, m=6, lam=1e-3, seed=6)
+        inputs = baseline_inputs(config, test)
+        gather, gathered = FeatureStore.rows, []
+
+        def recorded(store, index):
+            gathered.append(np.asarray(index))
+            return gather(store, index)
+
+        monkeypatch.setattr(FeatureStore, "rows", recorded)
+        fit_baseline(tasks, *inputs)
+        task_rows = [np.flatnonzero(np.isin(test.y, tk.classes)) for tk in tasks]
+        assert [len(b) for b in gathered] == [
+            len(blk) for rows in task_rows for blk in
+            (range(len(rows))[s] for s in row_blocks(len(rows)))]
+        assert np.array_equal(np.concatenate(gathered), np.concatenate(task_rows))
+
     def test_task_without_test_rows_is_a_contract_error(self):
         test = LabeledDataset(self.test.X[self.test.y < 2],
                               self.test.y[self.test.y < 2], 4, split="test")
@@ -1425,7 +1502,7 @@ class TestBaselines:
         got = fit_baseline(tasks, *inputs)
 
         weights = init_random_weights(config)
-        feats = [fb.D for fb in extract_features(test.X, weights, config, order="F")]
+        feats = [fb.D for fb in extract_features(test.X, weights, config)]
         pools = [(extract_features(tk.X, weights, config), one_hot(tk.y, config.m))
                  for tk in tasks]
 

@@ -132,21 +132,19 @@ class TestExtractFeatures:
 
     @pytest.mark.parametrize("N", [12, 33])
     def test_layout_does_not_change_a_bit(self, N):
-        # Every D is written straight in the requested order, but each
-        # forward gemm reads row-major rows: at 52 rows and N=33,
-        # OpenBLAS rounds a column-major D @ W differently, so feeding
-        # the stored column-major D to the next layer would move the
-        # deeper layers' last bits.
+        # Every D is stored row-major and each forward gemm reads
+        # row-major rows, whatever the layout of X: at 52 rows and N=33,
+        # OpenBLAS rounds a column-major D @ W differently, so a
+        # column-major operand would move the deeper layers' last bits.
         cfg = small_config(N=N, s=5)
         w = init_random_weights(cfg)
         X = np.random.default_rng(1).standard_normal((52, 5))
         want = [fb.D for fb in extract_features(X, w, cfg)]
-        for order in ("C", "F"):
-            for X_in in (X, np.asfortranarray(X)):
-                got = extract_features(X_in, w, cfg, order=order)
-                for fb, D in zip(got, want):
-                    assert fb.D.flags[order + "_CONTIGUOUS"]
-                    assert np.array_equal(fb.D, D)
+        for X_in in (X, np.asfortranarray(X)):
+            got = extract_features(X_in, w, cfg)
+            for fb, D in zip(got, want):
+                assert fb.D.flags.c_contiguous
+                assert np.array_equal(fb.D, D)
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
                                    2 * BLOCK_ROWS + 7])
@@ -161,12 +159,11 @@ class TestExtractFeatures:
         for W in w.layers:
             D = np.hstack([act(D @ W), X])
             want.append(D)
-        for order in ("C", "F"):
-            for X_in in (X, np.asfortranarray(X)):
-                got = extract_features(X_in, w, cfg, order=order)
-                for fb, D in zip(got, want):
-                    assert fb.D.flags[order + "_CONTIGUOUS"]
-                    assert np.array_equal(fb.D, D)
+        for X_in in (X, np.asfortranarray(X)):
+            got = extract_features(X_in, w, cfg)
+            for fb, D in zip(got, want):
+                assert fb.D.flags.c_contiguous
+                assert np.array_equal(fb.D, D)
 
     @pytest.mark.parametrize("n", [0, 1, 20, BLOCK_ROWS, BLOCK_ROWS + 1,
                                    BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 1])

@@ -455,13 +455,39 @@ class TestOneEvaluationPass:
                                   want[kind].per_task_accuracy)
 
 
+class TestLogitsBufferReleasedBeforeTheBaselines:
+    def test_buffer_is_dead_when_fit_baseline_runs(self, monkeypatch):
+        # The baselines score into a buffer of their own, so the run's
+        # logits buffer must be gone before they start.
+        from rvflstream import learners, runner
+
+        probs, fit = learners.ContinualModel.per_learner_probs, runner.fit_baseline
+        buffers, dead = [], []
+
+        def watched_probs(self, *args, out=None, **kwargs):
+            if out is not None:
+                buffers.append(weakref.ref(out))
+            return probs(self, *args, out=out, **kwargs)
+
+        def watched_fit(*args, **kwargs):
+            dead.append([ref() is None for ref in buffers])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(learners.ContinualModel, "per_learner_probs",
+                            watched_probs)
+        monkeypatch.setattr(runner, "fit_baseline", watched_fit)
+        run_experiment(validate_config(base_tree(eval_every="batch",
+                                                 baselines=True)))
+        assert len(dead) == 1 and dead[0] and all(dead[0])
+
+
 class TestBaselinesFollowTheEnsembleRule:
     @pytest.mark.parametrize("mode", ["mean", "median"])
     def test_baselines_equal_a_reference_fused_by_the_runs_rule(self, mode):
         # A stream on which mean and median fusion score the baselines
         # apart: a median run's FWT reads -0.2333 with median-fused
         # baselines and -0.2542 with mean-fused ones.
-        from rvflstream.learners import BASELINE_KINDS, _layer_probs
+        from rvflstream.learners import BASELINE_KINDS
         from rvflstream.solvers import offline_kf_fit
 
         dataset = {"kind": "synthetic", "classes": 6, "dims": 8,
@@ -477,7 +503,7 @@ class TestBaselinesFollowTheEnsembleRule:
         net = NetworkConfig(s=8, m=6, **config.network)
         tasks = split_class_incremental(train, config.split)
         weights = init_random_weights(net)
-        feats = [fb.D for fb in extract_features(test.X, weights, net, order="F")]
+        feats = [fb.D for fb in extract_features(test.X, weights, net)]
         pools = [(extract_features(tk.X, weights, net), one_hot(tk.y, 6))
                  for tk in tasks]
         task_rows = [np.isin(test.y, tk.classes) for tk in tasks]
@@ -488,8 +514,10 @@ class TestBaselinesFollowTheEnsembleRule:
                     for l, lam in enumerate(net.lambdas)]
 
         def predicted(thetas, rows, fusion, cls=None):
-            probs = fuse_probs(_layer_probs([D[rows] for D in feats], thetas),
-                               mode=fusion)
+            # Each layer's softmax from its row-major [H_l | X] rows, one
+            # gemm over all d columns.
+            probs = fuse_probs([softmax(D[rows] @ theta)
+                                for D, theta in zip(feats, thetas)], mode=fusion)
             if cls is not None:
                 masked = np.full_like(probs, -np.inf)
                 masked[:, cls] = probs[:, cls]

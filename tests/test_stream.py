@@ -275,6 +275,16 @@ class TestIdxLoader:
         assert np.array_equal(ds.y, labels)
         assert np.allclose(ds.X, images.reshape(5, 6) / 255.0)
 
+    def test_pixels_have_the_bytes_of_the_two_pass_scaling(self, tmp_path):
+        # A pin: one float64 divide gives the bytes of
+        # astype(float) / 255.0, at every pixel value.
+        images = (np.arange(12 * 64) % 256).astype(np.uint8).reshape(12, 8, 8)
+        labels = np.arange(12, dtype=np.uint8) % 3
+        ds = load_idx(*write_idx_pair(tmp_path, images, labels))
+        want = images.reshape(12, 64).astype(float) / 255.0
+        assert ds.X.dtype == np.float64
+        assert ds.X.tobytes() == want.tobytes()
+
     def test_companion_inference(self, tmp_path):
         images = np.zeros((2, 1, 1), dtype=np.uint8)
         labels = np.array([0, 1], dtype=np.uint8)
