@@ -50,11 +50,26 @@ def build_parser():
     return parser
 
 
+def _out_dir(path):
+    """path as a Path, checked before any data is read.
+
+    ConfigError naming it when it, or the nearest ancestor that exists,
+    is not a directory, since the outputs could not be written there.
+    """
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {path}: {existing} exists "
+                          f"and is not a directory")
+    return path
+
+
 def _cmd_run(args):
     config = load_config(args.config)
-    out_dir = Path(args.out) if args.out else config.out_dir
+    out_dir = args.out or config.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
+    out_dir = _out_dir(out_dir)
     report = run_experiment(config)
     emit_report(report, out_dir)
     final = report.final
@@ -68,11 +83,11 @@ def _cmd_run(args):
 
 def _cmd_compare(args):
     configs = [load_config(p) for p in args.configs]
+    out_dir = _out_dir(args.out) if args.out else None
     rows = compare_styles(configs, repeats=args.repeats)
     table = render_table(rows)
     print(table)
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "compare.json", "w", newline="\n") as f:
             json.dump({"repeats": args.repeats, "rows": rows}, f, indent=2)

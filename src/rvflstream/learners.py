@@ -189,10 +189,12 @@ class SubLearnerState:
     it in O(b^2 d); a previous_complete step takes its projections from
     that correction. The stored k_next is the next adaptive step's k_cur.
     Reading eta writes one fresh d x d array on every read,
-    E - [A; W_f]^T [A; W_f], or woodbury_update(eta_dag, D_next, k_next)
-    when the inner system is not positive definite (_complete_rate). It
-    returns eta_dag when there is no forward term. No step writes into
-    an array an earlier state holds.
+    E - [A; W_f]^T [A; W_f] (_complete_rate), and returns eta_dag when
+    there is no forward term. Every correction here factors its b x b
+    inner system by Cholesky; one that is not positive definite means
+    eta_dag has lost positive definiteness, and the step or the read
+    raises NumericalFailure. No step writes into an array an earlier
+    state holds.
     """
 
     theta: np.ndarray
@@ -362,9 +364,8 @@ def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
     L L^T = I + M_t D_t^T, follow from the b x b inner system, and the
     projections on the new eta_dag are M - (X W^T) W. W is appended to
     A; on a flush (_flush_due) the new base E - A^T A is written once,
-    (r + b) d^2 flops, and no rows are carried. When the inner system
-    is not positive definite, the dense woodbury_update of the built
-    eta_dag takes over and no rows are carried.
+    (r + b) d^2 flops, and no rows are carried. An inner system that is
+    not positive definite raises NumericalFailure (_correction_rows).
 
     Returns (base, rows, proj, (k_cur, k_next)), with proj the rows
     X @ eta_dag on the new eta_dag.
@@ -380,42 +381,35 @@ def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
         before = np.vstack([V, _project(DN, base, rows)])
     proj = before
     if absorb:
-        W = _correction_rows(before[:len(D)], D, 1.0, t)[1]
-        if W is None:
-            base, rows = woodbury_update(state.eta_dag, D, 1.0, t), rows[:0]
-            proj = X @ base
-        else:
-            proj = (X @ W.T) @ W
-            np.subtract(before, proj, out=proj)
-            rows = np.vstack([rows, W]) if len(rows) else W
-            if _flush_due(t, layer, len(state.rows), len(D), state.d):
-                base, rows = _minus_gram(base, rows, t), rows[:0]
+        W = _correction_rows(before[:len(D)], D, 1.0, t)
+        proj = (X @ W.T) @ W
+        np.subtract(before, proj, out=proj)
+        rows = np.vstack([rows, W]) if len(rows) else W
+        if _flush_due(t, layer, len(state.rows), len(D), state.d):
+            base, rows = _minus_gram(base, rows, t), rows[:0]
     return base, rows, proj, _adaptive_pair(state, before, proj, D, DN, rng)
 
 
 def _forward_rows(state):
-    """The rows W_f of the complete rate's correction, or None.
+    """The rows W_f of the complete rate's correction.
 
     eta = eta_dag - W_f^T W_f with W_f = sqrt(k_next) L^{-1} V, from the
-    forward term (D_next, k_next, V) the state's step kept. None when
-    the inner system is not positive definite.
+    forward term (D_next, k_next, V) the state's step kept. An inner
+    system that is not positive definite raises NumericalFailure with
+    the state's batch index.
     """
     D_next, k_next, V = state._forward
-    return _correction_rows(V, D_next, k_next, state.t)[1]
+    return _correction_rows(V, D_next, k_next, state.t)
 
 
 def _complete_rate(state):
     """eta = (eta_dag^{-1} + k_next D_next^T D_next)^{-1} of a forward term.
 
-    E - [A; W_f]^T [A; W_f] in one d x d write, or the dense
-    woodbury_update of the built eta_dag when the inner system is not
-    positive definite.
+    E - [A; W_f]^T [A; W_f] in one d x d write; NumericalFailure when the
+    forward term's inner system is not positive definite (_forward_rows).
     """
-    W_f = _forward_rows(state)
-    if W_f is None:
-        return woodbury_update(state.eta_dag, *state._forward[:2],
-                               batch_index=state.t)
-    return _minus_gram(state.base, np.vstack([state.rows, W_f]), state.t)
+    return _minus_gram(state.base, np.vstack([state.rows, _forward_rows(state)]),
+                       state.t)
 
 
 def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
@@ -531,6 +525,11 @@ def step_kf(state, D_t, Y_t, D_next=None):
 def _k_from_projection(proj, kappa, sigma, fast, rng):
     """The b x b rule of compute_adaptive_k on proj = D eta D^T."""
     b = proj.shape[0]
+    # solve_spd keeps its least squares fallback here, unlike the
+    # Woodbury corrections: P is only read for k, no state is carried on
+    # from it, and in floating point it can be singular while eta_dag is
+    # positive definite. On raw 0-255 pixels at lam = 1e-6 the first
+    # kf_bayes batch already needs the fallback twice.
     P = proj + sigma * np.eye(b)
     if not np.all(np.isfinite(P)):
         raise NumericalFailure("projected covariance is non-finite")
@@ -599,9 +598,8 @@ def _adaptive_pair(state, before, proj, D, DN, rng):
     are taken on the previous complete rate instead, once one exists:
     before on a state without a forward term, and otherwise
     before - (D_next @ W_f^T) @ W_f, with the correction rows W_f built
-    from the V the previous step kept. A forward term whose inner system
-    is not positive definite builds the previous complete rate instead.
-    k_next is 0 at the end of the stream.
+    from the V the previous step kept (_forward_rows). k_next is 0 at the
+    end of the stream.
     """
     style = state.style
 
@@ -619,7 +617,7 @@ def _adaptive_pair(state, before, proj, D, DN, rng):
     P = proj[b:]
     if complete and state._forward is not None:
         W_f = _forward_rows(state)
-        P = DN @ state.eta if W_f is None else before[b:] - (DN @ W_f.T) @ W_f
+        P = before[b:] - (DN @ W_f.T) @ W_f
     return k_cur, clamped(P @ DN.T)
 
 
@@ -766,8 +764,10 @@ class ContinualModel:
         is a view of a class-major (L, m, n) array: out when it is given,
         which lets a caller that evaluates the same test set repeatedly
         reuse one buffer. Each layer's logits sum the X part, then the H
-        part (see _layer_probs).
+        part (see _layer_probs). One of X and eval_feats is required.
         """
+        if X is None and eval_feats is None:
+            raise ContractError("pass the rows to score as X or eval_feats")
         feats = self.eval_features(X) if eval_feats is None else eval_feats
         return _layer_probs(feats, [st.theta for st in self.states], out)
 

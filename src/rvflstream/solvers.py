@@ -25,7 +25,9 @@ def solve_spd(A, B):
     A Cholesky factorization serves as the positive definiteness test.
     When rounding pushes A off the positive definite cone, or A is only
     semidefinite, the solve falls back to the minimum-norm least squares
-    solution, which is exact for consistent systems.
+    solution, which is exact for consistent systems. The adaptive-k rule
+    and the offline solves use it; the Woodbury corrections do not, and
+    raise instead (_inner_cholesky).
     """
     try:
         np.linalg.cholesky(A)
@@ -64,14 +66,14 @@ def woodbury_update(eta, D, c, batch_index=None):
         The corrected inverse, one fresh d x d array, symmetric by
         construction: eta - W^T W is formed one row panel at a time,
         each panel is written to the upper triangle and its transpose to
-        the lower, so no other d x d temporary is built. When S is not
-        positive definite, the correction falls back to a least squares
-        solve of S and the average of the result with its transpose.
+        the lower, so no other d x d temporary is built.
 
     Raises:
         ContractError: on shape mismatch or negative c.
-        NumericalFailure: if the inner b x b system is non-finite or
-            cannot be solved, or the result contains non-finite entries.
+        NumericalFailure: if the inner b x b system is non-finite or not
+            positive definite (so eta is not positive semidefinite), or
+            the result contains non-finite entries. The error carries
+            batch_index.
     """
     eta = np.asarray(eta, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -84,31 +86,17 @@ def woodbury_update(eta, D, c, batch_index=None):
         raise ContractError(f"c must be nonnegative, got {c}")
     if c == 0.0 or D.shape[0] == 0:
         return eta.copy()
-
-    P = D @ eta
-    S, W = _correction_rows(P, D, c, batch_index)
-    if W is not None:
-        return _minus_gram(eta, W, batch_index)
-    out = P.T @ _solve_inner(S, P, batch_index)
-    out *= -c
-    out += eta
-    out = (out + out.T) / 2
-    _check_finite(out, batch_index)
-    return out
+    return _minus_gram(eta, _correction_rows(D @ eta, D, c, batch_index),
+                       batch_index)
 
 
 def _correction_rows(P, D, c, batch_index=None):
-    """The rows W = sqrt(c) L^{-1} P of a rank-b correction, and S.
+    """The rows W = sqrt(c) L^{-1} P of a rank-b correction.
 
     S = I + c * P D^T is the b x b inner system and L its Cholesky
-    factor. Returns (S, W), with W None when S is not positive definite.
+    factor (_inner_cholesky, which raises when there is none).
     """
-    S = np.eye(D.shape[0]) + c * (P @ D.T)
-    _check_inner(S, batch_index)
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return S, None
+    L = _inner_cholesky(np.eye(D.shape[0]) + c * (P @ D.T), batch_index)
     # W = L^{-1} P through the explicit b x b inverse plus one step of
     # refinement on the residual P - L W. np.linalg.solve with d = 1040
     # right-hand sides took ~0.6 ms (2-vCPU x86_64, OpenBLAS) against
@@ -122,27 +110,38 @@ def _correction_rows(P, D, c, batch_index=None):
     np.subtract(P, residual, out=residual)
     W += L_inv @ residual
     W *= np.sqrt(c)
-    return S, W
+    return W
 
 
-def _check_inner(S, batch_index):
+def _inner_cholesky(S, batch_index=None):
+    """The Cholesky factor of a Woodbury inner system S = I + c P D^T.
+
+    S is at least I while the carried inverse is positive semidefinite,
+    so a failed factorization means that inverse has lost positive
+    definiteness, and no step goes on from it: NumericalFailure, stamped
+    with batch_index, when S is non-finite or not positive definite.
+    """
     if not np.all(np.isfinite(S)):
         raise NumericalFailure(
             "inner system of the Woodbury correction is non-finite",
             batch_index=batch_index,
         )
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(
+            "Woodbury inner system is not positive definite",
+            batch_index=batch_index,
+        ) from exc
 
 
 def _solve_inner(S, B, batch_index=None):
-    """Solve the b x b inner system S X = B of a Woodbury correction."""
-    _check_inner(S, batch_index)
-    try:
-        return solve_spd(S, B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(
-            "inner system of the Woodbury correction is not solvable",
-            batch_index=batch_index,
-        ) from exc
+    """Solve the b x b inner system S X = B of a Woodbury correction.
+
+    _inner_cholesky checks S first; the solve itself is np.linalg.solve.
+    """
+    _inner_cholesky(S, batch_index)
+    return np.linalg.solve(S, B)
 
 
 def _check_finite(out, batch_index):

@@ -33,6 +33,7 @@ from rvflstream.learners import (
 from rvflstream.metrics import Targets
 from rvflstream.network import (
     BLOCK_ROWS,
+    FeatureBatch,
     NetworkConfig,
     extract_features,
     fuse_probs,
@@ -768,34 +769,27 @@ class TestDeferredAbsorb:
         assert np.array_equal(eta, eta.T)
         assert peak <= 1.5 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2"
 
-    def test_indefinite_inner_system_builds_matrix_and_drops_rows(self, monkeypatch):
-        # base - rows^T rows = -I makes S indefinite: the absorb hands the
-        # built matrix to the dense Woodbury, whose least squares fallback
-        # runs once, and carries no rows.
-        from rvflstream import learners, solvers
+    def test_indefinite_inner_system_stops_the_step(self, monkeypatch):
+        # base - rows^T rows = -I makes S indefinite: the absorb raises
+        # without a least squares solve, and the step names the batch and
+        # the layer.
+        from rvflstream import solvers
 
-        ldl, calls = solvers._ldl_solve, []
+        def unreached(A, B):
+            raise AssertionError("least squares fallback reached")
 
-        def counted(A, B):
-            calls.append(A.shape)
-            return ldl(A, B)
-
-        monkeypatch.setattr(solvers, "_ldl_solve", counted)
+        monkeypatch.setattr(solvers, "_ldl_solve", unreached)
         d, b = 300, 4
         rng = np.random.default_rng(10)
         rows = rng.standard_normal((6, d)) / np.sqrt(d)
         state = dataclasses.replace(fresh_state(d=d, m=2, kind="kf_bayes"),
                                     base=-np.eye(d) + rows.T @ rows, rows=rows,
                                     t=1)
-        D = rng.standard_normal((b, d))
-        base, new_rows, after, _ = learners._adaptive_absorb(
-            state, D, None, 2, None, True, None)
-        assert calls == [(b, b)]
-        assert new_rows.shape == (0, d)
-        assert np.array_equal(base, base.T)
-        direct = np.linalg.inv(-np.eye(d) + D.T @ D)
-        assert np.linalg.norm(base - direct) <= 1e-9 * np.linalg.norm(direct)
-        assert np.linalg.norm(after - D @ direct) <= 1e-9 * np.linalg.norm(D @ direct)
+        D = FeatureBatch(D=rng.standard_normal((b, d)), layer=2, t=2)
+        with pytest.raises(NumericalFailure, match="not positive definite") as info:
+            step_kf_bayes(state, D, np.zeros((b, 2)))
+        assert (info.value.batch_index, info.value.layer) == (2, 2)
+        assert str(info.value).endswith("batch=2 layer=2")
 
     @pytest.mark.parametrize("sizes", [
         [7] * 60,
@@ -1234,6 +1228,12 @@ class TestContinualModel:
         feats = model.eval_features(X_te)
         assert np.array_equal(
             model.predict_proba(mode=mode, eval_feats=feats), expected)
+
+    @pytest.mark.parametrize("read", ["per_learner_probs", "predict_proba"])
+    def test_read_without_rows_names_both_parameters(self, read):
+        model, _ = self.trained()
+        with pytest.raises(ContractError, match="X or eval_feats"):
+            getattr(model, read)()
 
     def test_standardize_freezes_first_batch_stats(self):
         rng = np.random.default_rng(3)

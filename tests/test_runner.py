@@ -10,6 +10,7 @@ import yaml
 
 from rvflstream import cli
 from rvflstream.errors import ConfigError, ContractError, NumericalFailure
+from rvflstream.learners import ContinualModel, RegStyle
 from rvflstream.runner import (
     compare_styles,
     emit_report,
@@ -28,6 +29,8 @@ from rvflstream.network import (
 )
 from rvflstream.solvers import offline_ridge_fit
 from rvflstream.stream import (
+    LabeledDataset,
+    TaskSplitSpec,
     batchify,
     load_csv_features,
     make_gaussian_dataset,
@@ -252,29 +255,40 @@ class TestRunExperiment:
             assert offline.per_task_accuracy[q] == float(np.mean(hit[rows]))
 
 
-def _write_pixel_standin(root, seed, train_per_class, test_per_class,
-                         classes=10):
-    """Seeded 28x28 idx files: a smooth prototype per class plus noise.
+def _pixel_standin(seed, train_per_class, test_per_class, classes=10):
+    """Seeded 28x28 uint8 images: a smooth prototype per class plus noise.
 
     Each prototype is a 7x7 uniform draw upsampled 4x; every image adds
-    Gaussian pixel noise of standard deviation 60. Returns the dataset
-    block of a config that reads them.
+    Gaussian pixel noise of standard deviation 60. The same draws as
+    perfbench.workloads.pixel_standin, which a bare pytest cannot import.
+    Returns ((train_images, train_labels), (test_images, test_labels)).
     """
     rng = np.random.default_rng(seed)
     protos = np.kron(rng.uniform(0.0, 255.0, (classes, 7, 7)), np.ones((4, 4)))
-    paths = {}
-    for split, per_class in (("train", train_per_class), ("test", test_per_class)):
+
+    def draw(per_class):
         labels = np.repeat(np.arange(classes), per_class)
         noise = rng.normal(0.0, 60.0, (len(labels), 28, 28))
         images = np.clip(np.rint(protos[labels] + noise), 0, 255)
+        return images.astype(np.uint8), labels.astype(np.uint8)
+
+    return draw(train_per_class), draw(test_per_class)
+
+
+def _write_pixel_standin(root, seed, train_per_class, test_per_class,
+                         classes=10):
+    """The _pixel_standin images as idx files; returns their dataset block."""
+    paths = {}
+    splits = _pixel_standin(seed, train_per_class, test_per_class, classes)
+    for split, (images, labels) in zip(("train", "test"), splits):
         paths[f"{split}_images"] = str(root / f"{split}-images")
         paths[f"{split}_labels"] = str(root / f"{split}-labels")
         with open(paths[f"{split}_images"], "wb") as f:
             f.write(struct.pack(">iiii", 2051, len(labels), 28, 28))
-            f.write(images.astype(np.uint8).tobytes())
+            f.write(images.tobytes())
         with open(paths[f"{split}_labels"], "wb") as f:
             f.write(struct.pack(">ii", 2049, len(labels)))
-            f.write(labels.astype(np.uint8).tobytes())
+            f.write(labels.tobytes())
     return {"kind": "idx", **paths}
 
 
@@ -300,6 +314,83 @@ class TestPixelStream:
 
         ridge, bayes = final("ridge"), final("kf_bayes")
         assert bayes >= ridge - 0.05, f"kf_bayes {bayes:.3f}, ridge {ridge:.3f}"
+
+
+class TestRawPixelStream:
+    # Raw 0-255 pixels at lam = 1e-6: the recursive inverse Gram loses
+    # positive definiteness, and a Woodbury inner system without a
+    # Cholesky factor stops the run. Standardized inputs keep it definite.
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("raw")
+        paths = {}
+        splits = _pixel_standin(461, 100, 50)
+        for split, (images, labels) in zip(("train", "test"), splits):
+            paths[split] = str(root / f"{split}.csv")
+            np.savetxt(paths[split],
+                       np.column_stack([images.reshape(len(images), -1), labels]),
+                       fmt="%d", delimiter=",")
+        return {"kind": "csv", **paths}
+
+    @staticmethod
+    def tree(dataset, kind, standardize=False):
+        return {
+            "dataset": dataset,
+            "split": {"Q": 5},
+            "batch_size": 20,
+            "network": {"L": 3, "N": 128, "lam": 1e-6,
+                        "standardize": standardize},
+            "style": {"kind": kind},
+            "eval_every": "task",
+            "baselines": standardize,
+            "seeds": {"weights": 461, "order": 461, "synthetic": 461},
+        }
+
+    @pytest.mark.parametrize("kind", ["ridge", "kf_bayes"])
+    def test_indefinite_inverse_exits_3_naming_batch_and_layer(
+            self, tmp_path, capsys, dataset, kind):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump(self.tree(dataset, kind)))
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "not positive definite batch=" in err and " layer=" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_standardized_ridge_reaches_offline(self, tmp_path, dataset):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump(self.tree(dataset, "ridge", True)))
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        offline = report["baselines"]["offline"]["accuracy"]
+        assert report["final"]["acc"] >= offline - 0.05
+
+    def test_k_rule_keeps_its_least_squares_path(self, monkeypatch):
+        # P + sigma I of the k rule can be singular in floating point
+        # while eta_dag is positive definite; the rule solves it by least
+        # squares (twice on this first batch) instead of stopping.
+        from rvflstream import solvers
+
+        calls, ldl = [], solvers._ldl_solve
+
+        def counted(A, B):
+            calls.append(A.shape)
+            return ldl(A, B)
+
+        monkeypatch.setattr(solvers, "_ldl_solve", counted)
+        (images, labels), _ = _pixel_standin(461, 100, 50)
+        train = LabeledDataset(images.reshape(len(images), -1), labels, 10)
+        stream = batchify(split_class_incremental(train, TaskSplitSpec(5, 461)),
+                          20, 10)
+        model = ContinualModel(
+            NetworkConfig(L=3, N=128, s=784, m=10, lam=1e-6, seed=461),
+            RegStyle("kf_bayes"))
+        model.observe(stream[0].X, stream[0].Y, stream[1].X)
+        assert model.t == 1
+        assert calls == [(20, 20)] * 2
 
 
 class TestTrainingRowsHeldOnce:
@@ -1003,6 +1094,33 @@ class TestCli:
         assert err.splitlines() == [
             "error: out of memory" + (f": {message}" if message else "")]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how", ["run --out", "config out", "compare --out",
+                                     "run --out below"])
+    def test_out_that_is_a_file_is_exit_2_before_the_data_is_read(
+            self, tmp_path, capsys, monkeypatch, how):
+        from rvflstream import runner
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        for loader in ("make_gaussian_dataset", "load_idx", "load_csv_features"):
+            monkeypatch.setattr(runner, loader, unread)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if how.endswith("below") else afile
+        if how == "config out":
+            args = ["run", "--config",
+                    str(self.write_cfg(tmp_path, base_tree(out=str(out))))]
+        else:
+            command = how.split()[0]
+            cfg = str(self.write_cfg(tmp_path))
+            args = [command, "--config" if command == "run" else "--configs",
+                    cfg, "--out", str(out)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output directory {out}: {afile} exists and is not a directory"]
+        assert afile.read_text() == "kept\n"
 
     def test_test_set_without_a_tasks_classes_is_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -120,26 +120,21 @@ class TestPanelledUpdate:
         assert np.array_equal(out, out.T)
         assert np.linalg.norm(out - direct) <= 1e-10 * np.linalg.norm(direct)
 
-    def test_indefinite_inner_system_falls_back_symmetric(self, monkeypatch):
-        # eta = -I makes S = I - D D^T indefinite, so the Cholesky test
-        # fails and the least squares solve takes over.
+    def test_indefinite_inner_system_is_numerical_failure(self, monkeypatch):
+        # eta = -I makes S = I - D D^T indefinite: the Cholesky test fails
+        # and the update stops, naming the batch, without a least squares
+        # solve of S.
         from rvflstream import solvers
 
-        ldl, calls = solvers._ldl_solve, []
+        def unreached(A, B):
+            raise AssertionError("least squares fallback reached")
 
-        def counted(A, B):
-            calls.append(A.shape)
-            return ldl(A, B)
-
-        monkeypatch.setattr(solvers, "_ldl_solve", counted)
+        monkeypatch.setattr(solvers, "_ldl_solve", unreached)
         d, b = 300, 4
         eta = -np.eye(d)
         D = np.random.default_rng(8).standard_normal((b, d))
-        out = woodbury_update(eta, D, 1.0)
-        assert calls == [(b, b)]
-        assert np.array_equal(out, out.T)
-        direct = np.linalg.inv(-np.eye(d) + D.T @ D)
-        assert np.linalg.norm(out - direct) <= 1e-10 * np.linalg.norm(direct)
+        with pytest.raises(NumericalFailure, match="not positive definite batch=5"):
+            woodbury_update(eta, D, 1.0, batch_index=5)
 
 
 class TestOfflineRidge:
