@@ -6,7 +6,6 @@ when a run aborts on a numerical failure.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from .runner import (
     load_config,
     render_table,
     run_experiment,
+    write_json,
 )
 
 
@@ -89,9 +89,7 @@ def _cmd_compare(args):
     print(table)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "compare.json", "w", newline="\n") as f:
-            json.dump({"repeats": args.repeats, "rows": rows}, f, indent=2)
-            f.write("\n")
+        write_json(out_dir / "compare.json", {"repeats": args.repeats, "rows": rows})
         with open(out_dir / "compare.txt", "w", newline="\n") as f:
             f.write(table + "\n")
         print(f"wrote {out_dir}/compare.json")
@@ -99,7 +97,7 @@ def _cmd_compare(args):
 
 
 def _cmd_bake(args):
-    out_dir = bake_synthetic(args.spec, args.out)
+    out_dir = bake_synthetic(args.spec, _out_dir(args.out))
     print(f"wrote {out_dir}/train.csv, {out_dir}/test.csv, {out_dir}/meta.json")
     return 0
 

@@ -317,8 +317,8 @@ def with_seed_offset(config, offset):
 def _load_datasets(ds):
     kind = ds["kind"]
     if kind == "synthetic":
-        return make_gaussian_dataset(
-            **{key: value for key, value in ds.items() if key != "kind"})
+        return _build(make_gaussian_dataset, "dataset",
+                      {key: value for key, value in ds.items() if key != "kind"})
     if kind == "idx":
         train = load_idx(ds["train_images"], ds["train_labels"], split="train")
         test = load_idx(ds["test_images"], ds["test_labels"], split="test")
@@ -523,40 +523,41 @@ def run_experiment(config):
     )
 
 
-def _fmt(value):
-    if value is None:
-        return "nan"
-    return "%.17g" % value
+def write_json(path, tree):
+    """tree as JSON indented by 2, with a final newline and LF endings."""
+    with open(path, "w", newline="\n") as f:
+        json.dump(tree, f, indent=2)
+        f.write("\n")
+
+
+def _write_csv(path, rows, fmt, header=""):
+    """rows as comma-separated lines through np.savetxt, with LF endings.
+
+    fmt holds one format per column: %d for counts and labels, %.17g
+    for floats, whose 17 significant digits reload bit for bit (NaN
+    as nan). With no rows the file holds the header alone.
+    """
+    with open(path, "w", newline="\n") as f:
+        np.savetxt(f, np.reshape(rows, (-1, len(fmt))), fmt=fmt, delimiter=",",
+                   header=header, comments="")
 
 
 def emit_report(report, out_dir):
     """Write report.json plus the three CSV curve/matrix files.
 
-    CSV numbers carry 17 significant digits so reloading them
-    reproduces the run's floats exactly. All files use LF endings.
+    The JSON goes through write_json and each CSV through _write_csv,
+    one np.savetxt call per file; the directory is made here, after
+    the run.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "report.json", "w", newline="\n") as f:
-        json.dump(report.as_dict(), f, indent=2)
-        f.write("\n")
-
-    with open(out_dir / "curves.csv", "w", newline="\n") as f:
-        f.write("t,acc_seen,acc_full,regret,cum_regret,kl\n")
-        for t, *values in report.trace.rows():
-            f.write(",".join([str(t), *map(_fmt, values)]) + "\n")
-
-    with open(out_dir / "kmatrix.csv", "w", newline="\n") as f:
-        f.write("t,layer,k_cur,k_next\n")
-        for t, layer, k_cur, k_next in report.k_trace_rows:
-            f.write(f"{t},{layer},{_fmt(k_cur)},{_fmt(k_next)}\n")
-
-    with open(out_dir / "accmatrix.csv", "w", newline="\n") as f:
-        for row in report.acc_matrix:
-            f.write(",".join(map(_fmt, row)))
-            f.write("\n")
-
+    write_json(out_dir / "report.json", report.as_dict())
+    _write_csv(out_dir / "curves.csv", report.trace.rows(),
+               ["%d"] + ["%.17g"] * 5, "t,acc_seen,acc_full,regret,cum_regret,kl")
+    _write_csv(out_dir / "kmatrix.csv", report.k_trace_rows,
+               ["%d", "%d", "%.17g", "%.17g"], "t,layer,k_cur,k_next")
+    _write_csv(out_dir / "accmatrix.csv", report.acc_matrix,
+               ["%.17g"] * len(report.acc_matrix))
     return out_dir
 
 
@@ -629,20 +630,20 @@ def render_table(rows):
 
 
 def bake_synthetic(spec_path, out_dir):
-    """Materialize a synthetic dataset spec into CSV feature files."""
+    """Materialize a synthetic dataset spec into CSV feature files.
+
+    train.csv and test.csv hold one row per sample, the features at
+    %.17g and the label last at %d, written by _write_csv like the
+    run's CSVs; meta.json goes through write_json.
+    """
     spec = _read_yaml(spec_path, "spec file")
-    train, test = make_gaussian_dataset(**_walk(
+    train, test = _build(make_gaussian_dataset, "synthetic spec", _walk(
         spec, "synthetic spec", {**_GAUSSIAN, "seed": (_seed, OMIT)}))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, ds in (("train", train), ("test", test)):
-        with open(out_dir / f"{name}.csv", "w", newline="\n") as f:
-            for x, label in zip(ds.X, ds.y):
-                f.write(",".join(_fmt(v) for v in x))
-                f.write(f",{int(label)}\n")
-    with open(out_dir / "meta.json", "w", newline="\n") as f:
-        json.dump({"spec": spec, "m": train.m,
-                   "train_rows": len(train.y), "test_rows": len(test.y)}, f,
-                  indent=2)
-        f.write("\n")
+        _write_csv(out_dir / f"{name}.csv", np.column_stack([ds.X, ds.y]),
+                   ["%.17g"] * ds.X.shape[1] + ["%d"])
+    write_json(out_dir / "meta.json", {"spec": spec, "m": train.m,
+               "train_rows": len(train.y), "test_rows": len(test.y)})
     return out_dir

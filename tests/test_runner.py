@@ -1,17 +1,20 @@
 """Experiment runner, report emission, and CLI tests."""
 
 import json
-import struct
+import math
 import weakref
 
 import numpy as np
 import pytest
 import yaml
 
+from perfbench.workloads import pixel_standin, write_idx
 from rvflstream import cli
 from rvflstream.errors import ConfigError, ContractError, NumericalFailure
 from rvflstream.learners import ContinualModel, RegStyle
+from rvflstream.metrics import TraceSeries
 from rvflstream.runner import (
+    RunReport,
     compare_styles,
     emit_report,
     load_config,
@@ -37,6 +40,13 @@ from rvflstream.stream import (
     one_hot,
     split_class_incremental,
 )
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and float64 bit patterns, NaN included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def base_tree(**overrides):
@@ -255,40 +265,16 @@ class TestRunExperiment:
             assert offline.per_task_accuracy[q] == float(np.mean(hit[rows]))
 
 
-def _pixel_standin(seed, train_per_class, test_per_class, classes=10):
-    """Seeded 28x28 uint8 images: a smooth prototype per class plus noise.
-
-    Each prototype is a 7x7 uniform draw upsampled 4x; every image adds
-    Gaussian pixel noise of standard deviation 60. The same draws as
-    perfbench.workloads.pixel_standin, which a bare pytest cannot import.
-    Returns ((train_images, train_labels), (test_images, test_labels)).
-    """
-    rng = np.random.default_rng(seed)
-    protos = np.kron(rng.uniform(0.0, 255.0, (classes, 7, 7)), np.ones((4, 4)))
-
-    def draw(per_class):
-        labels = np.repeat(np.arange(classes), per_class)
-        noise = rng.normal(0.0, 60.0, (len(labels), 28, 28))
-        images = np.clip(np.rint(protos[labels] + noise), 0, 255)
-        return images.astype(np.uint8), labels.astype(np.uint8)
-
-    return draw(train_per_class), draw(test_per_class)
-
-
 def _write_pixel_standin(root, seed, train_per_class, test_per_class,
                          classes=10):
-    """The _pixel_standin images as idx files; returns their dataset block."""
+    """The pixel_standin images as idx files; returns their dataset block."""
     paths = {}
-    splits = _pixel_standin(seed, train_per_class, test_per_class, classes)
+    splits = pixel_standin(seed, train_per_class, test_per_class, classes)
     for split, (images, labels) in zip(("train", "test"), splits):
         paths[f"{split}_images"] = str(root / f"{split}-images")
         paths[f"{split}_labels"] = str(root / f"{split}-labels")
-        with open(paths[f"{split}_images"], "wb") as f:
-            f.write(struct.pack(">iiii", 2051, len(labels), 28, 28))
-            f.write(images.tobytes())
-        with open(paths[f"{split}_labels"], "wb") as f:
-            f.write(struct.pack(">ii", 2049, len(labels)))
-            f.write(labels.tobytes())
+        write_idx(paths[f"{split}_images"], paths[f"{split}_labels"],
+                  images, labels)
     return {"kind": "idx", **paths}
 
 
@@ -324,7 +310,7 @@ class TestRawPixelStream:
     def dataset(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("raw")
         paths = {}
-        splits = _pixel_standin(461, 100, 50)
+        splits = pixel_standin(461, 100, 50)
         for split, (images, labels) in zip(("train", "test"), splits):
             paths[split] = str(root / f"{split}.csv")
             np.savetxt(paths[split],
@@ -381,7 +367,7 @@ class TestRawPixelStream:
             return ldl(A, B)
 
         monkeypatch.setattr(solvers, "_ldl_solve", counted)
-        (images, labels), _ = _pixel_standin(461, 100, 50)
+        (images, labels), _ = pixel_standin(461, 100, 50)
         train = LabeledDataset(images.reshape(len(images), -1), labels, 10)
         stream = batchify(split_class_incremental(train, TaskSplitSpec(5, 461)),
                           20, 10)
@@ -686,6 +672,105 @@ class TestEmitReport:
         top_right = acc_lines[0].split(",")[1]
         assert top_right == "nan"
 
+        # Every CSV value reloads bit for bit, as the run holds it and as
+        # report.json holds it (null there, NaN in the CSV).
+        def reload(name, skip=1):
+            return np.loadtxt(tmp_path / name, delimiter=",", skiprows=skip,
+                              ndmin=2)
+
+        def from_json(rows):
+            return np.array([[math.nan if v is None else v for v in row]
+                             for row in rows], dtype=float)
+
+        curves = np.array(report.trace.rows(), dtype=float)
+        assert_same_bits(reload("curves.csv"), curves)
+        assert_same_bits(reload("curves.csv"),
+                         from_json(zip(*tree["trace"].values())))
+        assert report.k_trace_rows
+        assert_same_bits(reload("kmatrix.csv"),
+                         np.array(report.k_trace_rows, dtype=float))
+        assert_same_bits(reload("kmatrix.csv"), from_json(tree["k_trace"]))
+        assert_same_bits(reload("accmatrix.csv", skip=0), report.acc_matrix)
+        assert_same_bits(reload("accmatrix.csv", skip=0),
+                         from_json(tree["acc_matrix"]))
+
+    def test_files_equal_the_expected_text(self, tmp_path):
+        # NaN is null in report.json and nan in the CSVs; -0.0 keeps its
+        # sign, 1e-300 its exponent, and 0.1 its 17 digits in the CSVs;
+        # an empty k trace writes the header alone, as for ridge.
+        trace = TraceSeries()
+        trace.append(1, math.nan, -0.0, 1e-300, 0.1)
+        report = RunReport(
+            config={}, resolved={}, seeds={}, stream_hash="00", trace=trace,
+            acc_matrix=np.array([[1.0, math.nan], [-0.0, 0.1]]),
+            independent=np.array([math.nan, 1e-300]),
+            final={"bwt": -0.0, "fwt": None, "acc_seen": math.nan},
+            k_trace_rows=[], wall_clock=[0.5], boundary_audit={"ok": True},
+            baselines={})
+        emit_report(report, tmp_path / "out")
+        expected = {
+            "report.json": """{
+  "config": {},
+  "resolved": {},
+  "seeds": {},
+  "stream_sha256": "00",
+  "trace": {
+    "t": [
+      1
+    ],
+    "acc_seen": [
+      null
+    ],
+    "acc_full": [
+      -0.0
+    ],
+    "regret": [
+      1e-300
+    ],
+    "cum_regret": [
+      1e-300
+    ],
+    "kl": [
+      0.1
+    ]
+  },
+  "acc_matrix": [
+    [
+      1.0,
+      null
+    ],
+    [
+      -0.0,
+      0.1
+    ]
+  ],
+  "independent": [
+    null,
+    1e-300
+  ],
+  "final": {
+    "bwt": -0.0,
+    "fwt": null,
+    "acc_seen": null
+  },
+  "k_trace": [],
+  "wall_clock": [
+    0.5
+  ],
+  "boundary_audit": {
+    "ok": true
+  },
+  "baselines": {}
+}
+""",
+            "curves.csv": "t,acc_seen,acc_full,regret,cum_regret,kl\n"
+                          "1,nan,-0,1e-300,1e-300,0.10000000000000001\n",
+            "kmatrix.csv": "t,layer,k_cur,k_next\n",
+            "accmatrix.csv": "1,nan\n-0,0.10000000000000001\n",
+        }
+        for name, text in expected.items():
+            assert (tmp_path / "out" / name).read_bytes() == text.encode(), name
+
     def test_kmatrix_rows(self, tmp_path):
         report = run_experiment(validate_config(base_tree()))
         emit_report(report, tmp_path)
@@ -788,6 +873,13 @@ class TestBakeSynthetic:
         assert train.m == 3
         meta = json.loads((tmp_path / "baked" / "meta.json").read_text())
         assert meta["train_rows"] == 18
+        # Features and labels reload bit for bit from the spec's draws.
+        drawn = make_gaussian_dataset(classes=3, dims=4, separation=2.0,
+                                      samples=6, test_samples=3, seed=11)
+        for name, ds in zip(("train", "test"), drawn):
+            assert_same_bits(
+                np.loadtxt(tmp_path / "baked" / f"{name}.csv", delimiter=","),
+                np.column_stack([ds.X, ds.y]))
 
 
 class TestCli:
@@ -998,6 +1090,18 @@ class TestCli:
         assert f"{name} must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_synthetic_spec_range_error_names_the_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"classes": 1, "dims": 3,
+                                        "separation": 2.0, "samples": 5,
+                                        "test_samples": 2}))
+        code = cli.main(["bake-synthetic", "--spec", str(spec),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: synthetic spec: need at least 2 classes and 1 dimension"]
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_synthetic_spec_key_is_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.yaml"
         spec.write_text(yaml.safe_dump({"classes": 2, "dims": 3,
@@ -1096,7 +1200,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("how", ["run --out", "config out", "compare --out",
-                                     "run --out below"])
+                                     "run --out below", "bake-synthetic --out"])
     def test_out_that_is_a_file_is_exit_2_before_the_data_is_read(
             self, tmp_path, capsys, monkeypatch, how):
         from rvflstream import runner
@@ -1112,6 +1216,10 @@ class TestCli:
         if how == "config out":
             args = ["run", "--config",
                     str(self.write_cfg(tmp_path, base_tree(out=str(out))))]
+        elif how.startswith("bake"):
+            # A spec that does not exist: reading it first would name it.
+            args = ["bake-synthetic", "--spec", str(tmp_path / "none.yaml"),
+                    "--out", str(out)]
         else:
             command = how.split()[0]
             cfg = str(self.write_cfg(tmp_path))
@@ -1121,6 +1229,54 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             f"error: output directory {out}: {afile} exists and is not a directory"]
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("tree, message", [
+        (base_tree(style={"kind": "kf_bayes", "k_source": "foo"}),
+         "style: unknown k_source 'foo'"),
+        ([base_tree()], "config must be a mapping"),
+        (base_tree(dataset=[1]), "dataset must be a mapping"),
+        (base_tree(dataset={"classes": 4}), "dataset: missing required key 'kind'"),
+        (base_tree(split={"Q": 0}), "split: Q must be >= 1, got 0"),
+        (base_tree(dataset=dict(base_tree()["dataset"], classes=1)),
+         "dataset: need at least 2 classes and 1 dimension"),
+    ], ids=["k_source", "list", "dataset list", "no kind", "Q 0", "one class"])
+    def test_config_error_is_one_line_exit_2(self, tmp_path, capsys, tree,
+                                             message):
+        p = self.write_cfg(tmp_path, tree)
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, train, label_column, message", [
+        ("idx", b"\x00\x00", None, "truncated while reading magic"),
+        ("csv", b"", None, "no data rows"),
+        ("csv", b"a,b,label\n", None, "header but no data rows"),
+        ("csv", b"a,b,label\n1,2,0\n3,4,1\n", "target",
+         "label column 'target' not found in header"),
+    ], ids=["short idx", "empty csv", "header-only csv", "missing label column"])
+    def test_malformed_input_file_is_exit_2(self, tmp_path, capsys, kind, train,
+                                            label_column, message):
+        bad = tmp_path / "bad"
+        bad.write_bytes(train)
+        if kind == "idx":
+            test = self._write_idx(tmp_path, "test", np.arange(8) % 4,
+                                   np.random.default_rng(0))
+            dataset = {"kind": "idx", **test, "train_images": str(bad),
+                       "train_labels": test["test_labels"]}
+        else:
+            (tmp_path / "test.csv").write_text("a,b,label\n1,2,0\n3,4,1\n")
+            dataset = {"kind": "csv", "train": str(bad),
+                       "test": str(tmp_path / "test.csv")}
+            if label_column is not None:
+                dataset["label_column"] = label_column
+        p = self.write_cfg(tmp_path, base_tree(dataset=dataset))
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_test_set_without_a_tasks_classes_is_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -1145,12 +1301,8 @@ class TestCli:
     @staticmethod
     def _write_idx(root, split, labels, rng):
         paths = {key: str(root / f"{split}-{key}") for key in ("images", "labels")}
-        with open(paths["images"], "wb") as f:
-            f.write(struct.pack(">iiii", 2051, len(labels), 4, 4))
-            f.write(rng.integers(0, 256, (len(labels), 16), dtype=np.uint8).tobytes())
-        with open(paths["labels"], "wb") as f:
-            f.write(struct.pack(">ii", 2049, len(labels)))
-            f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+        write_idx(paths["images"], paths["labels"],
+                  rng.integers(0, 256, (len(labels), 4, 4), dtype=np.uint8), labels)
         return {f"{split}_{key}": path for key, path in paths.items()}
 
     @pytest.mark.parametrize("kind", ["csv", "idx"])
