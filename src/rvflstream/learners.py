@@ -23,35 +23,36 @@ k-weighted Gram of the upcoming unlabeled batch and is rebuilt from
 eta_dag every step. State size never grows with t.
 
 The current batch's data term is applied to a head through its b x d
-block. The fixed pairs of ridge and kf write the new eta_dag densely and
-move theta by the complete rate; with a forward term they also form the
-d x d Gram D_next^T D_next, the reference form the k = 1 pin checks bit
-for bit. No other step does.
+block. kf with k > 0 writes the new eta_dag densely and moves theta by
+the complete rate; with a forward term it also forms the d x d Gram
+D_next^T D_next, the reference form the k = 1 pin checks bit for bit.
+No other step does.
 
-An adaptive kf_bayes layer carries eta_dag in the deferred form
-E - A^T A: a d x d base E and a block A of the correction rows of its
-latest absorbs, at most R = min(_CARRY_ROWS, d // 4) of them (see
-_carry_cap). Its absorb (_adaptive_absorb) needs the projections
-M = X E - (X A^T) A of X = [D_t; D_next] on the carried matrix. Their
-D_t rows are the V = D_next eta_dag the previous step kept, whenever
-that step's D_next is this D_t, so only the b' rows of D_next are
-projected (_project): 2 b' d^2 + 4 b' r d flops through r carried
-rows. The first step, and a step whose D_t is not the cached block,
-projects all of X. The rows W of the correction follow from the b x b
-inner system of M's D_t rows, and the projections on the new eta_dag
-are M - (X W^T) W. The absorb appends W to A and writes no d x d
-matrix; the k come from the projections, and the forward correction
-is applied through its b' x b' inner system, with no d x d by d x m
-product. Once every R // b steps the layer flushes: it writes
+ridge, kf at k = 0 (the fixed pair (0, 0), bit for bit ridge) and
+kf_bayes carry eta_dag in the deferred form E - A^T A: a d x d base E
+and a block A of the correction rows of the latest absorbs, at most
+R = min(_CARRY_ROWS, d // 4) of them (see _carry_cap). Their absorb
+(_absorb) needs M = D_t eta_dag on the carried matrix. That is the
+V = D_next eta_dag the previous step kept, whenever that step's D_next
+is this D_t; otherwise D_t is projected (_project), 2 b d^2 + 4 b r d
+flops through r carried rows. The rows W = L^{-1} M of the correction
+follow from the b x b inner system S = I + M D_t^T = L L^T, and the D_t
+rows on the new eta_dag are the gain L^{-T} W = S^{-1} M, with no
+subtraction. Each head moves by head - gain^T (D_t head - Y_t), the
+recursive least squares step. The absorb appends W to A and writes no
+d x d matrix; D_next, when the step needs it, is projected once on the
+new eta_dag. Once every R // b steps the layer flushes: it writes
 E - A^T A into a fresh base, (r + b) d^2 more flops, and empties A.
 Layer l flushes at the steps t = l modulo R // b, so the layers of a
 model take turns and a batch pays at most one flush while L * b <= R.
 Per layer, the state is d^2 + R d numbers. A layer with R // b < 2
 flushes every step, which is the dense rank-b write.
 
-Every step keeps only its forward term, one layout for every style: the
-upcoming block, k_next and V = D_next eta_dag. V serves two steps: the
-next absorb takes its D_t rows from it, and the correction rows W_f of
+kf_bayes takes its k from the projections, and applies the forward
+correction through its b' x b' inner system, with no d x d by d x m
+product. Every step keeps only its forward term, one layout for every
+style: the upcoming block, k_next and V = D_next eta_dag. V serves two
+steps: the next absorb takes M from it, and the correction rows W_f of
 the complete rate follow from it in O(b^2 d) (_forward_rows). kf's step
 and every read of eta build the complete rate from them (_complete_rate),
 and a previous_complete step takes the previous complete rate from them.
@@ -90,8 +91,8 @@ from .stream import one_hot
 K_CLAMP_LO = 1e-6
 K_CLAMP_HI = 1e6
 
-# Most correction rows an adaptive layer carries before writing them
-# into its d x d base; _carry_cap lowers it to d // 4 for narrow layers.
+# Most correction rows a carried layer holds before writing them into
+# its d x d base; _carry_cap lowers it to d // 4 for narrow layers.
 # A low-rank write of the d x d matrix is bound by memory traffic: at
 # d=1040 on a 2-vCPU x86_64 VM, writing eta - W^T W took 4.6 ms for 20
 # rows of W and 7.6 ms for 160. Per adaptive step at b=20, the carried
@@ -173,12 +174,13 @@ class SubLearnerState:
     ridge and kf.
 
     eta_dag is carried as base - rows^T rows: a d x d base E and an
-    r x d block A of correction rows not yet written into it. Fixed
-    pairs keep no rows. An adaptive step appends its b absorb rows and
-    writes E - A^T A into a fresh base only on a flush, once every
-    R // b steps with R = _carry_cap(d) = min(_CARRY_ROWS, d // 4) (see
-    _flush_due), so r never exceeds R. Reading eta_dag builds E - A^T A
-    when rows are carried.
+    r x d block A of correction rows not yet written into it. Only kf
+    with k > 0 keeps no rows. A ridge, kf at k = 0 or kf_bayes step
+    appends its b absorb rows and writes E - A^T A into a fresh base
+    only on a flush, once every R // b steps with
+    R = _carry_cap(d) = min(_CARRY_ROWS, d // 4) (see _flush_due), so r
+    never exceeds R. Reading eta_dag builds E - A^T A when rows are
+    carried.
 
     A step stores only its forward term, O(b * d), or None when it had
     none: the triple (D_next, k_next, V) of its own copy of D_next, the
@@ -352,42 +354,37 @@ def _cached_rows(state, D):
     return forward[2]
 
 
-def _adaptive_absorb(state, D, DN, t, layer, absorb, rng):
-    """Absorb D_t into the carried eta_dag and adapt the k from it.
+def _absorb(state, D, DN, t, layer, absorb):
+    """Absorb D_t into the carried eta_dag; the projections of the step.
 
-    eta_dag is E - A^T A (see SubLearnerState). With X = [D_t; D_next],
-    the projections on the carried matrix are M = X E - (X A^T) A. The
-    D_t rows of M are a copy of the V the previous step kept when its
-    D_next equals D_t (_cached_rows), so only D_next is projected, at
-    2 b' d^2 + 4 b' r d flops; otherwise all of X is (_project). The
-    correction rows W = L^{-1} M_t, with M_t the D_t rows of M and
-    L L^T = I + M_t D_t^T, follow from the b x b inner system, and the
-    projections on the new eta_dag are M - (X W^T) W. W is appended to
-    A; on a flush (_flush_due) the new base E - A^T A is written once,
-    (r + b) d^2 flops, and no rows are carried. An inner system that is
-    not positive definite raises NumericalFailure (_correction_rows).
+    eta_dag is E - A^T A (see SubLearnerState). M = D_t eta_dag on it is
+    the V the previous step kept when its D_next equals D_t
+    (_cached_rows), and otherwise one projection (_project). The
+    correction rows W = L^{-1} M, with L L^T = S = I + M D_t^T, follow
+    from the b x b inner system, and the D_t rows on the new eta_dag are
+    the gain L^{-T} W = S^{-1} M. W is appended to A; on a flush
+    (_flush_due) the new base E - A^T A is written once, (r + b) d^2
+    flops, and no rows are carried. D_next, when given, is projected
+    once on the new eta_dag. An inner system that is not positive
+    definite raises NumericalFailure (_correction_rows). A batch that is
+    not absorbed leaves eta_dag as it is, and its gain is M.
 
-    Returns (base, rows, proj, (k_cur, k_next)), with proj the rows
-    X @ eta_dag on the new eta_dag.
+    Returns (base, rows, M, gain, W, V): W is None when the batch is not
+    absorbed, V = D_next eta_dag on the new eta_dag, None without D_next.
     """
-    X = D if DN is None else np.vstack([D, DN])
     base, rows = state.base, state.rows
-    V = _cached_rows(state, D)
-    if V is None:
-        before = _project(X, base, rows)
-    elif DN is None:
-        before = V.copy()
-    else:
-        before = np.vstack([V, _project(DN, base, rows)])
-    proj = before
+    M = _cached_rows(state, D)
+    if M is None:
+        M = _project(D, base, rows)
+    gain, W = M, None
     if absorb:
-        W = _correction_rows(before[:len(D)], D, 1.0, t)
-        proj = (X @ W.T) @ W
-        np.subtract(before, proj, out=proj)
+        W, L_inv = _correction_rows(M, D, 1.0, t)
+        gain = L_inv.T @ W
         rows = np.vstack([rows, W]) if len(rows) else W
         if _flush_due(t, layer, len(state.rows), len(D), state.d):
             base, rows = _minus_gram(base, rows, t), rows[:0]
-    return base, rows, proj, _adaptive_pair(state, before, proj, D, DN, rng)
+    V = None if DN is None else _project(DN, base, rows)
+    return base, rows, M, gain, W, V
 
 
 def _forward_rows(state):
@@ -399,7 +396,7 @@ def _forward_rows(state):
     the state's batch index.
     """
     D_next, k_next, V = state._forward
-    return _correction_rows(V, D_next, k_next, state.t)
+    return _correction_rows(V, D_next, k_next, state.t)[0]
 
 
 def _complete_rate(state):
@@ -420,17 +417,21 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     and takes (k_cur, k_next) from the fixed pair of ridge or kf or,
     when pair is None, the kf_bayes step, adapts them from eta_dag.
 
-    A fixed pair writes the new eta_dag densely, forms the complete rate
-    eta from the forward term (_complete_rate) and moves the head by
+    kf with k > 0 writes the new eta_dag densely (woodbury_update),
+    forms the complete rate eta from the forward term (_complete_rate)
+    and moves the head by
     theta -= eta [((1 - k_cur) G_t + k_next G_next) theta - D_t^T Y_t],
     applying G_next as a matrix.
 
-    An adaptive step touches no d x d matrix beyond the absorb, which
-    appends its rows to the carried ones and writes the base only on a
-    flush (_flush_due). The absorb returns A = D_t eta_dag and
-    V = D_next eta_dag on the new eta_dag. The ridge head moves by
-    q -= A^T (D_t q - Y_t), and the head is the exact minimizer of the
-    objective with the forward term k_next G_next,
+    Every other step, the fixed pair (0, 0) of ridge and kf at k = 0
+    included, goes through the carried absorb (_absorb), which touches
+    no d x d matrix beyond a flush (_flush_due) and returns the gain
+    D_t eta_dag and V = D_next eta_dag on the new eta_dag. The head
+    moves by head -= gain^T (D_t head - Y_t): ridge's theta on every
+    batch, so on a paper_strict first batch, whose gain is D_1 eta_0,
+    theta_1 = D_1^T Y_1 / lam; kf_bayes's ridge head q on every absorbed
+    batch. The kf_bayes head is the exact minimizer of the objective
+    with the forward term k_next G_next,
 
         theta = q - k_next V^T S^{-1} (D_next q),
         S = I + k_next V D_next^T,
@@ -454,29 +455,32 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     t = state.t + 1
     absorb = not (t == 1 and state.style.init_mode == "paper_strict")
     layer = getattr(D_t, "layer", None)
+    carried = pair is None or pair == (0.0, 0.0)
     try:
-        if pair is None:
-            base, rows, proj, (k_cur, k_next) = _adaptive_absorb(
-                state, D, DN, t, layer, absorb, rng)
+        if carried:
+            base, rows, M, gain, W, V = _absorb(
+                state, D, DN if pair is None else None, t, layer, absorb)
+            k_cur, k_next = pair or _adaptive_pair(state, M, gain, W, V, D, DN, rng)
         else:
             base = state.eta_dag
             if absorb:
                 base = woodbury_update(base, D, 1.0, batch_index=t)
             rows = state.rows[:0]
-            (k_cur, k_next), proj = pair, None
+            (k_cur, k_next), V = pair, None
         forward = None
         if DN is not None and k_next != 0.0:
-            V = DN @ base if proj is None else proj[len(D):]
-            forward = (DN.copy(), k_next, V)
+            forward = (DN.copy(), k_next, DN @ base if V is None else V)
         new_state = dataclasses.replace(state, base=base, rows=rows, t=t,
                                         _forward=forward)
         if pair is None:
             if absorb:
-                q = q - proj[:len(D)].T @ (D @ q - Y)
+                q = q - gain.T @ (D @ q - Y)
             theta = q
             if forward is not None:
                 S = np.eye(len(DN)) + k_next * (V @ DN.T)
                 theta = q - k_next * (V.T @ _solve_inner(S, DN @ q))
+        elif carried:
+            theta = theta - gain.T @ (D @ theta - Y)
         else:
             # The current side of the drift minus the cross term, through
             # the b x d block instead of the Gram G_t.
@@ -528,8 +532,8 @@ def _k_from_projection(proj, kappa, sigma, fast, rng):
     # solve_spd keeps its least squares fallback here, unlike the
     # Woodbury corrections: P is only read for k, no state is carried on
     # from it, and in floating point it can be singular while eta_dag is
-    # positive definite. On raw 0-255 pixels at lam = 1e-6 the first
-    # kf_bayes batch already needs the fallback twice.
+    # positive definite, as when sigma is lost against entries of D eta
+    # D^T many orders of magnitude larger.
     P = proj + sigma * np.eye(b)
     if not np.all(np.isfinite(P)):
         raise NumericalFailure("projected covariance is non-finite")
@@ -587,19 +591,20 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
     return _k_from_projection(D @ eta @ D.T, kappa, sigma, fast, rng)
 
 
-def _adaptive_pair(state, before, proj, D, DN, rng):
-    """Clamped adaptive (k_cur, k_next) from the projections of the step.
+def _adaptive_pair(state, M, gain, W, V, D, DN, rng):
+    """Clamped adaptive (k_cur, k_next) from the projections of the absorb.
 
-    proj holds X @ eta_dag, X = [D; D_next], on the new eta_dag and
-    before the same rows on the previous one. k_cur is the k_next the
-    previous step stored with its forward term; only a state without
-    one, at the first step or after a closing step, takes k_cur from
-    the rule on D. Under k_source="previous_complete" the projections
-    are taken on the previous complete rate instead, once one exists:
-    before on a state without a forward term, and otherwise
-    before - (D_next @ W_f^T) @ W_f, with the correction rows W_f built
-    from the V the previous step kept (_forward_rows). k_next is 0 at the
-    end of the stream.
+    gain and V are D_t eta_dag and D_next eta_dag on the new eta_dag, M
+    is D_t eta_dag on the previous one, and W the absorb's correction
+    rows (see _absorb). k_cur is the k_next the previous step stored
+    with its forward term; only a state without one, at the first step
+    or after a closing step, takes k_cur from the rule on D. Under
+    k_source="previous_complete" the projections are taken on the
+    previous complete rate instead, once one exists: M, and for D_next
+    V + (D_next W^T) W, less (D_next W_f^T) W_f when the state has a
+    forward term, with the correction rows W_f built from the V the
+    previous step kept (_forward_rows). k_next is 0 at the end of the
+    stream.
     """
     style = state.style
 
@@ -607,17 +612,21 @@ def _adaptive_pair(state, before, proj, D, DN, rng):
         k = _k_from_projection(block, style.kappa, style.sigma, style.fast_k, rng)
         return float(np.clip(k, K_CLAMP_LO, K_CLAMP_HI))
 
-    b = D.shape[0]
+    # A previous complete rate exists from the second step on, and every
+    # such step absorbs, so W is set.
     complete = style.k_source == "previous_complete" and state.t > 0
-    if complete:
-        proj = before
-    k_cur = clamped(proj[:b] @ D.T) if state._forward is None else state._forward[1]
+    if state._forward is None:
+        k_cur = clamped((M if complete else gain) @ D.T)
+    else:
+        k_cur = state._forward[1]
     if DN is None:
         return k_cur, 0.0
-    P = proj[b:]
-    if complete and state._forward is not None:
-        W_f = _forward_rows(state)
-        P = before[b:] - (DN @ W_f.T) @ W_f
+    P = V
+    if complete:
+        P = V + (DN @ W.T) @ W
+        if state._forward is not None:
+            W_f = _forward_rows(state)
+            P -= (DN @ W_f.T) @ W_f
     return k_cur, clamped(P @ DN.T)
 
 

@@ -86,15 +86,20 @@ def woodbury_update(eta, D, c, batch_index=None):
         raise ContractError(f"c must be nonnegative, got {c}")
     if c == 0.0 or D.shape[0] == 0:
         return eta.copy()
-    return _minus_gram(eta, _correction_rows(D @ eta, D, c, batch_index),
+    return _minus_gram(eta, _correction_rows(D @ eta, D, c, batch_index)[0],
                        batch_index)
 
 
 def _correction_rows(P, D, c, batch_index=None):
-    """The rows W = sqrt(c) L^{-1} P of a rank-b correction.
+    """The rows W = sqrt(c) L^{-1} P of a rank-b correction, and L^{-1}.
 
     S = I + c * P D^T is the b x b inner system and L its Cholesky
-    factor (_inner_cholesky, which raises when there is none).
+    factor (_inner_cholesky, which raises when there is none). With
+    c = 1 and P = D eta, L^{-T} W = S^{-1} P is D eta' on the corrected
+    eta' = eta - W^T W, the gain of a recursive least squares step.
+
+    Returns:
+        (W, L_inv).
     """
     L = _inner_cholesky(np.eye(D.shape[0]) + c * (P @ D.T), batch_index)
     # W = L^{-1} P through the explicit b x b inverse plus one step of
@@ -110,7 +115,7 @@ def _correction_rows(P, D, c, batch_index=None):
     np.subtract(P, residual, out=residual)
     W += L_inv @ residual
     W *= np.sqrt(c)
-    return W
+    return W, L_inv
 
 
 def _inner_cholesky(S, batch_index=None):

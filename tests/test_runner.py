@@ -11,7 +11,7 @@ import yaml
 from perfbench.workloads import pixel_standin, write_idx
 from rvflstream import cli
 from rvflstream.errors import ConfigError, ContractError, NumericalFailure
-from rvflstream.learners import ContinualModel, RegStyle
+from rvflstream.learners import ContinualModel, RegStyle, compute_adaptive_k
 from rvflstream.metrics import TraceSeries
 from rvflstream.runner import (
     RunReport,
@@ -357,7 +357,11 @@ class TestRawPixelStream:
     def test_k_rule_keeps_its_least_squares_path(self, monkeypatch):
         # P + sigma I of the k rule can be singular in floating point
         # while eta_dag is positive definite; the rule solves it by least
-        # squares (twice on this first batch) instead of stopping.
+        # squares instead of stopping. The raw first batch does not
+        # reach it: its k come from the gain's projection I - S^{-1},
+        # which is well conditioned. Two equal rows of norm
+        # 1e15 at eta = I make P + sigma I singular: sigma is lost
+        # against entries of 1e30.
         from rvflstream import solvers
 
         calls, ldl = [], solvers._ldl_solve
@@ -376,7 +380,11 @@ class TestRawPixelStream:
             RegStyle("kf_bayes"))
         model.observe(stream[0].X, stream[0].Y, stream[1].X)
         assert model.t == 1
-        assert calls == [(20, 20)] * 2
+        assert calls == []
+        D = np.array([[1e15, 0.0], [1e15, 0.0]])
+        k = compute_adaptive_k(D, np.eye(2), kappa=1.0, sigma=1e-5)
+        assert calls == [(2, 2)]
+        assert np.isfinite(k)
 
 
 class TestTrainingRowsHeldOnce:
