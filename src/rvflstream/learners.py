@@ -22,31 +22,35 @@ labeled batches only; the complete rate eta additionally absorbs the
 k-weighted Gram of the upcoming unlabeled batch and is rebuilt from
 eta_dag every step. State size never grows with t.
 
-The current batch's data term is applied to a head through its b x d
-block. kf with k > 0 writes the new eta_dag densely and moves theta by
-the complete rate; with a forward term it also forms the d x d Gram
-D_next^T D_next, the reference form the k = 1 pin checks bit for bit.
-No other step does.
+Every style absorbs the current batch one way (_absorb) and carries
+eta_dag in the deferred form E - A^T A: a d x d base E and a block A of
+the correction rows of the latest absorbs. The absorb needs
+M = D_t eta_dag on the carried matrix. That is the V = D_next eta_dag
+the previous step kept, whenever that step's D_next is this D_t;
+otherwise D_t is projected (_project), 2 b d^2 + 4 b r d flops through r
+carried rows. The rows W = L^{-1} M of the correction follow from the
+b x b inner system S = I + M D_t^T = L L^T, and the D_t rows on the new
+eta_dag are the gain L^{-T} W = S^{-1} M, with no subtraction. The
+absorb appends W to A and writes no d x d matrix; D_next, when the step
+has a forward term, is projected once on the new eta_dag. On a flush it
+writes E - A^T A into a fresh base, (r + b) d^2 more flops, and empties
+A.
 
 ridge, kf at k = 0 (the fixed pair (0, 0), bit for bit ridge) and
-kf_bayes carry eta_dag in the deferred form E - A^T A: a d x d base E
-and a block A of the correction rows of the latest absorbs, at most
-R = min(_CARRY_ROWS, d // 4) of them (see _carry_cap). Their absorb
-(_absorb) needs M = D_t eta_dag on the carried matrix. That is the
-V = D_next eta_dag the previous step kept, whenever that step's D_next
-is this D_t; otherwise D_t is projected (_project), 2 b d^2 + 4 b r d
-flops through r carried rows. The rows W = L^{-1} M of the correction
-follow from the b x b inner system S = I + M D_t^T = L L^T, and the D_t
-rows on the new eta_dag are the gain L^{-T} W = S^{-1} M, with no
-subtraction. Each head moves by head - gain^T (D_t head - Y_t), the
-recursive least squares step. The absorb appends W to A and writes no
-d x d matrix; D_next, when the step needs it, is projected once on the
-new eta_dag. Once every R // b steps the layer flushes: it writes
-E - A^T A into a fresh base, (r + b) d^2 more flops, and empties A.
+kf_bayes carry at most R = min(_CARRY_ROWS, d // 4) rows (see
+_carry_cap) and flush once every R // b steps. Each of their heads moves
+by head - gain^T (D_t head - Y_t), the recursive least squares step.
 Layer l flushes at the steps t = l modulo R // b, so the layers of a
 model take turns and a batch pays at most one flush while L * b <= R.
 Per layer, the state is d^2 + R d numbers. A layer with R // b < 2
 flushes every step, which is the dense rank-b write.
+
+kf with k > 0 carries no rows: its absorb flushes on every step, the
+dense rank-b write of woodbury_update, and theta moves by the complete
+rate; with a forward term it also forms the d x d Gram
+D_next^T D_next. That is the dense chain the k = 1 pin checks bit for
+bit. No other step forms a d x d Gram or multiplies a d x d rate by a
+head.
 
 kf_bayes takes its k from the projections, and applies the forward
 correction through its b' x b' inner system, with no d x d by d x m
@@ -81,7 +85,7 @@ from .solvers import (
     _solve_inner,
     _solve_terms,
     solve_spd,
-    woodbury_update,
+    woodbury_update,  # uncalled; test_tracer_restores_every_wrapped_name reads it
 )
 from .stream import one_hot
 
@@ -174,12 +178,13 @@ class SubLearnerState:
     ridge and kf.
 
     eta_dag is carried as base - rows^T rows: a d x d base E and an
-    r x d block A of correction rows not yet written into it. Only kf
-    with k > 0 keeps no rows. A ridge, kf at k = 0 or kf_bayes step
-    appends its b absorb rows and writes E - A^T A into a fresh base
-    only on a flush, once every R // b steps with
+    r x d block A of correction rows not yet written into it. Every step
+    absorbs through _absorb, which appends its b rows and writes
+    E - A^T A into a fresh base on a flush. A ridge, kf at k = 0 or
+    kf_bayes step flushes once every R // b steps with
     R = _carry_cap(d) = min(_CARRY_ROWS, d // 4) (see _flush_due), so r
-    never exceeds R. Reading eta_dag builds E - A^T A when rows are
+    never exceeds R; a kf step with k > 0 flushes every time, so its
+    rows stay empty. Reading eta_dag builds E - A^T A when rows are
     carried.
 
     A step stores only its forward term, O(b * d), or None when it had
@@ -354,7 +359,7 @@ def _cached_rows(state, D):
     return forward[2]
 
 
-def _absorb(state, D, DN, t, layer, absorb):
+def _absorb(state, D, DN, t, layer, absorb, carry):
     """Absorb D_t into the carried eta_dag; the projections of the step.
 
     eta_dag is E - A^T A (see SubLearnerState). M = D_t eta_dag on it is
@@ -362,12 +367,15 @@ def _absorb(state, D, DN, t, layer, absorb):
     (_cached_rows), and otherwise one projection (_project). The
     correction rows W = L^{-1} M, with L L^T = S = I + M D_t^T, follow
     from the b x b inner system, and the D_t rows on the new eta_dag are
-    the gain L^{-T} W = S^{-1} M. W is appended to A; on a flush
-    (_flush_due) the new base E - A^T A is written once, (r + b) d^2
-    flops, and no rows are carried. D_next, when given, is projected
-    once on the new eta_dag. An inner system that is not positive
-    definite raises NumericalFailure (_correction_rows). A batch that is
-    not absorbed leaves eta_dag as it is, and its gain is M.
+    the gain L^{-T} W = S^{-1} M. W is appended to A; on a flush the new
+    base E - A^T A is written once, (r + b) d^2 flops, and no rows are
+    carried. With carry the flush comes when _flush_due says; without
+    it every absorb flushes, which is woodbury_update(E, D_t, 1.0) on a
+    base that carries no rows, operation for operation. D_next, when
+    given, is projected once on the new eta_dag. An inner system that is
+    not positive definite raises NumericalFailure (_correction_rows). A
+    batch that is not absorbed leaves eta_dag as it is, and its gain is
+    M.
 
     Returns (base, rows, M, gain, W, V): W is None when the batch is not
     absorbed, V = D_next eta_dag on the new eta_dag, None without D_next.
@@ -381,7 +389,7 @@ def _absorb(state, D, DN, t, layer, absorb):
         W, L_inv = _correction_rows(M, D, 1.0, t)
         gain = L_inv.T @ W
         rows = np.vstack([rows, W]) if len(rows) else W
-        if _flush_due(t, layer, len(state.rows), len(D), state.d):
+        if not carry or _flush_due(t, layer, len(state.rows), len(D), state.d):
             base, rows = _minus_gram(base, rows, t), rows[:0]
     V = None if DN is None else _project(DN, base, rows)
     return base, rows, M, gain, W, V
@@ -417,16 +425,17 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     and takes (k_cur, k_next) from the fixed pair of ridge or kf or,
     when pair is None, the kf_bayes step, adapts them from eta_dag.
 
-    kf with k > 0 writes the new eta_dag densely (woodbury_update),
-    forms the complete rate eta from the forward term (_complete_rate)
-    and moves the head by
+    Every step absorbs through _absorb, which touches no d x d matrix
+    beyond a flush and returns the gain D_t eta_dag and
+    V = D_next eta_dag on the new eta_dag. kf with k > 0 carries no rows,
+    so its absorb writes the new eta_dag every step; it forms the
+    complete rate eta from the forward term (_complete_rate) and moves
+    the head by
     theta -= eta [((1 - k_cur) G_t + k_next G_next) theta - D_t^T Y_t],
     applying G_next as a matrix.
 
     Every other step, the fixed pair (0, 0) of ridge and kf at k = 0
-    included, goes through the carried absorb (_absorb), which touches
-    no d x d matrix beyond a flush (_flush_due) and returns the gain
-    D_t eta_dag and V = D_next eta_dag on the new eta_dag. The head
+    included, carries rows and flushes when _flush_due says. The head
     moves by head -= gain^T (D_t head - Y_t): ridge's theta on every
     batch, so on a paper_strict first batch, whose gain is D_1 eta_0,
     theta_1 = D_1^T Y_1 / lam; kf_bayes's ridge head q on every absorbed
@@ -439,10 +448,11 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     so no earlier k is left in it. k_cur is the previous step's k_next,
     the weight on G_t carried into this step (_adaptive_pair).
 
-    The forward term is skipped when D_next is None or k_next == 0.
-    Otherwise the new state keeps (its own copy of D_next, k_next, V),
-    with V = D_next eta_dag on the new eta_dag, whichever the style; a
-    caller that changes its D_next array afterwards changes no state.
+    The forward term is skipped when D_next is None or k_next == 0, and
+    then D_next is not projected. Otherwise the new state keeps (its own
+    copy of D_next, k_next, V), with V the absorb's D_next eta_dag on
+    the new eta_dag, whichever the style; a caller that changes its
+    D_next array afterwards changes no state.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -457,19 +467,10 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     layer = getattr(D_t, "layer", None)
     carried = pair is None or pair == (0.0, 0.0)
     try:
-        if carried:
-            base, rows, M, gain, W, V = _absorb(
-                state, D, DN if pair is None else None, t, layer, absorb)
-            k_cur, k_next = pair or _adaptive_pair(state, M, gain, W, V, D, DN, rng)
-        else:
-            base = state.eta_dag
-            if absorb:
-                base = woodbury_update(base, D, 1.0, batch_index=t)
-            rows = state.rows[:0]
-            (k_cur, k_next), V = pair, None
-        forward = None
-        if DN is not None and k_next != 0.0:
-            forward = (DN.copy(), k_next, DN @ base if V is None else V)
+        base, rows, M, gain, W, V = _absorb(
+            state, D, None if pair == (0.0, 0.0) else DN, t, layer, absorb, carried)
+        k_cur, k_next = pair or _adaptive_pair(state, M, gain, W, V, D, DN, rng)
+        forward = None if V is None else (DN.copy(), k_next, V)
         new_state = dataclasses.replace(state, base=base, rows=rows, t=t,
                                         _forward=forward)
         if pair is None:

@@ -2,12 +2,15 @@
 
 The streaming learners never refactor a full Gram matrix: every learning
 rate matrix eta is carried forward through Woodbury corrections of rank
-b (the batch size). A correction does two pieces of d x d work: one
-product D @ eta, and one write of eta - W^T W in row panels, symmetric
-by construction, where W is a b x d block from the Cholesky factor of
-the b x b inner system. The offline solver offline_kf_fit computes the
-same quantities directly and is the exact reference for what the
-recursions must reproduce step by step.
+b (the batch size). A correction's rows W, a b x d block, follow from the
+Cholesky factor of the b x b inner system (_correction_rows); writing
+eta - W^T W is d x d work, done in row panels and symmetric by
+construction (_minus_gram). The learners carry the rows and write them
+only on a flush, and take the product D @ eta from the step before when
+they can, so no step calls woodbury_update: it is the dense reference,
+one product and one write per call. The offline solver offline_kf_fit
+computes the same quantities directly and is the exact reference for
+what the recursions must reproduce step by step.
 
 All factorizations and solves use numpy.linalg only.
 """

@@ -41,7 +41,7 @@ from rvflstream.network import (
     row_blocks,
     softmax,
 )
-from rvflstream.solvers import offline_kf_fit, offline_ridge_fit
+from rvflstream.solvers import offline_kf_fit, offline_ridge_fit, woodbury_update
 from rvflstream.stream import (
     LabeledDataset,
     Task,
@@ -225,6 +225,42 @@ class TestForwardStep:
                     G_next @ theta_ref - D.T @ Y
                 )
             assert np.array_equal(state.theta, theta_ref)
+
+    @pytest.mark.parametrize("init_mode", ["theorem", "paper_strict"])
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_matches_the_dense_chain_bit_for_bit(self, k, init_mode,
+                                                 monkeypatch):
+        # kf carries no rows, so every absorb writes eta_dag: theta and
+        # eta_dag equal a dense woodbury_update chain bit for bit, the
+        # complete rate its rank-b' update by k D_next^T D_next. Step 5's
+        # D_t is not step 4's D_next, so it is projected afresh; step 7's
+        # is an equal copy of step 6's D_next and takes the cached V.
+        # d=150 spans two panels of the d x d write.
+        rng = np.random.default_rng(90)
+        d, m, b, T, lam = 150, 3, 5, 9, 0.3
+        stream = random_stream(rng, T, b, d, m)
+        other = rng.standard_normal((b, d))
+        counts = _count_projected_rows(monkeypatch)
+        state = fresh_state(d=d, m=m, lam=lam, kind="kf", k=k,
+                            init_mode=init_mode)
+        theta, eta_dag = np.zeros((d, m)), np.eye(d) / lam
+        for i, (D, Y) in enumerate(stream):
+            D_next = other if i == 3 else stream[i + 1][0] if i + 1 < T else None
+            counts.clear()
+            state = step_kf(state, D.copy() if i == 6 else D, Y, D_next)
+            if i > 0 or init_mode == "theorem":
+                eta_dag = woodbury_update(eta_dag, D, 1.0)
+            drift = D.T @ ((1.0 - k) * (D @ theta) - Y)
+            eta = eta_dag
+            if D_next is not None:
+                eta = woodbury_update(eta_dag, D_next, k)
+                drift = k * ((D_next.T @ D_next) @ theta) + drift
+            theta = theta - eta @ drift
+            assert len(state.rows) == 0, f"step {i + 1}"
+            assert np.array_equal(state.eta_dag, eta_dag), f"step {i + 1}"
+            assert np.array_equal(state.theta, theta), f"step {i + 1}"
+            want = [] if D_next is None else [b]
+            assert counts == ([b] + want if i in (0, 4) else want), f"step {i + 1}"
 
     def test_final_step_without_next_is_ridge(self):
         state = fresh_state(d=2, m=1, kind="kf", k=5.0)
@@ -572,11 +608,11 @@ def _traced_peak(fn):
 
 
 def _count_dxd_work(monkeypatch):
-    """Record the learners' woodbury_update calls and _minus_gram writes."""
+    """Record the learners' inner systems (_correction_rows) and d x d writes."""
     from rvflstream import learners
 
     calls, writes = [], []
-    for name, log in (("woodbury_update", calls), ("_minus_gram", writes)):
+    for name, log in (("_correction_rows", calls), ("_minus_gram", writes)):
         def counted(*args, _inner=getattr(learners, name), _log=log, **kwargs):
             _log.append(args[0].shape)
             return _inner(*args, **kwargs)
@@ -630,8 +666,9 @@ class TestImplicitForwardRate:
             if previous is not None:
                 assert pair[0] == previous[1], f"step {i + 1}"
             skipped = i == 0 and style_kw.get("init_mode") == "paper_strict"
-            # d=10 carries no rows at b=4: the absorb is the one write.
-            assert calls == []
+            # d=10 carries no rows at b=4: the absorb is the one inner
+            # system and the one write.
+            assert len(calls) == (0 if skipped else 1), f"step {i + 1}"
             assert len(writes) == (0 if skipped else 1), f"step {i + 1}"
             theta, _, eta = _closed_form(stream, i, D_next, pair[1], init_mode)
             assert _rel(adaptive.theta, theta) <= 1e-9, f"step {i + 1}"
@@ -928,8 +965,9 @@ def _count_projected_rows(monkeypatch):
 
 
 class TestCachedProjection:
-    # An adaptive step keeps V = D_next eta_dag; the next absorb takes
-    # its D_t rows from V and projects only D_next on the carried matrix.
+    # A step with a forward term keeps V = D_next eta_dag; the next absorb
+    # takes its D_t rows from V and projects only D_next on the carried
+    # matrix.
 
     def _run(self, stream, style_kw):
         d, m = stream[0][0].shape[1], stream[0][1].shape[1]
@@ -975,15 +1013,25 @@ class TestCachedProjection:
             for k, want in zip(pairs[i], full_pairs[i]):
                 assert k == pytest.approx(want, rel=k_bound, abs=0), f"step {i + 1}"
 
-    def test_model_projects_only_the_next_batch(self, monkeypatch):
+    @pytest.mark.parametrize("style_kw", [{"kind": "kf_bayes"},
+                                          {"kind": "kf", "k": 0.5}],
+                             ids=["kf_bayes", "kf"])
+    def test_model_projects_only_the_next_batch(self, style_kw, monkeypatch):
         # After the first observe every layer projects only the b' rows
         # of its next batch on the base; the first projects its b rows
         # of D_t, then the b' of D_next, and the closing observe projects
-        # nothing.
+        # nothing. kf absorbs as kf_bayes does, with no woodbury_update.
+        from rvflstream import learners, solvers
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("woodbury_update called on the step path")
+
+        for module in (learners, solvers):
+            monkeypatch.setattr(module, "woodbury_update", unreached)
         counts = _count_projected_rows(monkeypatch)
         rng = np.random.default_rng(80)
         config = NetworkConfig(L=3, N=150, s=10, m=3, lam=1.0, seed=4)
-        model = ContinualModel(config, RegStyle(kind="kf_bayes"))
+        model = ContinualModel(config, RegStyle(**style_kw))
         sizes = [20, 20, 7, 20, 13, 20]
         X = [rng.standard_normal((n, 10)) for n in sizes]
         Y = [np.eye(3)[rng.integers(0, 3, n)] for n in sizes]
@@ -1042,8 +1090,10 @@ class TestPreviousCompleteSource:
     def test_one_absorb_per_step_on_the_parent_rule(self, monkeypatch):
         # k_next comes from the previous complete rate, taken from the
         # absorb's product and the forward rows the previous step kept:
-        # no Woodbury call and at most one d x d write (the flush). The
-        # reference inverts that rate's information matrix. k_cur is the
+        # one inner system for the absorb, one more for those rows once
+        # a step has kept them and has a D_next, and at most one d x d
+        # write (the flush). The reference inverts that rate's
+        # information matrix. k_cur is the
         # previous k_next; the first step takes it from the rule, on
         # eta_dag with D_t absorbed.
         calls, writes = _count_dxd_work(monkeypatch)
@@ -1069,7 +1119,7 @@ class TestPreviousCompleteSource:
             writes.clear()
             previous = k_next
             state, (k_cur, k_next) = step_kf_bayes(state, D, Y, D_next)
-            assert calls == [], f"step {i + 1}"
+            assert len(calls) == (2 if 0 < i < T - 1 else 1), f"step {i + 1}"
             assert len(writes) <= 1, f"step {i + 1}"
             if i == 0:
                 assert k_cur == pytest.approx(rule(D, basis), rel=1e-10)
