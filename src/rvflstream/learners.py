@@ -748,23 +748,26 @@ class ContinualModel:
     def eval_features(self, X):
         """Precompute the design matrices of a fixed test set, X held once.
 
-        Returns a network.FeatureStore: one column-major n x (L N + s)
-        block [H_1 | ... | H_L | X] of the prepared rows, n (L N + s)
-        doubles. Each block of row_blocks runs through extract_features
-        on its own and its H_l and X are copied in, so beyond the store
-        only one block's features exist at a time. len() of the store is
-        L, and iterating it, or indexing it by layer, yields each
-        layer's [H_l | X] one layer at a time, equal bit for bit to the D
-        that extract_features gives.
+        X is n x s rows: an array, or a stream.HeldRows such as a
+        dataset's rows, whose idx pixels are held as uint8. Returns a
+        network.FeatureStore: one column-major n x (L N + s) block
+        [H_1 | ... | H_L | X] of the prepared rows, n (L N + s) doubles.
+        Each block of row_blocks is read from X (X[rows], which scales
+        held pixels to float64), prepared and run through
+        extract_features on its own, and its H_l and X are copied in, so
+        beyond the store only one block's float rows and features exist
+        at a time. len() of the store is L, and iterating it, or
+        indexing it by layer, yields each layer's [H_l | X] one layer at
+        a time, equal bit for bit to the D that extract_features gives.
         """
-        X = self._prepare(X)
         store = FeatureStore.empty(len(X), self.config)
         for rows in row_blocks(len(X)):
-            feats = extract_features(X[rows], self.weights, self.config)
+            block = self._prepare(X[rows])
+            feats = extract_features(block, self.weights, self.config)
             for l in range(store.L):
                 store.hidden(l)[rows] = feats[l].D[:, :store.N]
-            store.X[rows] = X[rows]
-            del feats  # before the next block's features exist
+            store.X[rows] = block
+            del feats, block  # before the next block's rows exist
         return store
 
     def per_learner_probs(self, X=None, eval_feats=None, out=None):
@@ -854,7 +857,9 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
 
     Args:
         tasks: ordered task list from split_class_incremental; these
-            baselines alone may see the boundaries.
+            baselines alone may see the boundaries. Each task's rows are
+            read as float64 once, as its pool (task.X, which divides a
+            task's held idx pixels by 255).
         model: the run's ContinualModel. The baselines take its config,
             its random backbone and its input preprocessing, so under
             network.standardize they see the z-scores the learner froze
@@ -886,12 +891,13 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
     layer's Gram D^T D and cross term D^T Y of a pool are formed once,
     solved for that pool's expert and added to the pooled sums in task
     order, the sums offline_kf_fit forms over the tasks' feature blocks,
-    and then the pool's features are dropped. So no task's inputs are
-    stacked and only one pool's features are held at a time. The three
-    full-test baselines are scored as the runner scores the learner, by
-    targets.score on one (L, m, n) logits buffer. Each separate expert
-    scores its task's test rows once, a row block at a time, each block
-    one gather of its rows of the store's [H_1 | ... | H_L | X] block,
+    and then the pool's float rows and features are dropped. So no
+    task's inputs are stacked and only one pool's float rows and
+    features are held at a time. The three full-test baselines are
+    scored as the runner scores the learner, by targets.score on one
+    (L, m, n) logits buffer. Each separate expert scores its task's test
+    rows once, a row block at a time, each block one gather of its rows
+    of the store's [H_1 | ... | H_L | X] block,
     so beyond boolean row masks only that buffer and each score's fused
     probabilities are test-sized. Every logit sums the X part, then the
     H part, as the runner's evaluations do (_layer_probs).

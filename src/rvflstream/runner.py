@@ -328,9 +328,9 @@ def _load_datasets(ds):
         opts = {key: ds[key] for key in ("label_column", "delimiter")}
         train = load_csv_features(ds["train"], m=ds.get("m"), split="train", **opts)
         test = load_csv_features(ds["test"], m=train.m, split="test", **opts)
-    if test.X.shape[1] != train.X.shape[1]:
-        raise ConfigError(f"dataset: the test set has {test.X.shape[1]} features "
-                          f"and the train set {train.X.shape[1]}")
+    if test.rows.shape[1] != train.rows.shape[1]:
+        raise ConfigError(f"dataset: the test set has {test.rows.shape[1]} features "
+                          f"and the train set {train.rows.shape[1]}")
     return train, test
 
 
@@ -401,19 +401,23 @@ def run_experiment(config):
     the accuracy matrix are recorded from the stream's side channel,
     which the learning path itself never reads (audited in the report).
 
-    The training rows are held once, in the task split: the loaded
-    train set is released as soon as it is split, and the stream's
-    batches are views of the tasks' rows. The test set is held once
-    too: the first evaluation stores its per-layer features and
-    releases the loaded inputs, and its labels live on in the run's
-    metrics.Targets, which scores the learner and the baselines.
+    The training rows are held once, in the task split, at their
+    source's width (one byte per idx pixel, eight per csv or synthetic
+    value): the loaded train set is released as soon as it is split,
+    and the stream builds each batch's float64 rows when it is read,
+    keeping the last one, so each step's X_t is the array the step
+    before it received as X_next. The test set is held once too, at its
+    source's width until the first evaluation reads it a row block at a
+    time into the stored per-layer features and releases it; its labels
+    live on in the run's metrics.Targets, which scores the learner and
+    the baselines.
 
     acc_seen is NaN at an evaluation whose seen classes have no test
     rows; report.json writes it as null.
     """
     train, test = _load_datasets(config.dataset)
     net = _build(NetworkConfig, "network",
-                 dict(config.network, s=train.X.shape[1], m=train.m))
+                 dict(config.network, s=train.rows.shape[1], m=train.m))
     tasks = split_class_incremental(train, config.split,
                                     shuffle_within=config.shuffle_within)
     del train
@@ -457,7 +461,7 @@ def run_experiment(config):
                 # Built once per run: every evaluation writes its
                 # class-major logits into buf, and targets holds the
                 # labels.
-                test_feats = model.eval_features(test.X)
+                test_feats = model.eval_features(test.rows)
                 del test
                 buf = np.empty((net.L, net.m, len(targets.cls)))
             scores = targets.score(

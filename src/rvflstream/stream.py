@@ -21,23 +21,87 @@ IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
 
 
-@dataclass
-class LabeledDataset:
-    """A flat supervised dataset: X is n x s, y holds labels in [0, m)."""
+class HeldRows:
+    """n x s rows held at their source's width, read as float64 rows.
 
-    X: np.ndarray
-    y: np.ndarray
-    m: int
-    split: str = "train"
+    held is what the source gave. Rows that load_idx marks as pixels are
+    the file's uint8, one byte per pixel; any other rows are held as
+    float64 (or, in a hand-built Task, as given). rows[sel] is the one
+    way rows are read, so a caller that reads a block at a time, as
+    ContinualModel.eval_features does, holds one float block beyond the
+    held rows. Only load_idx passes pixels=True: no dtype implies it, so
+    a caller's uint8 array is never divided.
+    """
 
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=int)
-        if self.X.ndim != 2 or self.X.shape[0] < 1:
-            raise ContractError(f"X must be a nonempty matrix, got shape {self.X.shape}")
-        if self.y.shape != (self.X.shape[0],):
+    def __init__(self, held, pixels=False):
+        self.held = held
+        self.pixels = pixels
+
+    def __len__(self):
+        return len(self.held)
+
+    def __getitem__(self, sel):
+        """The selected rows as a read-only array.
+
+        Pixels are divided by 255 in one float64 pass,
+        np.divide(held, 255.0, dtype=np.float64): the bytes of
+        held.astype(float) / 255.0 at every pixel value and, with the
+        dtype pinned, on every numpy version. Other rows are a view of
+        held, with held's dtype.
+        """
+        X = self.held[sel]
+        X = np.divide(X, 255.0, dtype=np.float64) if self.pixels else X[...]
+        X.flags.writeable = False
+        return X
+
+    @property
+    def shape(self):
+        return self.held.shape
+
+    def take(self, index):
+        """A read-only copy of the selected held rows, marked as these are."""
+        held = self.held[index]
+        held.flags.writeable = False
+        return HeldRows(held, self.pixels)
+
+
+class _Rows:
+    """A dataset or task: its rows held as a HeldRows, read whole as X."""
+
+    rows: HeldRows
+
+    @property
+    def X(self):
+        """Every row as float64.
+
+        The held array itself, except for idx pixels: those are read
+        anew on each access as one read-only n x s float64 array.
+        """
+        rows = self.rows
+        return rows[:] if rows.pixels else rows.held
+
+
+class LabeledDataset(_Rows):
+    """A flat supervised dataset: X is n x s, y holds labels in [0, m).
+
+    X may be any n x s array-like, held as float64 (an integer array
+    converts with no scaling), or a HeldRows, held as it is: load_idx
+    passes the file's uint8 pixels that way, so they are held at one
+    byte each and X reads them divided by 255.
+    """
+
+    def __init__(self, X, y, m, split="train"):
+        self.rows = X if isinstance(X, HeldRows) else HeldRows(
+            np.asarray(X, dtype=float))
+        self.y = np.asarray(y, dtype=int)
+        self.m = m
+        self.split = split
+        held = self.rows.held
+        if held.ndim != 2 or held.shape[0] < 1:
+            raise ContractError(f"X must be a nonempty matrix, got shape {held.shape}")
+        if self.y.shape != (held.shape[0],):
             raise ContractError("y must have one label per row of X")
-        if not np.all(np.isfinite(self.X)):
+        if not (self.rows.pixels or np.all(np.isfinite(held))):
             raise ContractError("features must be finite")
         if self.y.min() < 0 or self.y.max() >= self.m:
             raise ContractError(
@@ -46,13 +110,17 @@ class LabeledDataset:
             )
 
 
-@dataclass
-class Task:
-    """One class-incremental task: samples of a disjoint class group."""
+class Task(_Rows):
+    """One class-incremental task: samples of a disjoint class group.
 
-    X: np.ndarray
-    y: np.ndarray
-    classes: tuple
+    X is held as given, or as the HeldRows split_class_incremental
+    passes, which keeps a dataset's idx pixels at one byte each.
+    """
+
+    def __init__(self, X, y, classes):
+        self.rows = X if isinstance(X, HeldRows) else HeldRows(X)
+        self.y = y
+        self.classes = classes
 
 
 @dataclass(frozen=True)
@@ -87,25 +155,58 @@ class StreamBatch:
 
 
 class BatchStream:
-    """An ordered batch sequence with a counted boundary side channel."""
+    """An ordered batch sequence with a counted boundary side channel.
 
-    def __init__(self, batches, annotations, task_end_batches, b, m):
-        self.batches = list(batches)
+    The batches are built when they are read, from the tasks' held rows
+    (see batchify), so the stream adds no rows of its own beyond the
+    last batch built. That batch is kept: reading stream[i + 1] and then
+    stream[i + 1] again, as the runner's loop does when it passes X_next
+    and then steps on it, gives the same StreamBatch object.
+    """
+
+    def __init__(self, tasks, annotations, task_end_batches, b, m):
+        self._tasks = tuple(tasks)
         self._annotations = tuple(annotations)
         self._task_end_batches = tuple(task_end_batches)
         self.b = b
         self.m = m
-        self.T = len(self.batches)
+        self.T = len(self._annotations)
         self.annotation_reads = 0
+        sizes = [len(tk.y) for tk in self._tasks]
+        self._ends = np.cumsum(sizes)
+        self._starts = self._ends - sizes
+        self._last = None
 
     def __iter__(self):
-        return iter(self.batches)
+        return (self[i] for i in range(self.T))
 
     def __len__(self):
         return self.T
 
     def __getitem__(self, i):
-        return self.batches[i]
+        if isinstance(i, slice):
+            return [self[j] for j in range(self.T)[i]]
+        t = range(1, self.T + 1)[i]
+        if self._last is None or self._last.t != t:
+            self._last = self._build(t)
+        return self._last
+
+    def _build(self, t):
+        """Batch t (1-based): rows [(t - 1) b, t b) of the tasks in order."""
+        starts, ends = self._starts, self._ends
+        start, stop = (t - 1) * self.b, min(t * self.b, int(ends[-1]))
+        # The tasks of the batch's first and last rows, and each one's
+        # share of rows [start, stop).
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        cuts = [(self._tasks[p], slice(max(start, starts[p]) - starts[p],
+                                       min(stop, ends[p]) - starts[p]))
+                for p in range(first, last + 1)]
+        Xs = [tk.rows[cut] for tk, cut in cuts]
+        X = Xs[0] if len(Xs) == 1 else np.concatenate(Xs)
+        X.flags.writeable = False
+        y = np.concatenate([tk.y[cut] for tk, cut in cuts])
+        return StreamBatch(X=X, Y=one_hot(y, self.m), t=t,
+                           short=(stop - start) < self.b)
 
     @property
     def boundary_annotations(self):
@@ -149,10 +250,11 @@ def split_class_incremental(dataset, spec, shuffle_within=True):
 
     Returns:
         Ordered list of Task objects covering every sample exactly once.
-        Each task's X is its own copy of its rows and is read-only: the
-        stream's batches view it, and the baselines refit on it, so it
-        must never be written. The dataset may be released after the
-        split.
+        Each task holds its own read-only copy of its rows at the
+        dataset's held width (HeldRows.take), so idx pixels stay one
+        byte each: the stream's batches read it, and the baselines
+        refit on it, so it must never be written. The dataset may be
+        released after the split.
     """
     per = spec.classes_per_task(dataset.m)
     rng = np.random.default_rng(spec.order_seed)
@@ -165,10 +267,8 @@ def split_class_incremental(dataset, spec, shuffle_within=True):
             idx = idx[rng.permutation(len(idx))]
         else:
             idx = idx[np.argsort(dataset.y[idx], kind="stable")]
-        X = dataset.X[idx]
-        X.flags.writeable = False
         tasks.append(
-            Task(X=X, y=dataset.y[idx],
+            Task(X=dataset.rows.take(idx), y=dataset.y[idx],
                  classes=tuple(int(c) for c in np.sort(group)))
         )
     return tasks
@@ -179,13 +279,15 @@ def batchify(tasks, b, m):
 
     The tasks are read as one row sequence and cut without regard to
     boundaries, so a batch may straddle two tasks or more; the per-batch
-    annotation records the task of the batch's last row. Every batch's
-    X is read-only. A batch inside one task is a row-slice view of that
-    task's X; only a batch that straddles tasks is a copy, so the stream
-    adds at most b rows per task boundary to the rows the tasks hold.
-    The final batch may be short and is flagged. Targets are one-hot
-    over the full class load m. A task without rows is a ContractError
-    naming it and its classes.
+    annotation records the task of the batch's last row. Each batch is
+    built when the stream is read (BatchStream), and its X is read-only
+    float64 rows: a batch inside one task reads its rows through the
+    task's HeldRows, a row-slice view of float rows or its idx pixels
+    divided by 255, and only a batch that straddles tasks is a
+    concatenated copy. So the stream holds no rows beyond the tasks'
+    and the last batch read. The final batch may be short and is
+    flagged. Targets are one-hot over the full class load m. A task
+    without rows is a ContractError naming it and its classes.
     """
     if b < 1:
         raise ContractError(f"batch size must be >= 1, got {b}")
@@ -194,31 +296,11 @@ def batchify(tasks, b, m):
         if len(tk.y) == 0:
             raise ContractError(f"task {q} (classes {list(tk.classes)}) "
                                 f"has no training rows")
-    sizes = [len(tk.y) for tk in tasks]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    n = int(ends[-1])
-
-    batches, annotations = [], []
-    for t, start in enumerate(range(0, n, b), start=1):
-        stop = min(start + b, n)
-        # The tasks of the batch's first and last rows, and each one's
-        # share of rows [start, stop).
-        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
-        cuts = [(tasks[p], slice(max(start, starts[p]) - starts[p],
-                                 min(stop, ends[p]) - starts[p]))
-                for p in range(first, last + 1)]
-        Xs = [tk.X[cut] for tk, cut in cuts]
-        X = Xs[0] if len(Xs) == 1 else np.concatenate(Xs)
-        X.flags.writeable = False
-        y = np.concatenate([tk.y[cut] for tk, cut in cuts])
-        batches.append(
-            StreamBatch(X=X, Y=one_hot(y, m), t=t, short=(stop - start) < b)
-        )
-        annotations.append(int(last))
-
+    ends = np.cumsum([len(tk.y) for tk in tasks])
+    last_rows = np.minimum(np.arange(b, ends[-1] + b, b), ends[-1]) - 1
+    annotations = np.searchsorted(ends, last_rows, side="right").tolist()
     task_end = ((ends - 1) // b + 1).tolist()
-    return BatchStream(batches, annotations, task_end, b=b, m=m)
+    return BatchStream(tasks, annotations, task_end, b=b, m=m)
 
 
 def _read_be32(f, path, what):
@@ -250,9 +332,14 @@ def load_idx(images_path, labels_path=None, split="train"):
     """Load an IDX image/label pair into a flat dataset.
 
     Big-endian format: int32 magic, int32 counts and dimensions, then
-    raw uint8 payload. Pixels are flattened row-major and scaled to
-    [0, 1] (255 -> 1.0). When labels_path is omitted it is inferred by
-    the usual images-idx3 -> labels-idx1 naming convention.
+    raw uint8 payload. Pixels are flattened row-major and held as the
+    file's uint8, one byte each (a HeldRows marked as pixels), in the
+    dataset, in its tasks and in the runner's test set; they are scaled
+    to [0, 1] (255 -> 1.0) wherever rows are read: the dataset's X, each
+    stream batch, each baseline pool and each row block of the test
+    store.
+    When labels_path is omitted it is inferred by the usual
+    images-idx3 -> labels-idx1 naming convention.
     """
     images_path = Path(images_path)
     if labels_path is None:
@@ -277,10 +364,8 @@ def load_idx(images_path, labels_path=None, split="train"):
         )
     if count == 0:
         raise FormatError(f"{images_path}: item count is 0, no images")
-    # Scaled in one pass into one float64 array; the dtype is pinned, so
-    # numpy versions that cast by value give the same bytes.
     return LabeledDataset(
-        X=np.divide(images.reshape(count, rows * cols), 255.0, dtype=np.float64),
+        X=HeldRows(images.reshape(count, rows * cols), pixels=True),
         y=labels.astype(int),
         m=int(labels.max()) + 1,
         split=split,

@@ -32,6 +32,7 @@ from rvflstream.network import (
 )
 from rvflstream.solvers import offline_ridge_fit
 from rvflstream.stream import (
+    HeldRows,
     LabeledDataset,
     TaskSplitSpec,
     batchify,
@@ -400,7 +401,7 @@ class TestTrainingRowsHeldOnce:
 
         def watched_load(ds):
             train, test = load(ds)
-            loaded.append(weakref.ref(train.X))
+            loaded.append(weakref.ref(train.rows.held))
             return train, test
 
         def record_model(*args, **kwargs):
@@ -416,6 +417,86 @@ class TestTrainingRowsHeldOnce:
         report = run_experiment(validate_config(tree))
         assert released == [True]
         assert report.boundary_audit["ok"]
+
+
+class TestHeldPixelsThroughTheRunner:
+    def test_pixels_stay_bytes_and_each_step_gets_its_x_next(
+            self, tmp_path, monkeypatch):
+        # The tasks and the test set hold the idx file's uint8; each
+        # step's X_t is the very array the step before received as
+        # X_next, so observe compares nothing, and every batch the
+        # learner sees is read-only float64.
+        from rvflstream import runner
+
+        calls, stream_tasks, store_inputs = [], [], []
+        observe = ContinualModel.observe
+        eval_features = ContinualModel.eval_features
+
+        def spied_observe(self, X_t, Y_t, X_next=None):
+            calls.append((X_t, X_next))
+            return observe(self, X_t, Y_t, X_next)
+
+        def spied_eval_features(self, X):
+            store_inputs.append(X)
+            return eval_features(self, X)
+
+        def spied_batchify(tasks, b, m):
+            stream_tasks.extend(tasks)
+            return batchify(tasks, b, m)
+
+        monkeypatch.setattr(ContinualModel, "observe", spied_observe)
+        monkeypatch.setattr(ContinualModel, "eval_features", spied_eval_features)
+        monkeypatch.setattr(runner, "batchify", spied_batchify)
+        tree = base_tree(dataset=_write_pixel_standin(tmp_path, 3, 10, 5),
+                         split={"Q": 5}, batch_size=6, baselines=True)
+        report = run_experiment(validate_config(tree))
+
+        assert all(tk.rows.held.dtype == np.uint8 for tk in stream_tasks)
+        assert [type(X) for X in store_inputs] == [HeldRows]
+        assert store_inputs[0].held.dtype == np.uint8
+        assert len(calls) == report.resolved["T"] == 17
+        for (_, handed), (X_t, _) in zip(calls, calls[1:]):
+            assert X_t is handed
+        assert calls[-1][1] is None
+        for X in [X_t for X_t, _ in calls]:
+            assert X.dtype == np.float64 and not X.flags.writeable
+
+
+def _run_outputs(report):
+    """Every number a report holds but the wall clock, for an exact compare."""
+    out = report.as_dict()
+    out.pop("wall_clock")
+    out.pop("config")
+    return out
+
+
+class TestIdxMatchesItsCsv:
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_same_pixels_give_the_same_run(self, tmp_path, standardize):
+        # The pixels once as an idx pair and once as a csv of pixel / 255
+        # at %.17g: the held bytes must read as those floats in every
+        # batch, in both row blocks of the 300-row test store and in the
+        # baseline pools, so the two runs agree to the bit. b = 12 cuts
+        # batches across the 40-row tasks.
+        dataset = _write_pixel_standin(tmp_path, 6, 20, 30)
+        csv = {"kind": "csv"}
+        for split, (images, labels) in zip(("train", "test"),
+                                            pixel_standin(6, 20, 30)):
+            path = tmp_path / f"{split}.csv"
+            np.savetxt(path, np.column_stack([images.reshape(len(images), -1) / 255.0,
+                                              labels]),
+                       fmt=["%.17g"] * 784 + ["%d"], delimiter=",")
+            csv[split] = str(path)
+
+        def run(data):
+            return run_experiment(validate_config(base_tree(
+                dataset=data, split={"Q": 5}, batch_size=12,
+                network={"L": 2, "N": 16, "lam": 1e-2, "standardize": standardize},
+                eval_every="batch", baselines=True)))
+
+        from_idx, from_csv = run(dataset), run(csv)
+        assert from_idx.resolved["T"] == 17
+        assert json.dumps(_run_outputs(from_idx)) == json.dumps(_run_outputs(from_csv))
 
 
 class TestTestInputsHeldOnce:

@@ -8,6 +8,7 @@ import pytest
 
 from rvflstream.errors import ContractError, FormatError
 from rvflstream.stream import (
+    HeldRows,
     LabeledDataset,
     Task,
     TaskSplitSpec,
@@ -327,6 +328,74 @@ class TestIdxLoader:
             f.write(labels.tobytes())
         with pytest.raises(FormatError, match="counts differ"):
             load_idx(img_path, lab_path)
+
+
+class TestHeldPixels:
+    def test_split_and_stream_hold_one_byte_per_pixel(self, tmp_path):
+        # The pixel_bayes train set's size: 2000 images of 28 x 28. The
+        # tasks hold the file's bytes, and the peak over load, split and
+        # batchify is the file's payload plus the tasks' copy of it (2.0
+        # n s here); holding float64 rows took 8 n s per copy.
+        rng = np.random.default_rng(5)
+        labels = np.repeat(np.arange(10, dtype=np.uint8), 200)
+        images = rng.integers(0, 256, (len(labels), 28, 28), dtype=np.uint8)
+        paths = write_idx_pair(tmp_path, images, labels)
+        n, s = 2000, 784
+        tracemalloc.start()
+        try:
+            ds = load_idx(*paths)
+            tasks = split_class_incremental(ds, TaskSplitSpec(Q=5, order_seed=1))
+            stream = batchify(tasks, 20, ds.m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(tk.rows.held.dtype == np.uint8 for tk in tasks)
+        assert sum(tk.rows.held.nbytes for tk in tasks) == n * s
+        assert peak < 3 * n * s, f"peak {peak / (n * s):.2f} bytes per pixel"
+        held = np.vstack([tk.rows.held for tk in tasks])
+        for t, batch in enumerate(stream):
+            want = held[t * 20:(t + 1) * 20].astype(float) / 255.0
+            assert batch.X.dtype == np.float64 and not batch.X.flags.writeable
+            assert batch.X.tobytes() == want.tobytes()
+
+    def test_dataset_x_reads_the_held_pixels_scaled(self, tmp_path):
+        images = (np.arange(6 * 16) % 256).astype(np.uint8).reshape(6, 4, 4)
+        ds = load_idx(*write_idx_pair(tmp_path, images, np.arange(6) % 2))
+        assert ds.rows.held.dtype == np.uint8
+        assert ds.X.tobytes() == (images.reshape(6, 16) / 255.0).tobytes()
+        assert not ds.X.flags.writeable
+        assert ds.rows[2:4].tobytes() == ds.X[2:4].tobytes()
+
+    def test_a_caller_uint8_array_is_not_scaled(self):
+        # Only load_idx marks rows as pixels; a uint8 array handed to
+        # LabeledDataset converts to float64 with its values kept.
+        X = np.array([[0, 255], [7, 128]], dtype=np.uint8)
+        ds = LabeledDataset(X=X, y=[0, 1], m=2)
+        assert not ds.rows.pixels
+        assert ds.X.dtype == np.float64
+        assert np.array_equal(ds.X, [[0.0, 255.0], [7.0, 128.0]])
+        tasks = split_class_incremental(ds, TaskSplitSpec(Q=1))
+        stacked = np.vstack([bt.X for bt in batchify(tasks, 1, 2)])
+        assert stacked.dtype == np.float64
+        assert np.array_equal(stacked, tasks[0].X)
+        assert sorted(map(tuple, stacked)) == [(0.0, 255.0), (7.0, 128.0)]
+
+    def test_marked_rows_read_as_scaled_floats(self):
+        rows = HeldRows(np.array([[0, 51, 255]], dtype=np.uint8), pixels=True)
+        assert rows[:].tobytes() == np.array([[0.0, 0.2, 1.0]]).tobytes()
+        assert not rows[:].flags.writeable
+
+
+class TestBatchStreamReads:
+    def test_rereading_a_batch_gives_the_same_object(self):
+        stream = batchify(random_tasks([5, 4]), 4, 2)
+        nxt = stream[1]
+        assert stream[1] is nxt
+        assert [bt.t for bt in stream] == [1, 2, 3]
+        assert stream[-1].t == 3
+        assert [bt.t for bt in stream[1:]] == [2, 3]
+        with pytest.raises(IndexError):
+            stream[3]
 
 
 class TestCsvLoader:
