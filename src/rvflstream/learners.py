@@ -157,13 +157,13 @@ class RegStyle:
             raise ContractError(f"unknown k_source {self.k_source!r}")
         if self.fast_k not in (None, "random_pick", "trace_only"):
             raise ContractError(f"unknown fast_k {self.fast_k!r}")
-        if self.kind == "kf" and self.k < 0:
-            raise ContractError(f"kf requires k >= 0, got {self.k}")
+        if self.kind == "kf" and not 0 <= self.k < np.inf:
+            raise ContractError(f"kf requires a finite k >= 0, got {self.k}")
         if self.kind == "kf_bayes":
-            if not self.kappa > 0:
-                raise ContractError(f"kf_bayes requires kappa > 0, got {self.kappa}")
-            if not self.sigma > 0:
-                raise ContractError(f"kf_bayes requires sigma > 0, got {self.sigma}")
+            if not 0 < self.kappa < np.inf:
+                raise ContractError(f"kf_bayes requires a finite kappa > 0, got {self.kappa}")
+            if not 0 < self.sigma < np.inf:
+                raise ContractError(f"kf_bayes requires a finite sigma > 0, got {self.sigma}")
 
 
 @dataclass
@@ -215,8 +215,8 @@ class SubLearnerState:
 
     @classmethod
     def initial(cls, d, m, lam, style):
-        if not lam > 0:
-            raise ContractError(f"lam must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise ContractError(f"lam must be positive and finite, got {lam}")
         # I / lam written in place: the same bytes as np.eye(d) / lam,
         # without a second d x d array.
         base = np.zeros((d, d))

@@ -66,8 +66,8 @@ def check_layers(L, N, activation, lam):
     lams = (float(lam),) * L if np.isscalar(lam) else tuple(float(v) for v in lam)
     if len(lams) != L:
         raise ContractError(f"lam must be scalar or length {L}, got {len(lams)} values")
-    if any(not v > 0 for v in lams):
-        raise ContractError("every lam must be positive")
+    if any(not 0 < v < np.inf for v in lams):
+        raise ContractError("every lam must be positive and finite")
     return lams
 
 

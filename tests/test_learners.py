@@ -102,6 +102,26 @@ class TestRegStyle:
         with pytest.raises(ContractError):
             RegStyle(kind="kf_bayes", fast_k="cholesky")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RegStyle(kind="kf", k=np.nan), "finite k "),
+        (lambda: RegStyle(kind="kf", k=np.inf), "finite k "),
+        (lambda: RegStyle(kind="kf_bayes", kappa=np.inf), "finite kappa"),
+        (lambda: RegStyle(kind="kf_bayes", sigma=np.inf), "finite sigma"),
+        (lambda: NetworkConfig(L=2, N=4, s=3, m=2, lam=np.inf),
+         "lam must be positive and finite"),
+        (lambda: NetworkConfig(L=2, N=4, s=3, m=2, lam=(1.0, np.inf)),
+         "lam must be positive and finite"),
+        (lambda: SubLearnerState.initial(3, 2, np.inf, RegStyle(kind="ridge")),
+         "lam must be positive and finite"),
+    ], ids=["kf k nan", "kf k inf", "kappa inf", "sigma inf", "lam inf",
+            "one layer lam inf", "state lam inf"])
+    def test_non_finite_weight_or_lam_is_a_contract_error(self, build, message):
+        # Caller errors, caught where they are made: a non-finite style
+        # weight would fail numerically at batch 1, and lam = inf would
+        # run to all-zero heads.
+        with pytest.raises(ContractError, match=message):
+            build()
+
 
 class TestInitialState:
     def test_zero_weights_and_scaled_identity_rate(self):

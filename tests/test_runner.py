@@ -3,6 +3,7 @@
 import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -978,12 +979,25 @@ class TestCli:
         return p
 
     def test_run_writes_outputs(self, tmp_path, capsys):
-        p = self.write_cfg(tmp_path)
-        code = cli.main(["run", "--config", str(p),
-                         "--out", str(tmp_path / "out")])
-        assert code == 0
-        assert (tmp_path / "out" / "report.json").exists()
-        assert "acc=" in capsys.readouterr().out
+        # kf at k = 1 under paper_strict is run by no other command-line
+        # test.
+        for name, style in (("kf_bayes", {"kind": "kf_bayes"}),
+                            ("kf-strict", {"kind": "kf", "k": 1.0,
+                                           "init_mode": "paper_strict"})):
+            p = self.write_cfg(tmp_path, base_tree(style=style), f"{name}.yaml")
+            code = cli.main(["run", "--config", str(p),
+                             "--out", str(tmp_path / name)])
+            assert code == 0, name
+            assert (tmp_path / name / "report.json").stat().st_size > 0
+            assert "acc=" in capsys.readouterr().out
+
+    def test_console_script_runs_cli_main(self):
+        # The installed rvflstream script is cli.main, so every test here
+        # that calls cli.main runs what the script runs. Read as text:
+        # tomllib is not in Python 3.10.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert 'rvflstream = "rvflstream.cli:main"' in scripts.splitlines()
 
     def test_run_requires_out_somewhere(self, tmp_path, capsys):
         p = self.write_cfg(tmp_path)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from perfbench.workloads import write_idx
 from rvflstream.errors import ContractError, FormatError
 from rvflstream.stream import (
     HeldRows,
@@ -254,13 +255,7 @@ class TestBatchesViewTheTasks:
 def write_idx_pair(tmp_path, images, labels):
     img_path = tmp_path / "toy-images-idx3-ubyte"
     lab_path = tmp_path / "toy-labels-idx1-ubyte"
-    n, r, c = images.shape
-    with open(img_path, "wb") as f:
-        f.write(struct.pack(">iiii", 2051, n, r, c))
-        f.write(images.astype(np.uint8).tobytes())
-    with open(lab_path, "wb") as f:
-        f.write(struct.pack(">ii", 2049, n))
-        f.write(labels.astype(np.uint8).tobytes())
+    write_idx(img_path, lab_path, images, labels)
     return img_path, lab_path
 
 
