@@ -9,57 +9,19 @@ ridge and kf share one recursive update skeleton:
 ridge uses k_cur = k_next = 0 (no forward term) and the forward style a
 constant k_cur = k_next = k. Writing the drift as
 (1 - k_cur) G_t + k_next G_next makes the k = 0 and k = 1 degenerations
-exact in floating point, not just algebraically.
+exact in floating point, not just algebraically. The Bayes-adaptive
+style, kf_bayes, takes k_next every step from the rule of
+compute_adaptive_k.
 
-The Bayes-adaptive style takes k_next every step from the trace of the
-inverse projected covariance. It carries the ridge head q and adds one
-rank-b' forward correction, theta = q - k_next V^T S^{-1} (D_next q),
-so its head equals offline_kf_fit(seen, D_next, k_next, lam) after
-every step; the k_cur it records is the previous step's k_next.
+Each mechanism is described once, in the docstring of its code:
 
-Each learner keeps a pseudo-incomplete rate eta_dag that accumulates the
-labeled batches only; the complete rate eta additionally absorbs the
-k-weighted Gram of the upcoming unlabeled batch and is rebuilt from
-eta_dag every step. State size never grows with t.
-
-Every style absorbs the current batch one way (_absorb) and carries
-eta_dag in the deferred form E - A^T A: a d x d base E and a block A of
-the correction rows of the latest absorbs. The absorb needs
-M = D_t eta_dag on the carried matrix. That is the V = D_next eta_dag
-the previous step kept, whenever that step's D_next is this D_t;
-otherwise D_t is projected (_project), 2 b d^2 + 4 b r d flops through r
-carried rows. The rows W = L^{-1} M of the correction follow from the
-b x b inner system S = I + M D_t^T = L L^T, and the D_t rows on the new
-eta_dag are the gain L^{-T} W = S^{-1} M, with no subtraction. The
-absorb appends W to A and writes no d x d matrix; D_next, when the step
-has a forward term, is projected once on the new eta_dag. On a flush it
-writes E - A^T A into a fresh base, (r + b) d^2 more flops, and empties
-A.
-
-ridge, kf at k = 0 (the fixed pair (0, 0), bit for bit ridge) and
-kf_bayes carry at most R = min(_CARRY_ROWS, d // 4) rows (see
-_carry_cap) and flush once every R // b steps. Each of their heads moves
-by head - gain^T (D_t head - Y_t), the recursive least squares step.
-Layer l flushes at the steps t = l modulo R // b, so the layers of a
-model take turns and a batch pays at most one flush while L * b <= R.
-Per layer, the state is d^2 + R d numbers. A layer with R // b < 2
-flushes every step, which is the dense rank-b write.
-
-kf with k > 0 carries no rows: its absorb flushes on every step, the
-dense rank-b write of woodbury_update, and theta moves by the complete
-rate; with a forward term it also forms the d x d Gram
-D_next^T D_next. That is the dense chain the k = 1 pin checks bit for
-bit. No other step forms a d x d Gram or multiplies a d x d rate by a
-head.
-
-kf_bayes takes its k from the projections, and applies the forward
-correction through its b' x b' inner system, with no d x d by d x m
-product. Every step keeps only its forward term, one layout for every
-style: the upcoming block, k_next and V = D_next eta_dag. V serves two
-steps: the next absorb takes M from it, and the correction rows W_f of
-the complete rate follow from it in O(b^2 d) (_forward_rows). kf's step
-and every read of eta build the complete rate from them (_complete_rate),
-and a previous_complete step takes the previous complete rate from them.
+- SubLearnerState: what a layer carries between batches, eta_dag in
+  the deferred form E - A^T A, the forward term (D_next, k_next, V),
+  and how the complete rate eta is read from them.
+- _absorb: how a step absorbs D_t into eta_dag; _flush_due and
+  _carry_cap: when the carried rows are written into E.
+- _step: how each style moves its head.
+- _adaptive_pair and compute_adaptive_k: the adaptive k.
 """
 
 import dataclasses
@@ -171,37 +133,38 @@ class SubLearnerState:
     """Everything one layer's learner carries between batches.
 
     theta starts at zero (theta_{l,0} = theta_{l,1} = 0) and eta_dag at
-    (lam * I)^{-1}. t counts consumed batches. eta is the complete rate
-    produced by the most recent step; it is None before the first step.
-    A kf_bayes state also carries q, the ridge head on the batches
-    eta_dag absorbed, from which each step forms theta; it is None for
-    ridge and kf.
+    (lam * I)^{-1}. t counts consumed batches. A kf_bayes state also
+    carries q, the ridge head on the batches eta_dag absorbed, from
+    which each step forms theta; it is None for ridge and kf.
 
-    eta_dag is carried as base - rows^T rows: a d x d base E and an
-    r x d block A of correction rows not yet written into it. Every step
-    absorbs through _absorb, which appends its b rows and writes
-    E - A^T A into a fresh base on a flush. A ridge, kf at k = 0 or
-    kf_bayes step flushes once every R // b steps with
-    R = _carry_cap(d) = min(_CARRY_ROWS, d // 4) (see _flush_due), so r
-    never exceeds R; a kf step with k > 0 flushes every time, so its
-    rows stay empty. Reading eta_dag builds E - A^T A when rows are
-    carried.
+    eta_dag, the pseudo-incomplete rate, accumulates the labeled batches
+    only. It is carried as base - rows^T rows: a d x d base E and an
+    r x d block A of correction rows not yet written into it. _absorb
+    appends each batch's rows and writes E - A^T A into a fresh base on
+    a flush (_flush_due), so r never exceeds R = _carry_cap(d), and a
+    state is d^2 + R d numbers beside its heads, whatever t. Reading
+    eta_dag builds E - A^T A when rows are carried.
 
     A step stores only its forward term, O(b * d), or None when it had
     none: the triple (D_next, k_next, V) of its own copy of D_next, the
-    weight and V = D_next eta_dag on the new eta_dag. V serves two
-    steps: the next absorb takes the rows of its D_t from it when that
-    D_t equals the stored D_next, and the complete rate's correction
+    weight and V = D_next eta_dag on the new eta_dag, one layout for
+    every style. V serves two steps: the next absorb takes the rows of
+    its D_t from it when that D_t equals the stored D_next
+    (_cached_rows), and the complete rate's correction
     eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows from
-    it in O(b^2 d); a previous_complete step takes its projections from
-    that correction. The stored k_next is the next adaptive step's k_cur.
-    Reading eta writes one fresh d x d array on every read,
-    E - [A; W_f]^T [A; W_f] (_complete_rate), and returns eta_dag when
-    there is no forward term. Every correction here factors its b x b
-    inner system by Cholesky; one that is not positive definite means
-    eta_dag has lost positive definiteness, and the step or the read
-    raises NumericalFailure. No step writes into an array an earlier
-    state holds.
+    it in O(b^2 d) (_forward_rows); a previous_complete step takes its
+    projections from that correction. The stored k_next is the next
+    adaptive step's k_cur.
+
+    eta, the complete rate, also absorbs the k_next-weighted Gram of the
+    upcoming unlabeled batch. It is None before the first step, eta_dag
+    when the latest step has no forward term, and otherwise built from
+    eta_dag and the forward term on every read, one fresh d x d array
+    E - [A; W_f]^T [A; W_f] (_complete_rate). Every correction here
+    factors its b x b inner system by Cholesky; one that is not
+    positive definite means eta_dag has lost positive definiteness, and
+    the step or the read raises NumericalFailure. No step writes into an
+    array an earlier state holds.
     """
 
     theta: np.ndarray
@@ -323,12 +286,15 @@ def _carry_cap(d):
 def _flush_due(t, layer, carried, b, d):
     """Whether the absorb at batch t writes its layer's base.
 
-    Layer l (0 for a bare array) flushes when t = l modulo R // b, with
-    R = _carry_cap(d), so the layers of one model take turns and no
+    ridge, kf at k = 0 (the fixed pair (0, 0), bit for bit ridge) and
+    kf_bayes carry at most R = _carry_cap(d) rows and flush once every
+    R // b steps: layer l (0 for a bare array) flushes when
+    t = l modulo R // b, so the layers of one model take turns and no
     batch pays more than one flush while L * b <= R. A batch that would
     carry more than R rows flushes too, which bounds the rows for any
     mix of batch sizes. When R // b < 2 every step flushes, which is the
-    dense rank-b write.
+    dense rank-b write. kf with k > 0 carries no rows, and every one of
+    its absorbs flushes (_absorb).
     """
     cap = _carry_cap(d)
     period = max(1, cap // b)
@@ -364,18 +330,21 @@ def _absorb(state, D, DN, t, layer, absorb, carry):
 
     eta_dag is E - A^T A (see SubLearnerState). M = D_t eta_dag on it is
     the V the previous step kept when its D_next equals D_t
-    (_cached_rows), and otherwise one projection (_project). The
-    correction rows W = L^{-1} M, with L L^T = S = I + M D_t^T, follow
-    from the b x b inner system, and the D_t rows on the new eta_dag are
-    the gain L^{-T} W = S^{-1} M. W is appended to A; on a flush the new
-    base E - A^T A is written once, (r + b) d^2 flops, and no rows are
-    carried. With carry the flush comes when _flush_due says; without
-    it every absorb flushes, which is woodbury_update(E, D_t, 1.0) on a
-    base that carries no rows, operation for operation. D_next, when
-    given, is projected once on the new eta_dag. An inner system that is
-    not positive definite raises NumericalFailure (_correction_rows). A
-    batch that is not absorbed leaves eta_dag as it is, and its gain is
-    M.
+    (_cached_rows): the product made when D_t was the upcoming batch
+    serves both steps. Otherwise M is one projection (_project),
+    2 b d^2 + 4 b r d flops through r carried rows. The correction rows
+    W = L^{-1} M, with L L^T = S = I + M D_t^T, follow from the b x b
+    inner system, and the D_t rows on the new eta_dag are the gain
+    L^{-T} W = S^{-1} M, with no subtraction. W is appended to A and no
+    d x d matrix is written, except on a flush: the new base E - A^T A
+    is written once into a fresh array, (r + b) d^2 flops, and no rows
+    are carried. With carry the flush comes when _flush_due says;
+    without it, as for kf with k > 0, every absorb flushes, which is
+    woodbury_update(E, D_t, 1.0) on a base that carries no rows,
+    operation for operation. D_next, when given, is projected once on
+    the new eta_dag. An inner system that is not positive definite
+    raises NumericalFailure (_correction_rows). A batch that is not
+    absorbed leaves eta_dag as it is, and its gain is M.
 
     Returns (base, rows, M, gain, W, V): W is None when the batch is not
     absorbed, V = D_next eta_dag on the new eta_dag, None without D_next.
@@ -420,39 +389,41 @@ def _complete_rate(state):
 def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     """Advance one head on batch (D_t, Y_t).
 
-    The step absorbs D_t into eta_dag (skipped at t == 1 in paper_strict
-    mode, reproducing the literal listing where eta_dag stays at eta_0)
-    and takes (k_cur, k_next) from the fixed pair of ridge or kf or,
-    when pair is None, the kf_bayes step, adapts them from eta_dag.
+    The step absorbs D_t into eta_dag through _absorb (skipped at t == 1
+    in paper_strict mode, reproducing the literal listing where eta_dag
+    stays at eta_0), which returns the gain D_t eta_dag and
+    V = D_next eta_dag on the new eta_dag. It takes (k_cur, k_next) from
+    the fixed pair of ridge or kf or, when pair is None, the kf_bayes
+    step, adapts them from the absorb's projections (_adaptive_pair).
 
-    Every step absorbs through _absorb, which touches no d x d matrix
-    beyond a flush and returns the gain D_t eta_dag and
-    V = D_next eta_dag on the new eta_dag. kf with k > 0 carries no rows,
-    so its absorb writes the new eta_dag every step; it forms the
-    complete rate eta from the forward term (_complete_rate) and moves
-    the head by
+    kf with k > 0 forms the complete rate eta from the forward term
+    (SubLearnerState) and moves the head by
     theta -= eta [((1 - k_cur) G_t + k_next G_next) theta - D_t^T Y_t],
-    applying G_next as a matrix.
+    applying G_next as the d x d Gram D_next^T D_next. That is the dense
+    chain the k = 1 pin checks bit for bit. No other step forms a d x d
+    Gram or multiplies a d x d rate by a head.
 
     Every other step, the fixed pair (0, 0) of ridge and kf at k = 0
-    included, carries rows and flushes when _flush_due says. The head
-    moves by head -= gain^T (D_t head - Y_t): ridge's theta on every
-    batch, so on a paper_strict first batch, whose gain is D_1 eta_0,
+    included, moves its head by the recursive least squares step
+    head -= gain^T (D_t head - Y_t): ridge's theta on every batch, so on
+    a paper_strict first batch, whose gain is D_1 eta_0,
     theta_1 = D_1^T Y_1 / lam; kf_bayes's ridge head q on every absorbed
     batch. The kf_bayes head is the exact minimizer of the objective
-    with the forward term k_next G_next,
+    with the forward term k_next G_next, one rank-b' correction of q
+    through its b' x b' inner system, with no d x d by d x m product,
 
         theta = q - k_next V^T S^{-1} (D_next q),
         S = I + k_next V D_next^T,
 
-    so no earlier k is left in it. k_cur is the previous step's k_next,
-    the weight on G_t carried into this step (_adaptive_pair).
+    so it equals offline_kf_fit(seen, D_next, k_next, lam) after every
+    step and no earlier k is left in it. k_cur is the previous step's
+    k_next, the weight on G_t carried into this step.
 
     The forward term is skipped when D_next is None or k_next == 0, and
     then D_next is not projected. Otherwise the new state keeps (its own
     copy of D_next, k_next, V), with V the absorb's D_next eta_dag on
-    the new eta_dag, whichever the style; a caller that changes its
-    D_next array afterwards changes no state.
+    the new eta_dag, whichever the style (see SubLearnerState); a caller
+    that changes its D_next array afterwards changes no state.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -569,8 +540,8 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
     Args:
         D: b x d feature block, b >= 1.
         eta: d x d PSD rate matrix.
-        kappa: positive scale; the result is exactly linear in it.
-        sigma: nonnegative diagonal floor (the style default is 1e-5;
+        kappa: positive finite scale; the result is exactly linear in it.
+        sigma: nonnegative finite diagonal floor (the style default is 1e-5;
             zero is accepted when the projection is already invertible).
         fast: None for the exact rule, "random_pick" to use one random
             diagonal entry of the inverse, "trace_only" to use
@@ -580,9 +551,20 @@ def compute_adaptive_k(D, eta, kappa, sigma, fast=None, rng=None):
 
     Returns:
         A finite scalar, positive whenever the projection is PD.
+
+    Raises:
+        ContractError: eta not square, kappa not in (0, inf), sigma not
+            in [0, inf), or D not a nonempty block with d columns.
+        NumericalFailure: finite inputs whose projection overflows.
     """
     D = _as_matrix(D)
     eta = np.asarray(eta, dtype=float)
+    if eta.ndim != 2 or eta.shape[0] != eta.shape[1]:
+        raise ContractError(f"eta must be square, got shape {eta.shape}")
+    if not 0 < kappa < np.inf:
+        raise ContractError(f"kappa must be positive and finite, got {kappa}")
+    if not 0 <= sigma < np.inf:
+        raise ContractError(f"sigma must be nonnegative and finite, got {sigma}")
     if D.ndim != 2 or D.shape[0] < 1:
         raise ContractError(f"D must have at least one row, got shape {D.shape}")
     if D.shape[1] != eta.shape[0]:

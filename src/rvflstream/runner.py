@@ -320,14 +320,14 @@ def _load_datasets(ds):
         return _build(make_gaussian_dataset, "dataset",
                       {key: value for key, value in ds.items() if key != "kind"})
     if kind == "idx":
-        train = load_idx(ds["train_images"], ds["train_labels"], split="train")
-        test = load_idx(ds["test_images"], ds["test_labels"], split="test")
+        train = load_idx(ds["train_images"], ds["train_labels"])
+        test = load_idx(ds["test_images"], ds["test_labels"])
         m = max(train.m, test.m)
         train.m = test.m = m
     else:
         opts = {key: ds[key] for key in ("label_column", "delimiter")}
-        train = load_csv_features(ds["train"], m=ds.get("m"), split="train", **opts)
-        test = load_csv_features(ds["test"], m=train.m, split="test", **opts)
+        train = load_csv_features(ds["train"], m=ds.get("m"), **opts)
+        test = load_csv_features(ds["test"], m=train.m, **opts)
     if test.rows.shape[1] != train.rows.shape[1]:
         raise ConfigError(f"dataset: the test set has {test.rows.shape[1]} features "
                           f"and the train set {train.rows.shape[1]}")

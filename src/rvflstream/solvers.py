@@ -62,7 +62,8 @@ def woodbury_update(eta, D, c, batch_index=None):
     Args:
         eta: d x d symmetric positive definite matrix. Not modified.
         D: b x d data block. b may be zero (the update is a no-op).
-        c: nonnegative weight on the D^T D term. c == 0 is a no-op.
+        c: nonnegative finite weight on the D^T D term. c == 0 is a
+            no-op.
         batch_index: optional stream position, used only in error reports.
 
     Returns:
@@ -72,7 +73,7 @@ def woodbury_update(eta, D, c, batch_index=None):
         the lower, so no other d x d temporary is built.
 
     Raises:
-        ContractError: on shape mismatch or negative c.
+        ContractError: on shape mismatch, or c not in [0, inf).
         NumericalFailure: if the inner b x b system is non-finite or not
             positive definite (so eta is not positive semidefinite), or
             the result contains non-finite entries. The error carries
@@ -85,8 +86,8 @@ def woodbury_update(eta, D, c, batch_index=None):
     d = eta.shape[0]
     if D.ndim != 2 or D.shape[1] != d:
         raise ContractError(f"D must have {d} columns, got shape {D.shape}")
-    if c < 0:
-        raise ContractError(f"c must be nonnegative, got {c}")
+    if not 0 <= c < np.inf:
+        raise ContractError(f"c must be nonnegative and finite, got {c}")
     if c == 0.0 or D.shape[0] == 0:
         return eta.copy()
     return _minus_gram(eta, _correction_rows(D @ eta, D, c, batch_index)[0],
@@ -249,7 +250,7 @@ def offline_ridge_fit(D_all, Y_all, lam):
     Args:
         D_all: n x d stacked feature rows.
         Y_all: n x m stacked targets.
-        lam: positive regularization strength.
+        lam: positive finite regularization strength.
 
     Returns:
         OfflineSolution with the fitted weights.
@@ -263,8 +264,8 @@ def offline_ridge_dual(D_all, Y_all, lam):
     Used only as a cross check of the primal form; the streaming path
     never calls it. Takes the inputs offline_ridge_fit takes.
     """
-    if not lam > 0:
-        raise ContractError(f"lam must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ContractError(f"lam must be positive and finite, got {lam}")
     D_all, Y_all = _checked_block(D_all, Y_all)
     n = D_all.shape[0]
     K = D_all @ D_all.T + lam * np.eye(n)
@@ -288,8 +289,8 @@ def offline_kf_fit(batches, D_next, k, lam):
             at least one row, matching row counts and finite entries.
         D_next: finite b x d feature block of the next batch, or None
             at the end of a stream.
-        k: nonnegative forward weight.
-        lam: positive regularization strength.
+        k: nonnegative finite forward weight.
+        lam: positive finite regularization strength.
 
     Returns:
         OfflineSolution for the combined system.
@@ -297,10 +298,10 @@ def offline_kf_fit(batches, D_next, k, lam):
     batches = list(batches)
     if len(batches) < 1:
         raise ContractError("at least one labeled batch is required")
-    if not lam > 0:
-        raise ContractError(f"lam must be positive, got {lam}")
-    if k < 0:
-        raise ContractError(f"k must be nonnegative, got {k}")
+    if not 0 < lam < np.inf:
+        raise ContractError(f"lam must be positive and finite, got {lam}")
+    if not 0 <= k < np.inf:
+        raise ContractError(f"k must be nonnegative and finite, got {k}")
 
     sums = d = None
     for D_i, Y_i in batches:

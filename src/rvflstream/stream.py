@@ -90,12 +90,11 @@ class LabeledDataset(_Rows):
     byte each and X reads them divided by 255.
     """
 
-    def __init__(self, X, y, m, split="train"):
+    def __init__(self, X, y, m):
         self.rows = X if isinstance(X, HeldRows) else HeldRows(
             np.asarray(X, dtype=float))
         self.y = np.asarray(y, dtype=int)
         self.m = m
-        self.split = split
         held = self.rows.held
         if held.ndim != 2 or held.shape[0] < 1:
             raise ContractError(f"X must be a nonempty matrix, got shape {held.shape}")
@@ -157,24 +156,34 @@ class StreamBatch:
 class BatchStream:
     """An ordered batch sequence with a counted boundary side channel.
 
-    The batches are built when they are read, from the tasks' held rows
-    (see batchify), so the stream adds no rows of its own beyond the
-    last batch built. That batch is kept: reading stream[i + 1] and then
-    stream[i + 1] again, as the runner's loop does when it passes X_next
-    and then steps on it, gives the same StreamBatch object.
+    The one map from batches to tasks is made here, once, from the
+    cumulative task sizes: for every batch, the task of its first row
+    and the task of its last row. The last-row tasks are the
+    boundary_annotations, and task_end_batches comes from the same
+    ends. The batches are built when they are read, from the tasks'
+    held rows (see batchify), so the stream adds no rows of its own
+    beyond the last batch built. That batch is kept: reading
+    stream[i + 1] and then stream[i + 1] again, as the runner's loop
+    does when it passes X_next and then steps on it, gives the same
+    StreamBatch object.
     """
 
-    def __init__(self, tasks, annotations, task_end_batches, b, m):
+    def __init__(self, tasks, b, m):
         self._tasks = tuple(tasks)
-        self._annotations = tuple(annotations)
-        self._task_end_batches = tuple(task_end_batches)
         self.b = b
         self.m = m
-        self.T = len(self._annotations)
-        self.annotation_reads = 0
         sizes = [len(tk.y) for tk in self._tasks]
         self._ends = np.cumsum(sizes)
         self._starts = self._ends - sizes
+        n = int(self._ends[-1])
+        first_rows = np.arange(0, n, b)
+        last_rows = np.minimum(first_rows + b, n) - 1
+        self.T = len(first_rows)
+        self._first_tasks = np.searchsorted(self._ends, first_rows, side="right").tolist()
+        self._annotations = tuple(np.searchsorted(
+            self._ends, last_rows, side="right").tolist())
+        self._task_end_batches = tuple(((self._ends - 1) // b + 1).tolist())
+        self.annotation_reads = 0
         self._last = None
 
     def __iter__(self):
@@ -192,15 +201,16 @@ class BatchStream:
         return self._last
 
     def _build(self, t):
-        """Batch t (1-based): rows [(t - 1) b, t b) of the tasks in order."""
+        """Batch t (1-based): rows [(t - 1) b, t b) of the tasks in order.
+
+        Each task from the one of the batch's first row to the one of
+        its last row gives its share of those rows.
+        """
         starts, ends = self._starts, self._ends
         start, stop = (t - 1) * self.b, min(t * self.b, int(ends[-1]))
-        # The tasks of the batch's first and last rows, and each one's
-        # share of rows [start, stop).
-        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
         cuts = [(self._tasks[p], slice(max(start, starts[p]) - starts[p],
                                        min(stop, ends[p]) - starts[p]))
-                for p in range(first, last + 1)]
+                for p in range(self._first_tasks[t - 1], self._annotations[t - 1] + 1)]
         Xs = [tk.rows[cut] for tk, cut in cuts]
         X = Xs[0] if len(Xs) == 1 else np.concatenate(Xs)
         X.flags.writeable = False
@@ -296,11 +306,7 @@ def batchify(tasks, b, m):
         if len(tk.y) == 0:
             raise ContractError(f"task {q} (classes {list(tk.classes)}) "
                                 f"has no training rows")
-    ends = np.cumsum([len(tk.y) for tk in tasks])
-    last_rows = np.minimum(np.arange(b, ends[-1] + b, b), ends[-1]) - 1
-    annotations = np.searchsorted(ends, last_rows, side="right").tolist()
-    task_end = ((ends - 1) // b + 1).tolist()
-    return BatchStream(tasks, annotations, task_end, b=b, m=m)
+    return BatchStream(tasks, b, m)
 
 
 def _read_be32(f, path, what):
@@ -328,7 +334,7 @@ def _read_idx(path, magic, kind, unit, sizes):
     return values, np.frombuffer(payload, dtype=np.uint8)
 
 
-def load_idx(images_path, labels_path=None, split="train"):
+def load_idx(images_path, labels_path=None):
     """Load an IDX image/label pair into a flat dataset.
 
     Big-endian format: int32 magic, int32 counts and dimensions, then
@@ -368,11 +374,10 @@ def load_idx(images_path, labels_path=None, split="train"):
         X=HeldRows(images.reshape(count, rows * cols), pixels=True),
         y=labels.astype(int),
         m=int(labels.max()) + 1,
-        split=split,
     )
 
 
-def load_csv_features(path, label_column=-1, delimiter=",", m=None, split="train"):
+def load_csv_features(path, label_column=-1, delimiter=",", m=None):
     """Load a rectangular numeric table with one label column.
 
     An optional single header row is detected by non-numeric cells in
@@ -433,7 +438,7 @@ def load_csv_features(path, label_column=-1, delimiter=",", m=None, split="train
     X = np.delete(data, label_idx, axis=1)
     if m is None:
         m = int(labels.max()) + 1
-    return LabeledDataset(X=X, y=labels, m=m, split=split)
+    return LabeledDataset(X=X, y=labels, m=m)
 
 
 def make_gaussian_dataset(classes, dims, separation, samples, test_samples,
@@ -454,11 +459,11 @@ def make_gaussian_dataset(classes, dims, separation, samples, test_samples,
     rng = np.random.default_rng(seed)
     centers = separation * rng.standard_normal((classes, dims))
 
-    def draw(per_class, split):
+    def draw(per_class):
         X = np.vstack(
             [centers[c] + rng.standard_normal((per_class, dims)) for c in range(classes)]
         )
         y = np.repeat(np.arange(classes), per_class)
-        return LabeledDataset(X=X, y=y, m=classes, split=split)
+        return LabeledDataset(X=X, y=y, m=classes)
 
-    return draw(samples, "train"), draw(test_samples, "test")
+    return draw(samples), draw(test_samples)

@@ -650,8 +650,8 @@ def test_pixel_image_stream_completes_and_orders_styles(tmp_path):
     from rvflstream.stream import load_idx
 
     paths = {k: _materialize_idx(root, n, tmp_path) for k, n in FASHION_FILES.items()}
-    train = load_idx(paths["train_images"], paths["train_labels"], split="train")
-    test = load_idx(paths["test_images"], paths["test_labels"], split="test")
+    train = load_idx(paths["train_images"], paths["train_labels"])
+    test = load_idx(paths["test_images"], paths["test_labels"])
 
     small = tmp_path / "small"
     small.mkdir()
@@ -747,12 +747,12 @@ def test_idx_subset_round_trips_through_the_runner(tmp_path):
         images[:, 0, :] = labels[:, None] * 60  # a class-revealing row
         full = (tmp_path / f"{split}-images", tmp_path / f"{split}-labels")
         _write_idx(images, labels, *full)
-        ds = load_idx(*full, split=split)
+        ds = load_idx(*full)
         paths[split] = (tmp_path / f"{split}-sub-images",
                         tmp_path / f"{split}-sub-labels")
         _write_idx_subset(ds, 5, *paths[split], seed=3)
 
-        sub = load_idx(*paths[split], split=split)
+        sub = load_idx(*paths[split])
         assert np.bincount(sub.y).tolist() == [5] * 4
         matches = (sub.X[:, None, :] == ds.X[None, :, :]).all(axis=2)
         assert np.all(matches.any(axis=1))

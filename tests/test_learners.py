@@ -452,6 +452,15 @@ class TestAdaptiveK:
             compute_adaptive_k(np.ones((0, 2)), np.eye(2), 1.0, 0.0)
         with pytest.raises(ContractError):
             compute_adaptive_k(np.ones((1, 3)), np.eye(2), 1.0, 0.0)
+        D = np.random.default_rng(0).standard_normal((8, 3))
+        with pytest.raises(ContractError, match="eta must be square"):
+            compute_adaptive_k(D, np.ones((3, 4)), 1.0, 1e-5)
+        for kappa in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ContractError, match="kappa"):
+                compute_adaptive_k(D, np.eye(3), kappa, 1e-5)
+        for sigma in (-1.0, np.inf, np.nan):
+            with pytest.raises(ContractError, match="sigma"):
+                compute_adaptive_k(D, np.eye(3), 1.0, sigma)
 
 
 @pytest.mark.parametrize("D_t, D_next, name", [
@@ -1593,7 +1602,7 @@ class TestBaselines:
 
     def test_task_without_test_rows_is_a_contract_error(self):
         test = LabeledDataset(self.test.X[self.test.y < 2],
-                              self.test.y[self.test.y < 2], 4, split="test")
+                              self.test.y[self.test.y < 2], 4)
         with pytest.raises(ContractError, match="empty test set"):
             self.fit(test)
 
@@ -1626,7 +1635,7 @@ class TestBaselines:
             classes=classes, dims=dims, separation=separation, samples=samples,
             test_samples=test_samples, seed=seed)
         perm = np.random.default_rng(seed).permutation(len(test.y))
-        test = LabeledDataset(test.X[perm], test.y[perm], test.m, split="test")
+        test = LabeledDataset(test.X[perm], test.y[perm], test.m)
         tasks = []
         for cls in np.arange(classes).reshape(-1, 2):
             rows = np.isin(train.y, cls)

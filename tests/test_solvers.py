@@ -88,9 +88,10 @@ class TestWoodburyUpdate:
                 pytest.raises(NumericalFailure, match="batch=7"):
             woodbury_update(np.eye(2), D, 1.0, batch_index=7)
 
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ContractError):
-            woodbury_update(np.eye(2), np.ones((1, 2)), -0.5)
+    @pytest.mark.parametrize("c", [-0.5, np.nan, np.inf])
+    def test_rejects_negative_weight(self, c):
+        with pytest.raises(ContractError, match="c must"):
+            woodbury_update(np.eye(2), np.ones((1, 2)), c)
 
     def test_rejects_column_mismatch(self):
         with pytest.raises(ContractError):
@@ -166,7 +167,7 @@ class TestOfflineRidge:
         with pytest.raises(ContractError):
             offline_ridge_fit(np.ones((2, 2)), np.ones((2, 1)), 0.0)
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
     def test_dual_rejects_nonpositive_lam(self, lam):
         with pytest.raises(ContractError, match="lam"):
             offline_ridge_dual(np.ones((2, 2)), np.ones((2, 1)), lam)
@@ -221,20 +222,28 @@ class TestOfflineForwardFit:
 
     @pytest.mark.parametrize("case", [
         "mismatched_rows", "empty_block", "nonfinite_block", "nonfinite_next",
+        "inf_lam", "nan_k", "inf_k",
     ])
     def test_rejects_malformed_inputs(self, case):
         good = (np.ones((4, 3)), np.ones((4, 2)))
-        bad, D_next = good, np.ones((2, 3))
+        bad, D_next, k, lam = good, np.ones((2, 3)), 0.5, 1.0
         if case == "mismatched_rows":
             bad = (np.ones((4, 3)), np.ones((3, 2)))
         elif case == "empty_block":
             bad = (np.ones((0, 3)), np.ones((0, 2)))
         elif case == "nonfinite_block":
             bad = (np.full((4, 3), np.inf), np.ones((4, 2)))
+        elif case == "inf_lam":
+            lam = np.inf
+        elif case == "nan_k":
+            k = np.nan
+        elif case == "inf_k":
+            k = np.inf
         else:
             D_next = np.full((2, 3), np.nan)
-        with pytest.raises(ContractError):
-            offline_kf_fit([good, bad], D_next, 0.5, 1.0)
+        name = {"inf_lam": "^lam ", "nan_k": "^k ", "inf_k": "^k "}.get(case)
+        with pytest.raises(ContractError, match=name):
+            offline_kf_fit([good, bad], D_next, k, lam)
 
 
 class TestBregmanQuadratic:
