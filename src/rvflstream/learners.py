@@ -20,7 +20,7 @@ Each mechanism is described once, in the docstring of its code:
   and how the complete rate eta is read from them.
 - _absorb: how a step absorbs D_t into eta_dag; _flush_due and
   _carry_cap: when the carried rows are written into E.
-- _step: how each style moves its head.
+- _step: how every step moves the head q and forms theta from it.
 - _adaptive_pair and compute_adaptive_k: the adaptive k.
 """
 
@@ -85,13 +85,14 @@ class RegStyle:
             the recursion matches the closed form exactly;
             "paper_strict" skips that accumulation at t == 1, leaving
             the learner fully uninformed at the start of the stream.
-            ridge and kf still move theta by D_1^T Y_1 on the first
-            batch, at their complete rate: ridge's is eta_0 = I / lam,
-            so theta_1 = D_1^T Y_1 / lam, and kf's also holds the
-            forward term, theta_1 = (lam I + k D_2^T D_2)^{-1} D_1^T Y_1.
-            kf_bayes's ridge head skips the batch along with eta_dag, so
-            its head is zero after batch 1 and from then on the closed
-            form over batches 2..t.
+            ridge and kf still move their head by D_1^T Y_1 on the
+            first batch, at their complete rate: ridge's is
+            eta_0 = I / lam, so theta_1 = D_1^T Y_1 / lam, and kf's also
+            holds the forward term,
+            theta_1 = (lam I + k D_2^T D_2)^{-1} D_1^T Y_1. kf_bayes's
+            head q skips the batch along with eta_dag, so it is zero
+            after batch 1 and from then on the closed form over batches
+            2..t.
         k_source: which rate matrix feeds the adaptive-k formula.
             "pseudo" uses the freshly updated eta_dag (listing order);
             "previous_complete" uses the complete eta of the previous
@@ -132,10 +133,12 @@ class RegStyle:
 class SubLearnerState:
     """Everything one layer's learner carries between batches.
 
-    theta starts at zero (theta_{l,0} = theta_{l,1} = 0) and eta_dag at
-    (lam * I)^{-1}. t counts consumed batches. A kf_bayes state also
-    carries q, the ridge head on the batches eta_dag absorbed, from
-    which each step forms theta; it is None for ridge and kf.
+    q is the head every step's recursion moves (_step), whatever the
+    style, and theta the head the layer predicts with: q itself, except
+    after a carried step that keeps a forward term (kf_bayes's), where
+    theta is q's forward correction. Both start as one zero array
+    (theta_{l,0} = theta_{l,1} = 0) and eta_dag at (lam * I)^{-1}. t
+    counts consumed batches.
 
     eta_dag, the pseudo-incomplete rate, accumulates the labeled batches
     only. It is carried as base - rows^T rows: a d x d base E and an
@@ -173,7 +176,7 @@ class SubLearnerState:
     lam: float
     style: RegStyle
     rows: np.ndarray
-    q: np.ndarray | None = None
+    q: np.ndarray
     _forward: tuple | None = None
 
     @classmethod
@@ -184,14 +187,15 @@ class SubLearnerState:
         # without a second d x d array.
         base = np.zeros((d, d))
         np.fill_diagonal(base, 1.0 / lam)
+        head = np.zeros((d, m))
         return cls(
-            theta=np.zeros((d, m)),
+            theta=head,
             base=base,
             t=0,
             lam=float(lam),
             style=style,
             rows=np.empty((0, d)),
-            q=np.zeros((d, m)) if style.kind == "kf_bayes" else None,
+            q=head,
         )
 
     @property
@@ -210,11 +214,11 @@ class SubLearnerState:
 
     @property
     def d(self):
-        return self.theta.shape[0]
+        return self.q.shape[0]
 
     @property
     def m(self):
-        return self.theta.shape[1]
+        return self.q.shape[1]
 
 
 class AdaptiveKTrace:
@@ -396,21 +400,25 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     the fixed pair of ridge or kf or, when pair is None, the kf_bayes
     step, adapts them from the absorb's projections (_adaptive_pair).
 
-    kf with k > 0 forms the complete rate eta from the forward term
-    (SubLearnerState) and moves the head by
-    theta -= eta [((1 - k_cur) G_t + k_next G_next) theta - D_t^T Y_t],
+    Every step moves one head, q (SubLearnerState). kf with k > 0 forms
+    the complete rate eta from the forward term and moves it by
+    q -= eta [((1 - k_cur) G_t + k_next G_next) q - D_t^T Y_t],
     applying G_next as the d x d Gram D_next^T D_next. That is the dense
     chain the k = 1 pin checks bit for bit. No other step forms a d x d
     Gram or multiplies a d x d rate by a head.
 
-    Every other step, the fixed pair (0, 0) of ridge and kf at k = 0
-    included, moves its head by the recursive least squares step
-    head -= gain^T (D_t head - Y_t): ridge's theta on every batch, so on
-    a paper_strict first batch, whose gain is D_1 eta_0,
-    theta_1 = D_1^T Y_1 / lam; kf_bayes's ridge head q on every absorbed
-    batch. The kf_bayes head is the exact minimizer of the objective
-    with the forward term k_next G_next, one rank-b' correction of q
-    through its b' x b' inner system, with no d x d by d x m product,
+    Every other step is carried: the fixed pair (0, 0) of ridge and kf
+    at k = 0, and kf_bayes. It moves q by the recursive least squares
+    step q -= gain^T (D_t q - Y_t), on every absorbed batch and, for the
+    fixed pairs, also on a paper_strict first batch, whose gain is
+    D_1 eta_0, so there ridge's theta_1 = D_1^T Y_1 / lam while
+    kf_bayes's q stays zero.
+
+    theta is q, except after a carried step that keeps a forward term
+    (kf_bayes with D_next). There theta is the exact minimizer of the
+    objective with the forward term k_next G_next, one rank-b'
+    correction of q through its b' x b' inner system, with no d x d by
+    d x m product,
 
         theta = q - k_next V^T S^{-1} (D_next q),
         S = I + k_next V D_next^T,
@@ -432,7 +440,7 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
         (new_state, (k_cur, k_next)).
     """
     D, Y, DN = _check_batch(state, D_t, Y_t, D_next)
-    theta, q = state.theta, state.q
+    q = state.q
     t = state.t + 1
     absorb = not (t == 1 and state.style.init_mode == "paper_strict")
     layer = getattr(D_t, "layer", None)
@@ -444,22 +452,19 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
         forward = None if V is None else (DN.copy(), k_next, V)
         new_state = dataclasses.replace(state, base=base, rows=rows, t=t,
                                         _forward=forward)
-        if pair is None:
-            if absorb:
-                q = q - gain.T @ (D @ q - Y)
-            theta = q
-            if forward is not None:
-                S = np.eye(len(DN)) + k_next * (V @ DN.T)
-                theta = q - k_next * (V.T @ _solve_inner(S, DN @ q))
-        elif carried:
-            theta = theta - gain.T @ (D @ theta - Y)
-        else:
+        if not carried:
             # The current side of the drift minus the cross term, through
             # the b x d block instead of the Gram G_t.
-            drift = D.T @ ((1.0 - k_cur) * (D @ theta) - Y)
+            drift = D.T @ ((1.0 - k_cur) * (D @ q) - Y)
             if forward is not None:
-                drift = k_next * ((DN.T @ DN) @ theta) + drift
-            theta = theta - new_state.eta @ drift
+                drift = k_next * ((DN.T @ DN) @ q) + drift
+            q = q - new_state.eta @ drift
+        elif absorb or pair is not None:
+            q = q - gain.T @ (D @ q - Y)
+        theta = q
+        if carried and forward is not None:
+            S = np.eye(len(DN)) + k_next * (V @ DN.T)
+            theta = q - k_next * (V.T @ _solve_inner(S, DN @ q))
         if not np.all(np.isfinite(theta)):
             raise NumericalFailure("weight update is non-finite")
     except NumericalFailure as exc:

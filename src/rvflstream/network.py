@@ -166,7 +166,8 @@ def extract_features(X, weights, config, t=0):
     H_l = g([H_{l-1} | X] W_l), i.e. g(D_{l-1} W_l). The raw input is
     reconnected to every layer's design matrix.
 
-    The rows go through all L layers in the blocks of row_blocks, and
+    The rows go through all L layers in the blocks of row_blocks (a
+    stream batch of at most BLOCK_ROWS + 1 rows is a single block), and
     each block's H and X are written straight into the stored row-major
     D of every layer, so no n x N H exists at all. Each forward gemm
     reads row-major rows: X for layer 1, then the stored block of

@@ -296,12 +296,15 @@ def batchify(tasks, b, m):
     divided by 255, and only a batch that straddles tasks is a
     concatenated copy. So the stream holds no rows beyond the tasks'
     and the last batch read. The final batch may be short and is
-    flagged. Targets are one-hot over the full class load m. A task
-    without rows is a ContractError naming it and its classes.
+    flagged. Targets are one-hot over the full class load m. A b that
+    is not an integer >= 1, an empty task list and a task without rows
+    (named with its classes) are each a ContractError.
     """
-    if b < 1:
-        raise ContractError(f"batch size must be >= 1, got {b}")
+    if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1:
+        raise ContractError(f"batch size must be an integer >= 1, got {b!r}")
     tasks = list(tasks)
+    if not tasks:
+        raise ContractError("no tasks to cut into batches")
     for q, tk in enumerate(tasks):
         if len(tk.y) == 0:
             raise ContractError(f"task {q} (classes {list(tk.classes)}) "

@@ -208,20 +208,25 @@ class TestForwardStep:
     def test_k_zero_equals_ridge_exactly(self):
         # d=3 flushes every step; at d=160 _carry_cap gives 40 rows, a
         # period of 8 at b=5, so rows are carried across two flushes.
+        # A kf_bayes state stepped without D_next keeps no forward term,
+        # so its recursion is ridge's too, bit for bit.
         rng = np.random.default_rng(13)
         m = 2
         for d, b, T, most_carried in ((3, 2, 5, 0), (160, 5, 20, 35)):
             ridge = fresh_state(d=d, m=m, kind="ridge")
             kf = fresh_state(d=d, m=m, kind="kf", k=0.0)
+            bayes = fresh_state(d=d, m=m, kind="kf_bayes")
             stream = random_stream(rng, T, b, d, m)
             carried = 0
             for i, (D, Y) in enumerate(stream):
                 D_next = stream[i + 1][0] if i + 1 < len(stream) else None
                 ridge = step_ridge(ridge, D, Y)
                 kf = step_kf(kf, D, Y, D_next)
-                assert np.array_equal(ridge.theta, kf.theta), (d, i + 1)
-                assert np.array_equal(ridge.rows, kf.rows), (d, i + 1)
-                assert np.array_equal(ridge.base, kf.base), (d, i + 1)
+                bayes, _ = step_kf_bayes(bayes, D, Y, None)
+                for other in (kf, bayes):
+                    assert np.array_equal(ridge.theta, other.theta), (d, i + 1)
+                    assert np.array_equal(ridge.rows, other.rows), (d, i + 1)
+                    assert np.array_equal(ridge.base, other.base), (d, i + 1)
                 carried = max(carried, len(ridge.rows))
             assert carried == most_carried, d
 

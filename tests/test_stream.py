@@ -169,9 +169,14 @@ class TestBatchify:
         # Task 0 batches are one-hot over all 4 classes, zeros beyond.
         assert np.array_equal(stream[0].Y.sum(axis=0)[2:], [0, 0])
 
-    def test_invalid_batch_size_rejected(self):
-        with pytest.raises(ContractError):
-            batchify(self.make_tasks([4]), 0, 2)
+    @pytest.mark.parametrize("b", [0, 2.5])
+    def test_invalid_batch_size_rejected(self, b):
+        with pytest.raises(ContractError, match="batch size"):
+            batchify(self.make_tasks([4]), b, 2)
+
+    def test_empty_task_list_rejected(self):
+        with pytest.raises(ContractError, match="no tasks"):
+            batchify([], 5, 3)
 
 
 def random_tasks(sizes, dims=3, seed=0):
