@@ -39,7 +39,6 @@ from .network import (
     FeatureBatch,
     NetworkConfig,
     RandomWeights,
-    ensemble_decision,
     extract_features,
     fuse_probs,
     init_random_weights,
@@ -47,9 +46,7 @@ from .network import (
 )
 from .solvers import (
     OfflineSolution,
-    bregman_quadratic,
     offline_kf_fit,
-    offline_ridge_dual,
     offline_ridge_fit,
     solve_spd,
     woodbury_update,
@@ -109,14 +106,12 @@ __all__ = [
     "TraceSeries",
     "bake_synthetic",
     "batchify",
-    "bregman_quadratic",
     "compare_styles",
     "compute_acc",
     "compute_adaptive_k",
     "compute_bwt",
     "compute_fwt",
     "emit_report",
-    "ensemble_decision",
     "extract_features",
     "fit_baseline",
     "fuse_probs",
@@ -130,7 +125,6 @@ __all__ = [
     "load_idx",
     "make_gaussian_dataset",
     "offline_kf_fit",
-    "offline_ridge_dual",
     "offline_ridge_fit",
     "one_hot",
     "run_experiment",

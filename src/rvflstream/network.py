@@ -334,7 +334,3 @@ def fuse_probs(probs, mode="mean"):
     med[empty] = probs[:, empty].mean(axis=0)
     return med / med.sum(axis=1, keepdims=True)
 
-
-def ensemble_decision(logits, mode="mean"):
-    """Softmax each learner's logits, then fuse them; see fuse_probs."""
-    return fuse_probs(softmax(_stack_layers(logits)), mode=mode)

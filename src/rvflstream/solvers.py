@@ -191,29 +191,6 @@ def _minus_gram(eta, W, batch_index=None):
     return out
 
 
-def bregman_quadratic(theta_a, theta_b, M):
-    """Quadratic projection distance between two weight matrices.
-
-    Returns sum_i 0.5 * (a_i - b_i)^T M (a_i - b_i) over columns i,
-    which equals 0.5 * <theta_a - theta_b, M (theta_a - theta_b)>_F.
-    Nonnegative for PSD M; zero iff the arguments agree when M is
-    strictly positive definite.
-    """
-    theta_a = np.asarray(theta_a, dtype=float)
-    theta_b = np.asarray(theta_b, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if theta_a.shape != theta_b.shape:
-        raise ContractError(
-            f"weight shapes differ: {theta_a.shape} vs {theta_b.shape}"
-        )
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != theta_a.shape[0]:
-        raise ContractError(
-            f"M must be {theta_a.shape[0]} x {theta_a.shape[0]}, got {M.shape}"
-        )
-    diff = theta_a - theta_b
-    return 0.5 * float(np.sum(diff * (M @ diff)))
-
-
 @dataclass
 class OfflineSolution:
     """A direct (non-recursive) solution of the regularized least squares.
@@ -256,20 +233,6 @@ def offline_ridge_fit(D_all, Y_all, lam):
         OfflineSolution with the fitted weights.
     """
     return offline_kf_fit([(D_all, Y_all)], None, 0.0, lam)
-
-
-def offline_ridge_dual(D_all, Y_all, lam):
-    """Dual form of ridge regression: theta = D^T (D D^T + lam I)^{-1} Y.
-
-    Used only as a cross check of the primal form; the streaming path
-    never calls it. Takes the inputs offline_ridge_fit takes.
-    """
-    if not 0 < lam < np.inf:
-        raise ContractError(f"lam must be positive and finite, got {lam}")
-    D_all, Y_all = _checked_block(D_all, Y_all)
-    n = D_all.shape[0]
-    K = D_all @ D_all.T + lam * np.eye(n)
-    return D_all.T @ solve_spd(K, Y_all)
 
 
 def offline_kf_fit(batches, D_next, k, lam):

@@ -328,6 +328,9 @@ def _read_idx(path, magic, kind, unit, sizes):
                 f"{path}: bad {kind} magic {found} at offset 0, expected {magic}"
             )
         values = [_read_be32(f, path, what) for what in sizes]
+        for what, value in zip(sizes, values):
+            if value < 0:
+                raise FormatError(f"{path}: negative {what} {value}")
         payload = f.read()
     expected = math.prod(values)
     if len(payload) != expected:

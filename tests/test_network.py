@@ -8,7 +8,6 @@ from rvflstream.network import (
     ACTIVATIONS,
     BLOCK_ROWS,
     NetworkConfig,
-    ensemble_decision,
     extract_features,
     fuse_probs,
     init_random_weights,
@@ -220,8 +219,8 @@ class TestEnsemble:
     def test_mean_hand_case(self):
         # softmax([0,0]) = (.5,.5); softmax([ln3,0]) = (.75,.25);
         # mean = (.625,.375), by hand.
-        probs = ensemble_decision(
-            [np.array([[0.0, 0.0]]), np.array([[np.log(3.0), 0.0]])],
+        probs = fuse_probs(
+            softmax([np.array([[0.0, 0.0]]), np.array([[np.log(3.0), 0.0]])]),
             mode="mean",
         )
         assert np.allclose(probs, [[0.625, 0.375]], atol=1e-12)
@@ -229,12 +228,12 @@ class TestEnsemble:
     def test_median_renormalizes(self):
         rng = np.random.default_rng(4)
         logits = [rng.standard_normal((5, 3)) for _ in range(4)]
-        probs = ensemble_decision(logits, mode="median")
+        probs = fuse_probs(softmax(logits), mode="median")
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_single_learner_passthrough(self):
         Z = np.array([[1.0, -1.0, 0.0]])
-        assert np.allclose(ensemble_decision([Z]), softmax(Z), atol=1e-15)
+        assert np.allclose(fuse_probs(softmax([Z])), softmax(Z), atol=1e-15)
 
     def test_fuse_rejects_empty_and_bad_mode(self):
         with pytest.raises(ContractError):
@@ -256,8 +255,6 @@ class TestEnsemble:
         ragged = [np.ones((2, 3)), np.ones((2, 2))]
         with pytest.raises(ContractError):
             fuse_probs(ragged)
-        with pytest.raises(ContractError):
-            ensemble_decision(ragged)
         with pytest.raises(ContractError):
             fuse_probs(np.ones((2, 3)))
 

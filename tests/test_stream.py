@@ -315,6 +315,19 @@ class TestIdxLoader:
         with pytest.raises(FormatError, match="expected 8 pixel bytes, got 7"):
             load_idx(p)
 
+    def test_negative_sizes_rejected(self, tmp_path):
+        # -1 rows of -10 columns multiply to the 10 pixels each image
+        # carries, so only the sign gives the header away.
+        p = tmp_path / "neg-images-idx3-ubyte"
+        with open(p, "wb") as f:
+            f.write(struct.pack(">iiii", 2051, 2, -1, -10))
+            f.write(b"\x00" * 20)
+        (tmp_path / "neg-labels-idx1-ubyte").write_bytes(
+            struct.pack(">ii", 2049, 2) + b"\x00\x01"
+        )
+        with pytest.raises(FormatError, match="negative row count -1"):
+            load_idx(p)
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((3, 1, 1), dtype=np.uint8)
         labels = np.array([0, 1], dtype=np.uint8)
