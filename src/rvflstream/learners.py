@@ -1,17 +1,20 @@
 """One-pass continual learners and the non-continual baselines.
 
-ridge and kf share one recursive update skeleton:
+The three styles share one recursive update,
 
     theta_{t+1} = theta_t - eta_{t+1} [ ((1 - k_cur) D_t^T D_t
                                         + k_next D_next^T D_next) theta_t
                                         - D_t^T Y_t ]
 
-ridge uses k_cur = k_next = 0 (no forward term) and the forward style a
-constant k_cur = k_next = k. Writing the drift as
-(1 - k_cur) G_t + k_next G_next makes the k = 0 and k = 1 degenerations
-exact in floating point, not just algebraically. The Bayes-adaptive
-style, kf_bayes, takes k_next every step from the rule of
-compute_adaptive_k.
+ridge with k_cur = k_next = 0 (no forward term), the forward style kf
+with a constant k_cur = k_next = k, and the Bayes-adaptive kf_bayes with
+k_next taken every step from the rule of compute_adaptive_k. Every
+style runs it as one carried step (_step): the head q moves by the
+recursive least squares gain of D_t, and theta is q's exact correction
+by the forward term k_next D_next^T D_next, with no d x d Gram. Only kf
+at k = 1 under theorem runs the literal pure-forward form on dense
+rates instead, because the k = 1 contract pins it to that chain bit for
+bit.
 
 Each mechanism is described once, in the docstring of its code:
 
@@ -85,11 +88,11 @@ class RegStyle:
             the recursion matches the closed form exactly;
             "paper_strict" skips that accumulation at t == 1, leaving
             the learner fully uninformed at the start of the stream.
-            ridge and kf still move their head by D_1^T Y_1 on the
-            first batch, at their complete rate: ridge's is
-            eta_0 = I / lam, so theta_1 = D_1^T Y_1 / lam, and kf's also
-            holds the forward term,
-            theta_1 = (lam I + k D_2^T D_2)^{-1} D_1^T Y_1. kf_bayes's
+            ridge and kf still move their head q by D_1^T Y_1 on the
+            first batch, at eta_0 = I / lam, so ridge's
+            theta_1 = D_1^T Y_1 / lam, and kf's theta_1, the forward
+            correction of that q, is
+            (lam I + k D_2^T D_2)^{-1} D_1^T Y_1. kf_bayes's
             head q skips the batch along with eta_dag, so it is zero
             after batch 1 and from then on the closed form over batches
             2..t.
@@ -135,10 +138,10 @@ class SubLearnerState:
 
     q is the head every step's recursion moves (_step), whatever the
     style, and theta the head the layer predicts with: q itself, except
-    after a carried step that keeps a forward term (kf_bayes's), where
-    theta is q's forward correction. Both start as one zero array
-    (theta_{l,0} = theta_{l,1} = 0) and eta_dag at (lam * I)^{-1}. t
-    counts consumed batches.
+    after a carried step that keeps a forward term (kf's or kf_bayes's
+    with a D_next), where theta is q's forward correction. Both start as
+    one zero array (theta_{l,0} = theta_{l,1} = 0) and eta_dag at
+    (lam * I)^{-1}. t counts consumed batches.
 
     eta_dag, the pseudo-incomplete rate, accumulates the labeled batches
     only. It is carried as base - rows^T rows: a d x d base E and an
@@ -297,8 +300,8 @@ def _flush_due(t, layer, carried, b, d):
     batch pays more than one flush while L * b <= R. A batch that would
     carry more than R rows flushes too, which bounds the rows for any
     mix of batch sizes. When R // b < 2 every step flushes, which is the
-    dense rank-b write. kf with k > 0 carries no rows, and every one of
-    its absorbs flushes (_absorb).
+    dense rank-b write. kf at k = 1 under theorem carries no rows, and
+    every one of its absorbs flushes (_absorb).
     """
     cap = _carry_cap(d)
     period = max(1, cap // b)
@@ -342,13 +345,15 @@ def _absorb(state, D, DN, t, layer, absorb, carry):
     L^{-T} W = S^{-1} M, with no subtraction. W is appended to A and no
     d x d matrix is written, except on a flush: the new base E - A^T A
     is written once into a fresh array, (r + b) d^2 flops, and no rows
-    are carried. With carry the flush comes when _flush_due says;
-    without it, as for kf with k > 0, every absorb flushes, which is
-    woodbury_update(E, D_t, 1.0) on a base that carries no rows,
-    operation for operation. D_next, when given, is projected once on
-    the new eta_dag. An inner system that is not positive definite
-    raises NumericalFailure (_correction_rows). A batch that is not
-    absorbed leaves eta_dag as it is, and its gain is M.
+    are carried. With carry the flush comes when _flush_due says.
+    carry=False serves only the dense step of kf at k = 1 under theorem
+    (_step): every absorb flushes, which is woodbury_update(E, D_t, 1.0)
+    on a base that carries no rows, operation for operation, the chain
+    the k = 1 contract pins bit for bit; carried rows would round
+    otherwise. D_next, when given, is projected once on the new eta_dag.
+    An inner system that is not positive definite raises
+    NumericalFailure (_correction_rows). A batch that is not absorbed
+    leaves eta_dag as it is, and its gain is M.
 
     Returns (base, rows, M, gain, W, V): W is None when the batch is not
     absorbed, V = D_next eta_dag on the new eta_dag, None without D_next.
@@ -400,23 +405,24 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     the fixed pair of ridge or kf or, when pair is None, the kf_bayes
     step, adapts them from the absorb's projections (_adaptive_pair).
 
-    Every step moves one head, q (SubLearnerState). kf with k > 0 forms
-    the complete rate eta from the forward term and moves it by
-    q -= eta [((1 - k_cur) G_t + k_next G_next) q - D_t^T Y_t],
-    applying G_next as the d x d Gram D_next^T D_next. That is the dense
-    chain the k = 1 pin checks bit for bit. No other step forms a d x d
-    Gram or multiplies a d x d rate by a head.
+    Every step moves one head, q (SubLearnerState), and every step but
+    one is carried: ridge, kf and kf_bayes move q by the recursive least
+    squares step q -= gain^T (D_t q - Y_t), on every absorbed batch and,
+    for the fixed pairs of ridge and kf, also on a paper_strict first
+    batch, whose gain is D_1 eta_0, so there ridge's
+    theta_1 = D_1^T Y_1 / lam while kf_bayes's q stays zero.
 
-    Every other step is carried: the fixed pair (0, 0) of ridge and kf
-    at k = 0, and kf_bayes. It moves q by the recursive least squares
-    step q -= gain^T (D_t q - Y_t), on every absorbed batch and, for the
-    fixed pairs, also on a paper_strict first batch, whose gain is
-    D_1 eta_0, so there ridge's theta_1 = D_1^T Y_1 / lam while
-    kf_bayes's q stays zero.
+    The one dense step is kf at k = 1 under theorem, the case the k = 1
+    contract pins bit for bit to the literal pure-forward form
+    q -= eta (G_next q - D_t^T Y_t), or q -= eta (-D_t^T Y_t) at the end
+    of the stream: its absorbs carry no rows (carry=False in _absorb),
+    eta is the complete rate _complete_rate writes as one d x d array,
+    and G_next the d x d Gram D_next^T D_next. No other step forms a
+    d x d Gram or multiplies a d x d rate by a head.
 
     theta is q, except after a carried step that keeps a forward term
-    (kf_bayes with D_next). There theta is the exact minimizer of the
-    objective with the forward term k_next G_next, one rank-b'
+    (kf or kf_bayes with D_next). There theta is the exact minimizer of
+    the objective with the forward term k_next G_next, one rank-b'
     correction of q through its b' x b' inner system, with no d x d by
     d x m product,
 
@@ -444,25 +450,26 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     t = state.t + 1
     absorb = not (t == 1 and state.style.init_mode == "paper_strict")
     layer = getattr(D_t, "layer", None)
-    carried = pair is None or pair == (0.0, 0.0)
+    dense = (state.style.kind == "kf" and state.style.k == 1.0
+             and state.style.init_mode == "theorem")
     try:
         base, rows, M, gain, W, V = _absorb(
-            state, D, None if pair == (0.0, 0.0) else DN, t, layer, absorb, carried)
+            state, D, None if pair == (0.0, 0.0) else DN, t, layer, absorb,
+            carry=not dense)
         k_cur, k_next = pair or _adaptive_pair(state, M, gain, W, V, D, DN, rng)
         forward = None if V is None else (DN.copy(), k_next, V)
         new_state = dataclasses.replace(state, base=base, rows=rows, t=t,
                                         _forward=forward)
-        if not carried:
-            # The current side of the drift minus the cross term, through
-            # the b x d block instead of the Gram G_t.
-            drift = D.T @ ((1.0 - k_cur) * (D @ q) - Y)
-            if forward is not None:
-                drift = k_next * ((DN.T @ DN) @ q) + drift
+        if dense:
+            # k_cur = 1 leaves G_t out of the drift. eta is the complete
+            # rate, one d x d write (_complete_rate), or eta_dag at the
+            # end of the stream.
+            drift = -(D.T @ Y) if forward is None else (DN.T @ DN) @ q - D.T @ Y
             q = q - new_state.eta @ drift
         elif absorb or pair is not None:
             q = q - gain.T @ (D @ q - Y)
         theta = q
-        if carried and forward is not None:
+        if not dense and forward is not None:
             S = np.eye(len(DN)) + k_next * (V @ DN.T)
             theta = q - k_next * (V.T @ _solve_inner(S, DN @ q))
         if not np.all(np.isfinite(theta)):
@@ -491,11 +498,13 @@ def step_kf(state, D_t, Y_t, D_next=None):
     """One forward-regularized step with constant k.
 
     The unlabeled next batch D_next contributes k * D_next^T D_next to
-    the complete rate and steers the drift term; no Y_{t+1} is read.
-    When D_next is None (end of stream) the step keeps the current-side
-    weight k so the forward mass baked into theta by the previous step
-    cancels; the final head then equals the plain ridge fit on the whole
-    stream (in theorem init mode, exactly).
+    the objective the head minimizes; no Y_{t+1} is read. The head q
+    moves as ridge's does, and theta is its forward correction (see
+    _step), so it equals offline_kf_fit(seen, D_next, k, lam) after
+    every step. When D_next is None (end of stream) no forward term is
+    left and the final head is the plain ridge fit on the whole stream
+    (in theorem init mode, exactly). k = 1 under theorem runs the dense
+    pure-forward form instead, which the k = 1 contract pins.
     """
     if state.style.kind != "kf":
         raise ContractError(f"step_kf needs a kf style, got {state.style.kind!r}")

@@ -288,21 +288,27 @@ def softmax(Z):
     Shifted by the max for stability and normalised in place in one new
     array, so the input is left unchanged. The new array takes the
     memory layout of Z: for a view of class-major (L, m, b) logits the
-    class reductions run elementwise along rows of b.
+    class reductions run elementwise along rows of b. A list of matrices
+    of unequal shapes raises ContractError, as in fuse_probs.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z = _float_array(Z)
     P = Z - Z.max(axis=-1, keepdims=True)
     np.exp(P, out=P)
     P /= P.sum(axis=-1, keepdims=True)
     return P
 
 
-def _stack_layers(arrays):
-    """One (L, b, m) float array from a stack or a list of L b x m matrices."""
+def _float_array(arrays):
+    """np.asarray(arrays, dtype=float); ContractError for a ragged list."""
     try:
-        stacked = np.asarray(arrays, dtype=float)
+        return np.asarray(arrays, dtype=float)
     except ValueError:
         raise ContractError("all learners must produce the same shape") from None
+
+
+def _stack_layers(arrays):
+    """One (L, b, m) float array from a stack or a list of L b x m matrices."""
+    stacked = _float_array(arrays)
     if stacked.ndim != 3 or stacked.shape[0] < 1:
         raise ContractError(f"need (L, b, m) with L >= 1, got shape {stacked.shape}")
     return stacked

@@ -251,13 +251,11 @@ class TestForwardStep:
                 )
             assert np.array_equal(state.theta, theta_ref)
 
-    @pytest.mark.parametrize("init_mode", ["theorem", "paper_strict"])
-    @pytest.mark.parametrize("k", [0.5, 2.0])
-    def test_matches_the_dense_chain_bit_for_bit(self, k, init_mode,
-                                                 monkeypatch):
-        # kf carries no rows, so every absorb writes eta_dag: theta and
+    def test_k_one_theorem_matches_the_dense_chain_bit_for_bit(self, monkeypatch):
+        # kf at k = 1 under theorem, the one case on the dense chain,
+        # carries no rows, so every absorb writes eta_dag: theta and
         # eta_dag equal a dense woodbury_update chain bit for bit, the
-        # complete rate its rank-b' update by k D_next^T D_next. Step 5's
+        # complete rate its rank-b' update by D_next^T D_next. Step 5's
         # D_t is not step 4's D_next, so it is projected afresh; step 7's
         # is an equal copy of step 6's D_next and takes the cached V.
         # d=150 spans two panels of the d x d write.
@@ -266,20 +264,17 @@ class TestForwardStep:
         stream = random_stream(rng, T, b, d, m)
         other = rng.standard_normal((b, d))
         counts = _count_projected_rows(monkeypatch)
-        state = fresh_state(d=d, m=m, lam=lam, kind="kf", k=k,
-                            init_mode=init_mode)
+        state = fresh_state(d=d, m=m, lam=lam, kind="kf", k=1.0)
         theta, eta_dag = np.zeros((d, m)), np.eye(d) / lam
         for i, (D, Y) in enumerate(stream):
             D_next = other if i == 3 else stream[i + 1][0] if i + 1 < T else None
             counts.clear()
             state = step_kf(state, D.copy() if i == 6 else D, Y, D_next)
-            if i > 0 or init_mode == "theorem":
-                eta_dag = woodbury_update(eta_dag, D, 1.0)
-            drift = D.T @ ((1.0 - k) * (D @ theta) - Y)
-            eta = eta_dag
+            eta_dag = woodbury_update(eta_dag, D, 1.0)
+            eta, drift = eta_dag, -(D.T @ Y)
             if D_next is not None:
-                eta = woodbury_update(eta_dag, D_next, k)
-                drift = k * ((D_next.T @ D_next) @ theta) + drift
+                eta = woodbury_update(eta_dag, D_next, 1.0)
+                drift = (D_next.T @ D_next) @ theta - D.T @ Y
             theta = theta - eta @ drift
             assert len(state.rows) == 0, f"step {i + 1}"
             assert np.array_equal(state.eta_dag, eta_dag), f"step {i + 1}"
@@ -623,25 +618,17 @@ class TestCarriedHeadAccuracy:
             assert _rel(state.theta, ref) <= bound, f"layer {l + 1}"
 
 
-# kf's dense chain loses the listing's head under paper_strict at small
-# lam; the carried recursion that ridge and kf_bayes share should end it.
-_KF_PAPER_STRICT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="kf with k > 0 drifts off the listing's head under paper_strict "
-           "at lam=1e-6 (FOUND 55, ROADMAP item 9)")
-
-
 class TestForwardHeadAccuracy:
-    @pytest.mark.parametrize("init_mode", [
-        "theorem", pytest.param("paper_strict", marks=_KF_PAPER_STRICT)])
+    @pytest.mark.parametrize("init_mode", ["theorem", "paper_strict"])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_every_head_is_the_listings_closed_form(self, k, init_mode):
         # kf's head after batch t solves
         # (lam I + sum_{i>=lo} G_i + k G_next) theta = sum_{i>=1} D_i^T Y_i,
         # lo = 2 under paper_strict; the reference solves it through the
         # R factor of [D_lo; ...; D_t; sqrt(k) D_next; sqrt(lam) I].
-        # Worst gaps over the 30 steps: 8.2e-9 to 1.3e-8 under theorem,
-        # 7.4e-3 to 5.6e-2 under paper_strict.
+        # Worst gaps over the 30 steps: 6.1e-9 to 8.2e-9 under theorem
+        # (k = 1 on the dense chain), 2.3e-9 under paper_strict, where
+        # the dense chain read 7.4e-3 to 5.6e-2.
         rng = np.random.default_rng(0)
         d, m, b, T, lam = 60, 4, 8, 30, 1e-6
         stream = [(np.maximum(D, 0.0), Y) for D, Y in random_stream(rng, T, b, d, m)]
@@ -1035,10 +1022,20 @@ def _count_projected_rows(monkeypatch):
     return counts
 
 
+def _forward_step(state, D, Y, D_next):
+    """One kf or kf_bayes step: (new_state, (k_cur, k_next))."""
+    if state.style.kind == "kf_bayes":
+        return step_kf_bayes(state, D, Y, D_next)
+    k = state.style.k
+    return step_kf(state, D, Y, D_next), (k, k if D_next is not None else 0.0)
+
+
 class TestCachedProjection:
     # A step with a forward term keeps V = D_next eta_dag; the next absorb
     # takes its D_t rows from V and projects only D_next on the carried
     # matrix.
+
+    FORWARD_STYLES = ({"kind": "kf_bayes"}, {"kind": "kf", "k": 0.5})
 
     def _run(self, stream, style_kw):
         d, m = stream[0][0].shape[1], stream[0][1].shape[1]
@@ -1123,38 +1120,42 @@ class TestCachedProjection:
         # turned off, which keeps k_next as the step's k_cur, bit for bit.
         from rvflstream import learners
 
-        rng = np.random.default_rng(86)
-        d, m, b = 160, 3, 5
-        stream = random_stream(rng, 4, b, d, m)
-        state = fresh_state(d=d, m=m, kind="kf_bayes")
-        state, _ = step_kf_bayes(state, *stream[0], stream[1][0])
-        D_next = stream[1][0].copy()
-        state, _ = step_kf_bayes(state, *stream[1], D_next)
-        D_t = D_next
-        if case == "other_batch":
-            D_t = stream[3][0]
-        elif case == "mutated":
-            D_next[0, 0] += 1.0
-        counts = _count_projected_rows(monkeypatch)
-        got, got_pair = step_kf_bayes(state, D_t, stream[2][1], stream[3][0])
-        assert counts == [b, b]
-        monkeypatch.setattr(learners, "_cached_rows", lambda state, D: None)
-        want, want_pair = step_kf_bayes(state, D_t, stream[2][1], stream[3][0])
-        assert got_pair == want_pair
-        assert got_pair[0] == state._forward[1]
-        for name in ("theta", "q", "base", "rows"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert np.array_equal(got._forward[2], want._forward[2])
+        for style_kw in self.FORWARD_STYLES:
+            rng = np.random.default_rng(86)
+            d, m, b = 160, 3, 5
+            stream = random_stream(rng, 4, b, d, m)
+            state = fresh_state(d=d, m=m, **style_kw)
+            state, _ = _forward_step(state, *stream[0], stream[1][0])
+            D_next = stream[1][0].copy()
+            state, _ = _forward_step(state, *stream[1], D_next)
+            D_t = D_next
+            if case == "other_batch":
+                D_t = stream[3][0]
+            elif case == "mutated":
+                D_next[0, 0] += 1.0
+            with monkeypatch.context() as patch:
+                counts = _count_projected_rows(patch)
+                got, got_pair = _forward_step(state, D_t, stream[2][1], stream[3][0])
+                assert counts == [b, b], style_kw
+                patch.setattr(learners, "_cached_rows", lambda state, D: None)
+                want, want_pair = _forward_step(state, D_t, stream[2][1], stream[3][0])
+            assert got_pair == want_pair
+            assert got_pair[0] == state._forward[1]
+            for name in ("theta", "q", "base", "rows"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(got._forward[2], want._forward[2])
 
     def test_equal_copy_of_the_next_batch_uses_the_cache(self, monkeypatch):
-        rng = np.random.default_rng(87)
-        d, m, b = 160, 3, 5
-        stream = random_stream(rng, 3, b, d, m)
-        state = fresh_state(d=d, m=m, kind="kf_bayes")
-        state, _ = step_kf_bayes(state, *stream[0], stream[1][0])
-        counts = _count_projected_rows(monkeypatch)
-        step_kf_bayes(state, stream[1][0].copy(), stream[1][1], stream[2][0])
-        assert counts == [b]
+        for style_kw in self.FORWARD_STYLES:
+            rng = np.random.default_rng(87)
+            d, m, b = 160, 3, 5
+            stream = random_stream(rng, 3, b, d, m)
+            state = fresh_state(d=d, m=m, **style_kw)
+            state, _ = _forward_step(state, *stream[0], stream[1][0])
+            with monkeypatch.context() as patch:
+                counts = _count_projected_rows(patch)
+                _forward_step(state, stream[1][0].copy(), stream[1][1], stream[2][0])
+            assert counts == [b], style_kw
 
 
 class TestPreviousCompleteSource:

@@ -214,6 +214,11 @@ class TestSoftmax:
             assert np.array_equal(P[layer], softmax(Z[layer]))
         assert np.array_equal(Z, before)
 
+    def test_ragged_list_is_a_contract_error(self):
+        # The same error fuse_probs raises for the list it would fuse.
+        with pytest.raises(ContractError, match="same shape"):
+            softmax([np.ones((2, 3)), np.ones((2, 2))])
+
 
 class TestEnsemble:
     def test_mean_hand_case(self):

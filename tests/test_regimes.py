@@ -1,27 +1,20 @@
-"""Accuracy of every style in both init modes on one shipped workload tree.
+"""Accuracy of every style in both init modes on the shipped workload trees.
 
 The eval_ridge tree (10 classes, 64 dims, five tasks of batch 20, three
 layers of 128 nodes, lam=1e-6) is separable enough that its offline
 ridge fit scores 1.0, so a style that ends far below that on it has
-lost the stream, not the data. Each cell runs the tree through
-run_experiment once, evaluated per task and without baselines.
+lost the stream, not the data. The pixel_bayes tree (784 pixels, three
+layers of 256 nodes, lam=1e-6) scores 1.0 under the listing's closed
+form too, and its cells are kf under paper_strict, the style and mode
+that collapsed on both trees while kf ran its dense chain. Each cell
+runs a tree through run_experiment once, evaluated per task and without
+baselines.
 """
 
 import pytest
 
 from perfbench import workloads
 from rvflstream.runner import run_experiment, validate_config
-
-# kf with k > 0 runs the dense chain of the forward update, and under
-# paper_strict at lam=1e-6 the chain's cancellation sinks its head:
-# 0.1611 at k=0.5 and 0.1049 at k=1 on this tree (seed 503), where
-# every other cell reads 1.0, as does the listing's closed form. Moving
-# kf onto the carried recursion that ridge and kf_bayes share should
-# end it.
-KF_PAPER_STRICT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="kf with k > 0 collapses under paper_strict at lam=1e-6 "
-           "(FOUND 55, ROADMAP item 9)")
 
 STYLES = {
     "ridge": {"kind": "ridge"},
@@ -31,23 +24,36 @@ STYLES = {
 }
 
 
-def cells():
-    for name, style in STYLES.items():
-        for mode in ("theorem", "paper_strict"):
-            collapses = style["kind"] == "kf" and mode == "paper_strict"
-            marks = KF_PAPER_STRICT if collapses else ()
-            yield pytest.param(style, mode, marks=marks, id=f"{name}-{mode}")
-
-
-@pytest.fixture(scope="module")
-def eval_ridge_tree(tmp_path_factory):
-    tree = workloads.build("eval_ridge", 503, tmp_path_factory.mktemp("eval_ridge"))
+def _tree(name, tmp_path_factory):
+    tree = workloads.build(name, 503, tmp_path_factory.mktemp(name))
     assert tree["network"]["lam"] == 1e-6
     return dict(tree, eval_every="task", baselines=False)
 
 
-@pytest.mark.parametrize("style, mode", cells())
+@pytest.fixture(scope="module")
+def eval_ridge_tree(tmp_path_factory):
+    return _tree("eval_ridge", tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def pixel_bayes_tree(tmp_path_factory):
+    return _tree("pixel_bayes", tmp_path_factory)
+
+
+def _final_acc(tree, style, mode):
+    tree = dict(tree, style=dict(style, init_mode=mode))
+    return run_experiment(validate_config(tree)).final["acc"]
+
+
+@pytest.mark.parametrize("mode", ["theorem", "paper_strict"])
+@pytest.mark.parametrize("style", STYLES.values(), ids=STYLES.keys())
 def test_final_accuracy_near_the_offline_fit(eval_ridge_tree, style, mode):
-    tree = dict(eval_ridge_tree, style=dict(style, init_mode=mode))
-    acc = run_experiment(validate_config(tree)).final["acc"]
+    acc = _final_acc(eval_ridge_tree, style, mode)
+    assert acc >= 0.95, acc
+
+
+# kf's dense chain read 0.113 at k = 0.5 and 0.119 at k = 1 here.
+@pytest.mark.parametrize("k", [0.5, 1.0])
+def test_paper_strict_kf_on_pixels(pixel_bayes_tree, k):
+    acc = _final_acc(pixel_bayes_tree, {"kind": "kf", "k": k}, "paper_strict")
     assert acc >= 0.95, acc

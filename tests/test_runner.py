@@ -308,17 +308,20 @@ class TestRawPixelStream:
     # Raw 0-255 pixels at lam = 1e-6: the recursive inverse Gram loses
     # positive definiteness, and a Woodbury inner system without a
     # Cholesky factor stops the run. Standardized inputs keep it definite.
-    @pytest.fixture(scope="class")
-    def dataset(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("raw")
+    @staticmethod
+    def write_csv(root, train_per_class, test_per_class):
         paths = {}
-        splits = pixel_standin(461, 100, 50)
+        splits = pixel_standin(461, train_per_class, test_per_class)
         for split, (images, labels) in zip(("train", "test"), splits):
             paths[split] = str(root / f"{split}.csv")
             np.savetxt(paths[split],
                        np.column_stack([images.reshape(len(images), -1), labels]),
                        fmt="%d", delimiter=",")
         return {"kind": "csv", **paths}
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        return self.write_csv(tmp_path_factory.mktemp("raw"), 100, 50)
 
     @staticmethod
     def tree(dataset, kind, standardize=False):
@@ -334,17 +337,31 @@ class TestRawPixelStream:
             "seeds": {"weights": 461, "order": 461, "synthetic": 461},
         }
 
-    @pytest.mark.parametrize("kind", ["ridge", "kf_bayes"])
-    def test_indefinite_inverse_exits_3_naming_batch_and_layer(
-            self, tmp_path, capsys, dataset, kind):
+    @staticmethod
+    def assert_exits_3(tree, tmp_path, capsys):
         p = tmp_path / "cfg.yaml"
-        p.write_text(yaml.safe_dump(self.tree(dataset, kind)))
+        p.write_text(yaml.safe_dump(tree))
         code = cli.main(["run", "--config", str(p),
                          "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3, err
         assert "not positive definite batch=" in err and " layer=" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["ridge", "kf_bayes"])
+    def test_indefinite_inverse_exits_3_naming_batch_and_layer(
+            self, tmp_path, capsys, dataset, kind):
+        self.assert_exits_3(self.tree(dataset, kind), tmp_path, capsys)
+
+    def test_kf_stops_where_ridge_and_kf_bayes_stop(self, tmp_path, capsys):
+        # On pixel_standin(461, 200, 100) at N = 256 and lam = 1e-3, kf
+        # at k = 0.5 loses positive definiteness of eta_dag where ridge
+        # and kf_bayes do. Its batch moves with the BLAS thread count
+        # (61 at one thread, 62 at two), so only the naming is checked.
+        tree = self.tree(self.write_csv(tmp_path, 200, 100), "kf")
+        tree["network"].update(N=256, lam=1e-3)
+        tree["style"].update(k=0.5, init_mode="theorem")
+        self.assert_exits_3(tree, tmp_path, capsys)
 
     def test_standardized_ridge_reaches_offline(self, tmp_path, dataset):
         p = tmp_path / "cfg.yaml"
