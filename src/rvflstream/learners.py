@@ -770,67 +770,97 @@ class ContinualModel:
         """Every sub-learner's softmax outputs on X or eval_feats: (L, n, m).
 
         eval_feats is the FeatureStore eval_features returns. The result
-        is a view of a class-major (L, m, n) array: out when it is given,
-        which lets a caller that evaluates the same test set repeatedly
-        reuse one buffer. Each layer's logits sum the X part, then the H
-        part (see _layer_probs). One of X and eval_feats is required.
+        is a view of a class-major (L, m, n) array: out when it is given
+        (a C-contiguous, writeable float64 array of that shape, else
+        ContractError before anything is written), which lets a caller
+        that evaluates the same test set repeatedly reuse one buffer. It
+        is the one-head-set call of _layer_probs. Exactly one of X and
+        eval_feats is required.
         """
-        if X is None and eval_feats is None:
-            raise ContractError("pass the rows to score as X or eval_feats")
+        if (X is None) == (eval_feats is None):
+            raise ContractError("pass the rows to score as X or eval_feats, "
+                                "one of the two")
         feats = self.eval_features(X) if eval_feats is None else eval_feats
-        return _layer_probs(feats, [st.theta for st in self.states], out)
+        shape = (self.config.L, self.config.m, feats.n)
+        if out is not None and (
+                out.shape != shape or out.dtype != np.float64
+                or not out.flags.c_contiguous or not out.flags.writeable):
+            raise ContractError(
+                f"out must be a writeable C-contiguous float64 array of shape "
+                f"{shape}, got {out.dtype} {out.shape}")
+        heads = [[st.theta for st in self.states]]
+        return _layer_probs(feats, heads, None if out is None else out[None])[0]
 
     def predict_proba(self, X=None, mode="mean", eval_feats=None):
         return fuse_probs(self.per_learner_probs(X, eval_feats), mode=mode)
 
 
-def _layer_logits(store, thetas, out=None):
-    """[H_l | X] theta_l of every layer, class-major, as one (L, m, n) array.
+def _layer_logits(store, heads, out=None):
+    """[H_l | X] theta_{k,l} of K head sets, class-major, as one (K, L, m, n) array.
 
-    Written into out when it is given (a C-contiguous, writeable float64
-    array of that shape, else ContractError before anything is
-    written), else into a new array, which is returned. With theta_l
-    split into its H rows and its X rows, the X parts of all layers are
-    one stacked (L m x s) product with X^T, written straight into it,
-    and each layer's H_l^T product is then added through one (m, n)
-    scratch. So each logit sums the X part, then the H part, and X is
-    read once per evaluation.
+    heads holds K sets of L heads, each (N + s) x m. The logits are
+    written into out when it is given, a C-contiguous float64 array of
+    that shape the caller owns, else into a new array, which is
+    returned. With every head split into its H rows and its X rows, the
+    X parts of all K L heads are one stacked (K L m x s) product with
+    X^T, written straight into out, and each layer's H_l^T product for
+    all K sets is one stacked (K m x N) product per block of w columns
+    of H_l^T, added through one scratch. w is n / K rounded up to a
+    multiple of 8 (at least 8): the scratch holds about m n numbers, as
+    one set's product does, K = 1 takes all n columns in one product,
+    and a block edge at a multiple of 8 keeps the bits one product over
+    all columns gives (on the OpenBLAS named below). So each logit sums
+    the X part, then the H part, and every block of the store is read
+    once per call, whatever K.
+
+    A set's logits are those of a call with that set alone, bit for
+    bit, wherever BLAS rounds a row of a product independently of the
+    rows stacked beside it. The x86_64 OpenBLAS 0.3.31 that numpy 2.4
+    bundles (Haswell kernels) does so on every column-major store (as eval_features builds it)
+    whose row count is a multiple of 8, as the benchmark's 10 000 test
+    rows are. At other row counts, such as 1 or 257, and on a gathered
+    store (FeatureStore.rows), it rounds some entries by the shape of
+    the whole product, and a set's logits can move in the last bits
+    with K.
 
     Args:
         store: the network.FeatureStore of the rows.
-        thetas: L heads, each (N + s) x m.
-        out: optional (L, m, n) buffer.
+        heads: K sequences of L heads.
+        out: optional (K, L, m, n) buffer.
     """
-    L, m, n, N = len(thetas), thetas[0].shape[1], store.n, store.N
-    shape = (L, m, n)
+    K, L, m = len(heads), len(heads[0]), heads[0][0].shape[1]
+    n, N = store.n, store.N
     if out is None:
-        out = np.empty(shape)
-    elif (out.shape != shape or out.dtype != np.float64
-          or not out.flags.c_contiguous or not out.flags.writeable):
-        raise ContractError(
-            f"out must be a writeable C-contiguous float64 array of shape "
-            f"{shape}, got {out.dtype} {out.shape}")
-    theta_X = np.stack([theta[N:].T for theta in thetas])
-    np.matmul(theta_X.reshape(L * m, -1), store.X.T, out=out.reshape(L * m, n))
-    scratch = np.empty((m, n))
-    for l, (theta, Z) in enumerate(zip(thetas, out)):
-        Z += np.matmul(theta[:N].T, store.hidden(l).T, out=scratch)
+        out = np.empty((K, L, m, n))
+    theta_X = np.stack([theta[N:].T for thetas in heads for theta in thetas])
+    np.matmul(theta_X.reshape(K * L * m, -1), store.X.T,
+              out=out.reshape(K * L * m, n))
+    w = max(8, -(-n // (8 * K)) * 8)
+    scratch = np.empty(K * m * min(n, w))
+    for l in range(L):
+        theta_H = np.stack([thetas[l][:N].T for thetas in heads]).reshape(K * m, N)
+        H_T = store.hidden(l).T
+        for c in range(0, n, w):
+            cols = slice(c, min(n, c + w))
+            Z = scratch[:K * m * (cols.stop - c)].reshape(K * m, -1)
+            np.matmul(theta_H, H_T[:, cols], out=Z)
+            out[:, l, :, cols] += Z.reshape(K, m, -1)
     return out
 
 
-def _layer_probs(store, thetas, out=None):
-    """softmax([H_l | X] theta_l) of every layer as one (L, n, m) array.
+def _layer_probs(store, heads, out=None):
+    """softmax([H_l | X] theta_{k,l}) of K head sets as one (K, L, n, m) array.
 
     The softmax runs in place on the class-major logits of
     _layer_logits, out when it is given, its max, exp, sum and divide
-    each along rows of n, and the (L, n, m) view of them is returned.
-    network.softmax on that view gives the same bits.
+    each along rows of n, and the (K, L, n, m) view of them is returned.
+    network.softmax on each (L, n, m) set gives the same bits.
     """
-    out = _layer_logits(store, thetas, out)
-    out -= out.max(axis=1, keepdims=True)
+    out = _layer_logits(store, heads, out)
+    out -= out.max(axis=2, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out.transpose(0, 2, 1)
+    out /= out.sum(axis=2, keepdims=True)
+    return out.transpose(0, 1, 3, 2)
 
 
 @dataclass
@@ -890,8 +920,9 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
     and then the pool's float rows and features are dropped. So no
     task's inputs are stacked and only one pool's float rows and
     features are held at a time. The three full-test baselines are
-    scored as the runner scores the learner, by targets.score on one
-    (L, m, n) logits buffer. Each separate expert scores its task's test
+    scored as the runner scores the learner, by targets.score, one head
+    set per pass of _layer_probs over the store, into one (1, L, m, n)
+    logits buffer. Each separate expert scores its task's test
     rows once, a row block at a time, each block one gather of its rows
     of the store's [H_1 | ... | H_L | X] block,
     so beyond boolean row masks only that buffer and each score's fused
@@ -931,10 +962,11 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
     pooled = [_solve_terms(*sums_l).theta for sums_l in sums]
     del sums
 
-    buf = np.empty((config.L, config.m, len(y_te)))
+    buf = np.empty((1, config.L, config.m, len(y_te)))
 
     def scored(kind, thetas):
-        scores = targets.score(_layer_probs(test_feats, thetas, out=buf), mode)
+        scores = targets.score(_layer_probs(test_feats, [thetas], out=buf)[0],
+                               mode)
         per_task = np.array([scores.accuracy(rows) for rows in task_rows])
         return BaselineResult(kind, scores.accuracy(), per_task)
 
@@ -946,7 +978,8 @@ def fit_baseline(tasks, model, targets, test_feats, mode="mean"):
             idx = np.flatnonzero(rows)
             hits = 0
             for b in (idx[block] for block in row_blocks(len(idx))):
-                probs = fuse_probs(_layer_probs(test_feats.rows(b), heads), mode)
+                probs = fuse_probs(_layer_probs(test_feats.rows(b), [heads])[0],
+                                   mode)
                 hits += np.count_nonzero(cls[probs[:, cls].argmax(axis=1)] == y_te[b])
             own.append(hits / len(idx))
         return BaselineResult("separate", float(np.mean(own)), np.array(own))

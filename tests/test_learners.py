@@ -24,6 +24,7 @@ from rvflstream.learners import (
     SubLearnerState,
     _carry_cap,
     _layer_logits,
+    _layer_probs,
     compute_adaptive_k,
     fit_baseline,
     step_kf,
@@ -34,6 +35,7 @@ from rvflstream.metrics import Targets
 from rvflstream.network import (
     BLOCK_ROWS,
     FeatureBatch,
+    FeatureStore,
     NetworkConfig,
     extract_features,
     fuse_probs,
@@ -1389,7 +1391,7 @@ class TestContinualModel:
         feats = model.eval_features(X_te)
         picked = np.random.default_rng(10).permutation(600)[:300]
         for store, index in ((feats, slice(None)), (feats.rows(picked), picked)):
-            Z = _layer_logits(store, thetas)
+            Z = _layer_logits(store, [thetas])[0]
             assert Z.shape == (3, 10, store.n)
             for D, theta, Z_l in zip(rows, thetas, Z):
                 want = D[index] @ theta
@@ -1437,6 +1439,14 @@ class TestContinualModel:
         model, _ = self.trained()
         with pytest.raises(ContractError, match="X or eval_feats"):
             getattr(model, read)()
+
+    @pytest.mark.parametrize("read", ["per_learner_probs", "predict_proba"])
+    def test_read_with_both_rows_and_store_names_both_parameters(self, read):
+        # X would be silently dropped for the store's rows.
+        model, X_te = self.trained()
+        feats = model.eval_features(X_te[:7])
+        with pytest.raises(ContractError, match="X or eval_feats"):
+            getattr(model, read)(X_te[:5], eval_feats=feats)
 
     def test_standardize_freezes_first_batch_stats(self):
         rng = np.random.default_rng(3)
@@ -1504,6 +1514,58 @@ class TestContinualModel:
         P = model.predict_proba(rng.standard_normal((9, 3)))
         assert P.shape == (9, 2)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestStackedHeadSets:
+    # K head sets scored in one pass over the store, against K calls with
+    # one set each. OpenBLAS rounds an entry of a product by the shape of
+    # the whole product at some sizes: on a column-major store whose row
+    # count is a multiple of 8, as the runner's store of the benchmark's
+    # 10 000 rows is, a stacked set keeps the bits it has alone; at
+    # n = 1 and 257 and on a gathered store some entries move in the
+    # last bits with K (see _layer_logits).
+
+    def sets(self, L, m, n, gathered):
+        rng = np.random.default_rng(31 * L + m + n)
+        N, s = 40, 12
+        store = FeatureStore(np.asfortranarray(rng.standard_normal((n, L * N + s))),
+                             L, N)
+        heads = [[rng.standard_normal((N + s, m)) for _ in range(L)]
+                 for _ in range(4)]
+        return (store.rows(rng.permutation(n)) if gathered else store), heads
+
+    @pytest.mark.parametrize("n", [0, 600, 2048])
+    @pytest.mark.parametrize("m", [2, 10])
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_k_sets_equal_one_set_calls_bit_for_bit(self, L, m, n):
+        # A pin: logits and probabilities, byte for byte.
+        store, heads = self.sets(L, m, n, gathered=False)
+        alone = [_layer_logits(store, [thetas])[0] for thetas in heads]
+        probs = [_layer_probs(store, [thetas])[0] for thetas in heads]
+        for K in range(1, 5):
+            Z = _layer_logits(store, heads[:K])
+            P = _layer_probs(store, heads[:K])
+            assert Z.shape == (K, L, m, n) and P.shape == (K, L, n, m)
+            for k in range(K):
+                assert Z[k].tobytes() == alone[k].tobytes()
+                assert P[k].tobytes() == probs[k].tobytes()
+
+    @pytest.mark.parametrize("gathered", [False, True])
+    @pytest.mark.parametrize("n", [1, 257, 600])
+    @pytest.mark.parametrize("m", [2, 10])
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_k_sets_match_one_set_calls_to_rounding(self, L, m, n, gathered):
+        # Every shape, within 1e-12 of the scale |D| |theta| of each dot
+        # product, the bound the one-gemm reference is held to.
+        store, heads = self.sets(L, m, n, gathered)
+        D = [store[l] for l in range(L)]
+        for K in range(1, 5):
+            Z = _layer_logits(store, heads[:K])
+            for k in range(K):
+                alone = _layer_logits(store, [heads[k]])[0]
+                for Dl, theta, Z_kl, want in zip(D, heads[k], Z[k], alone):
+                    scale = (np.abs(Dl) @ np.abs(theta)).T
+                    assert np.all(np.abs(Z_kl - want) <= 1e-12 * scale)
 
 
 class TestReadPathAllocations:

@@ -554,27 +554,27 @@ class TestOneEvaluationPass:
                          eval_every="batch", baselines=True)
 
     def test_test_rows_meet_the_backbone_once(self, monkeypatch):
-        from rvflstream import learners
+        from rvflstream import learners, runner
 
         extract, rows = learners.extract_features, []
-        probs, evaluations = learners.ContinualModel.per_learner_probs, []
+        probs, evaluations = runner._layer_probs, []
 
         def counted_extract(X, *args, **kwargs):
             rows.append(len(X))
             return extract(X, *args, **kwargs)
 
-        def counted_probs(*args, **kwargs):
-            evaluations.append(1)
-            return probs(*args, **kwargs)
+        def counted_probs(store, heads, *args, **kwargs):
+            evaluations.extend(heads)
+            return probs(store, heads, *args, **kwargs)
 
         monkeypatch.setattr(learners, "extract_features", counted_extract)
-        monkeypatch.setattr(learners.ContinualModel, "per_learner_probs",
-                            counted_probs)
+        monkeypatch.setattr(runner, "_layer_probs", counted_probs)
         report = run_experiment(validate_config(self.tree()))
         assert rows.count(52) == 1
         # The stream's 80 rows once each, the 52 test rows once, and the
         # baselines' two task pools once.
         assert sum(rows) == 80 + 52 + 80
+        # One head set scored per evaluation request.
         assert len(evaluations) == len(report.trace.t) == report.resolved["T"]
 
     @pytest.mark.parametrize("mode", ["mean", "median"])
@@ -643,26 +643,114 @@ class TestLogitsBufferReleasedBeforeTheBaselines:
     def test_buffer_is_dead_when_fit_baseline_runs(self, monkeypatch):
         # The baselines score into a buffer of their own, so the run's
         # logits buffer must be gone before they start.
-        from rvflstream import learners, runner
+        from rvflstream import runner
 
-        probs, fit = learners.ContinualModel.per_learner_probs, runner.fit_baseline
+        probs, fit = runner._layer_probs, runner.fit_baseline
         buffers, dead = [], []
 
-        def watched_probs(self, *args, out=None, **kwargs):
-            if out is not None:
-                buffers.append(weakref.ref(out))
-            return probs(self, *args, out=out, **kwargs)
+        def watched_probs(*args, out=None, **kwargs):
+            # The runner passes the leading rows of its buffer.
+            buffers.append(weakref.ref(out if out.base is None else out.base))
+            return probs(*args, out=out, **kwargs)
 
         def watched_fit(*args, **kwargs):
             dead.append([ref() is None for ref in buffers])
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(learners.ContinualModel, "per_learner_probs",
-                            watched_probs)
+        monkeypatch.setattr(runner, "_layer_probs", watched_probs)
         monkeypatch.setattr(runner, "fit_baseline", watched_fit)
         run_experiment(validate_config(base_tree(eval_every="batch",
                                                  baselines=True)))
         assert len(dead) == 1 and dead[0] and all(dead[0])
+
+
+class TestQueuedEvaluations:
+    def tree(self, tmp_path, eval_every, mode):
+        # 48 train rows in batches of 5 over two tasks: T = 10 is not a
+        # multiple of the queue's 3, and the task end at batch 5 falls
+        # with two requests queued. The test set has no class 0, which the
+        # first two batches see alone (see
+        # test_batch_whose_seen_classes_have_no_test_rows_is_null), so
+        # acc_seen starts at NaN. Its 24 rows are a multiple of 8, where
+        # BLAS rounds the stacked heads as it rounds one set (see
+        # learners._layer_logits).
+        rng = np.random.default_rng(0)
+        for name, y in (("train", np.repeat(np.arange(4), 12)),
+                        ("test", np.repeat(np.arange(1, 4), 8))):
+            X = rng.standard_normal((len(y), 3)) + y[:, None]
+            np.savetxt(tmp_path / f"{name}.csv", np.column_stack([X, y]),
+                       fmt="%.17g", delimiter=",")
+        return base_tree(dataset={"kind": "csv",
+                                  "train": str(tmp_path / "train.csv"),
+                                  "test": str(tmp_path / "test.csv"), "m": 4},
+                         batch_size=5, network={"L": 3, "N": 6},
+                         style={"kind": "kf_bayes"}, shuffle_within=False,
+                         eval_every=eval_every, ensemble=mode,
+                         seeds={"weights": 3, "order": 0})
+
+    def replay(self, config):
+        # Each request scored on its own, right after its step, through
+        # the public read path.
+        from rvflstream.metrics import AccuracyMatrix, Targets
+
+        train = load_csv_features(config.dataset["train"], m=4)
+        test = load_csv_features(config.dataset["test"], m=4)
+        net = NetworkConfig(s=3, m=4, **config.network)
+        tasks = split_class_incremental(train, config.split,
+                                        shuffle_within=config.shuffle_within)
+        stream = batchify(tasks, config.batch_size, 4)
+        ends = stream.task_end_batches
+        model = ContinualModel(net, config.style)
+        targets = Targets(one_hot(test.y, 4))
+        trace, acc = TraceSeries(), AccuracyMatrix(config.split.Q)
+        seen, feats = np.zeros(4, dtype=bool), None
+        for i, batch in enumerate(stream):
+            model.observe(batch.X, batch.Y,
+                          stream[i + 1].X if i + 1 < stream.T else None)
+            seen |= batch.Y.any(axis=0)
+            finished = [q for q, end in enumerate(ends) if end == batch.t]
+            if config.eval_every == "task" and not finished:
+                continue
+            if feats is None:
+                feats = model.eval_features(test.rows)
+            scores = targets.score(model.per_learner_probs(eval_feats=feats),
+                                   config.ensemble)
+            rows = seen[targets.cls]
+            trace.append(batch.t, scores.accuracy(rows) if rows.any() else math.nan,
+                         scores.accuracy(), scores.regret, scores.kl)
+            for q in finished:
+                for j in range(q + 1):
+                    acc.record(q, j, scores.accuracy(
+                        np.isin(test.y, tasks[j].classes)))
+        return trace, acc.R
+
+    @pytest.mark.parametrize("mode", ["mean", "median"])
+    @pytest.mark.parametrize("eval_every, passes", [("batch", [3, 2, 3, 2]),
+                                                    ("task", [1, 1])])
+    def test_trace_and_matrix_equal_an_immediate_replay(
+            self, tmp_path, monkeypatch, eval_every, passes, mode):
+        from rvflstream import runner
+
+        probs, sets = runner._layer_probs, []
+
+        def counted(store, heads, *args, **kwargs):
+            sets.append(len(heads))
+            return probs(store, heads, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "_layer_probs", counted)
+        config = validate_config(self.tree(tmp_path, eval_every, mode))
+        report = run_experiment(config)
+        assert report.resolved["T"] == 10
+        assert report.resolved["task_end_batches"] == [5, 10]
+        # A task-end run scores one head set per pass.
+        assert sets == passes
+        trace, R = self.replay(config)
+        assert report.trace.t == trace.t
+        for name in ("acc_seen", "acc_full", "regret", "cum_regret", "kl"):
+            assert_same_bits(getattr(report.trace, name), getattr(trace, name))
+        assert_same_bits(report.acc_matrix, R)
+        if eval_every == "batch":
+            assert np.isnan(report.trace.acc_seen[:2]).all()
 
 
 class TestBaselinesFollowTheEnsembleRule:
