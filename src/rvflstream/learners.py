@@ -237,17 +237,24 @@ class AdaptiveKTrace:
         k_next is 0 exactly once per layer, on the step that closed the
         stream; every other weight comes out of the clamp positive.
         """
-        if not 1 <= layer <= self.layer_count:
-            raise ContractError(f"layer must be in 1..{self.layer_count}, got {layer}")
-        if not (np.isfinite(k_cur) and np.isfinite(k_next)):
-            raise NumericalFailure(
-                "adaptive k is non-finite", batch_index=t, layer=layer
-            )
-        if k_cur <= 0 or k_next < 0:
-            raise ContractError(
-                f"adaptive k must be positive, got ({k_cur}, {k_next})"
-            )
-        self._rows.append((t, layer, float(k_cur), float(k_next)))
+        self.extend([(layer, t, k_cur, k_next)])
+
+    def extend(self, rows):
+        """Store (layer, t, k_cur, k_next) rows as record does, all or none."""
+        for layer, t, k_cur, k_next in rows:
+            if not 1 <= layer <= self.layer_count:
+                raise ContractError(
+                    f"layer must be in 1..{self.layer_count}, got {layer}")
+            if not (np.isfinite(k_cur) and np.isfinite(k_next)):
+                raise NumericalFailure(
+                    "adaptive k is non-finite", batch_index=t, layer=layer
+                )
+            if k_cur <= 0 or k_next < 0:
+                raise ContractError(
+                    f"adaptive k must be positive, got ({k_cur}, {k_next})"
+                )
+        self._rows += [(t, layer, float(k_cur), float(k_next))
+                       for layer, t, k_cur, k_next in rows]
 
     def rows(self):
         """The recorded rows in batch-major order, layers ascending within a batch."""
@@ -710,35 +717,51 @@ class ContinualModel:
         anything else raises a ContractError naming the batch. Under
         network.standardize the z-score statistics are frozen from the
         first observed X_t.
+
+        A call commits every layer or none: the layers step into locals,
+        and the states, the k-trace rows and the cached features are set
+        together once all have stepped. A call that raises leaves the
+        model as it found it, its z-score statistics and its fast-k
+        generator included, so a retry of the batch runs as if the
+        failed call had not happened.
         """
         t = self.t + 1
-        if self.config.standardize and self._norm is None:
-            X = np.asarray(X_t, dtype=float)
-            sd = X.std(axis=0)
-            sd[sd == 0.0] = 1.0
-            self._norm = (X.mean(axis=0), sd)
-        if self._pending is None:
-            feats = self._features(X_t, t)
-        else:
-            X_prev, feats = self._pending
-            if X_t is not X_prev and not np.array_equal(X_t, X_prev):
-                raise ContractError(
-                    f"batch {t}: X_t is not the X_next of batch {t - 1}")
-        nxt = self._features(X_next, t + 1) if X_next is not None else None
-        Y = np.asarray(Y_t, dtype=float)
-
-        for i, state in enumerate(self.states):
-            D_t = feats[i]
-            D_n = nxt[i] if nxt is not None else None
-            if self.style.kind == "ridge":
-                self.states[i] = step_ridge(state, D_t, Y)
-            elif self.style.kind == "kf":
-                self.states[i] = step_kf(state, D_t, Y, D_n)
+        norm, draws = self._norm, self._fast_rng.bit_generator.state
+        try:
+            if self.config.standardize and norm is None:
+                X = np.asarray(X_t, dtype=float)
+                sd = X.std(axis=0)
+                sd[sd == 0.0] = 1.0
+                self._norm = (X.mean(axis=0), sd)
+            if self._pending is None:
+                feats = self._features(X_t, t)
             else:
-                self.states[i], pair = step_kf_bayes(
-                    state, D_t, Y, D_n, rng=self._fast_rng
-                )
-                self.k_trace.record(i + 1, t, *pair)
+                X_prev, feats = self._pending
+                if X_t is not X_prev and not np.array_equal(X_t, X_prev):
+                    raise ContractError(
+                        f"batch {t}: X_t is not the X_next of batch {t - 1}")
+            nxt = self._features(X_next, t + 1) if X_next is not None else None
+            Y = np.asarray(Y_t, dtype=float)
+
+            states, rows = [], []
+            for i, state in enumerate(self.states):
+                D_t = feats[i]
+                D_n = nxt[i] if nxt is not None else None
+                if self.style.kind == "ridge":
+                    state = step_ridge(state, D_t, Y)
+                elif self.style.kind == "kf":
+                    state = step_kf(state, D_t, Y, D_n)
+                else:
+                    state, pair = step_kf_bayes(state, D_t, Y, D_n,
+                                                rng=self._fast_rng)
+                    rows.append((i + 1, t, *pair))
+                states.append(state)
+            self.k_trace.extend(rows)
+        except BaseException:
+            self._norm = norm
+            self._fast_rng.bit_generator.state = draws
+            raise
+        self.states = states
         self._pending = None if nxt is None else (X_next, nxt)
 
     def eval_features(self, X):

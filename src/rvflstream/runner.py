@@ -15,6 +15,7 @@ import time
 from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +44,17 @@ from .stream import (
 
 DATASET_KINDS = ("synthetic", "idx", "csv")
 
-# Most evaluation requests the runner scores in one pass over the test
-# store (learners._layer_probs). A one-set pass at m = 10 is ten-row
+# How many evaluation requests the runner queues before it scores them
+# in one pass over the test store (learners._layer_probs); the queue is
+# also scored at the stream's end. A one-set pass at m = 10 is ten-row
 # gemms streaming the whole store, and stacking sets amortises both.
 # Per evaluation at eval_ridge's shapes (n = 10 000, s = 64, N = 128,
 # L = 3, m = 10) on a 2-vCPU x86_64 VM, the medians of two rounds of 40
 # interleaved calls, at two OpenBLAS threads: 5.5-5.6 ms for one set a
 # pass, 4.1-4.5 for two, 3.7-4.0 for three and 3.8-4.0 for four or five
 # (one thread: 6.8-6.9, 5.1, 4.7-4.8 and 4.6-4.8). Past three nothing
-# is gained, and each set adds an L m n buffer of logits.
+# is gained, and each set adds an L m n buffer of logits and holds its
+# L heads until the pass.
 _EVAL_QUEUE = 3
 
 # The two defaults a schema key may have besides a value: a REQUIRED key
@@ -408,29 +411,30 @@ def run_experiment(config):
 
     The loop observes (X_{t+1}, Y_t) pairs: each step consumes the
     labeled current batch and the unlabeled upcoming one. An evaluation
-    request after it queues the post-step heads with t, the seen classes
-    and the tasks the batch finished, and the queue is scored in one
-    pass over the test store (learners._layer_probs) when it holds
-    _EVAL_QUEUE requests, at a task end and at the stream's end. Each
-    request scores as if it had been scored on its own right after its
-    step: bit for bit where BLAS rounds the stacked heads as it rounds
-    one set (see learners._layer_logits), and to rounding elsewhere.
-    The logits buffer is sized by the longest queue scored so far, so a
-    run that evaluates only at task ends scores one head set per pass.
-    Task-level rows of the accuracy matrix are recorded from the
-    stream's side channel, which the learning path itself never reads
-    (audited in the report).
+    request after it (every batch, or under eval_every: task each batch
+    that finishes a task) queues the post-step heads with t, the seen
+    classes and the tasks the batch finished. The queue is scored in
+    one pass over the test store (learners._layer_probs) when it holds
+    _EVAL_QUEUE requests and at the stream's end; task ends decide only
+    which requests exist and which accuracy-matrix rows they record.
+    Each request scores as if it had been scored on its own right after
+    its step: bit for bit where BLAS rounds the stacked heads as it
+    rounds one set (see learners._layer_logits), and to rounding
+    elsewhere. The test store and one logits buffer, sized by the first
+    pass, are allocated once, at that pass. Task-level rows of the
+    accuracy matrix are recorded from the stream's side channel, which
+    the learning path itself never reads (audited in the report).
 
     The training rows are held once, in the task split, at their
     source's width (one byte per idx pixel, eight per csv or synthetic
     value): the loaded train set is released as soon as it is split,
-    and the stream builds each batch's float64 rows when it is read,
-    keeping the last one, so each step's X_t is the array the step
-    before it received as X_next. The test set is held once too, at its
-    source's width until the first scoring reads it a row block at a
-    time into the stored per-layer features and releases it; its labels
-    live on in the run's metrics.Targets, which scores the learner and
-    the baselines.
+    and the stream builds each batch's float64 rows when it is read.
+    The loop reads each batch once and carries it, so each step's X_t
+    is the array the step before it received as X_next. The test set is
+    held once too, at its source's width until the first scoring reads
+    it a row block at a time into the stored per-layer features and
+    releases it; its labels live on in the run's metrics.Targets, which
+    scores the learner and the baselines.
 
     acc_seen is NaN at an evaluation whose seen classes have no test
     rows; report.json writes it as null.
@@ -466,32 +470,34 @@ def run_experiment(config):
     trace = TraceSeries()
     wall = []
     seen = np.zeros(net.m, dtype=bool)
-    test_feats = buf = None
+    test_feats = None
     queue = []
 
-    for i, batch in enumerate(stream):
-        X_next = stream[i + 1].X if i + 1 < stream.T else None
+    # Each batch is built once and read twice: as the step's X_next, then
+    # as the next step's X_t.
+    for batch, nxt in pairwise(chain(stream, [None])):
         t0 = time.perf_counter()
-        model.observe(batch.X, batch.Y, X_next)
+        model.observe(batch.X, batch.Y, None if nxt is None else nxt.X)
         wall.append(time.perf_counter() - t0)
         seen |= batch.Y.any(axis=0)
 
+        # The last batch ends the last task, so a task-end run queues a
+        # request there too and the stream's end scores it.
         finished = ends_at.get(batch.t, [])
-        closing = bool(finished) or batch.t == stream.T
-        if not (config.eval_every == "batch" or closing):
+        if config.eval_every == "task" and not finished:
             continue
         # No step writes a head in place, so the request holds the heads
         # the step left.
         queue.append((batch.t, seen.copy(), finished,
                       [st.theta for st in model.states]))
-        if len(queue) < _EVAL_QUEUE and not closing:
+        if len(queue) < _EVAL_QUEUE and nxt is not None:
             continue
         if test_feats is None:
-            # Built once per run; targets holds the labels.
+            # Built once per run, with the logits buffer sized by the
+            # first pass, which no later pass outgrows; targets holds
+            # the labels.
             test_feats = model.eval_features(test.rows)
             del test
-        if buf is None or len(buf) < len(queue):
-            buf = None  # before the longer one exists
             buf = np.empty((len(queue), net.L, net.m, len(targets.cls)))
         probs = _layer_probs(test_feats, [heads for *_, heads in queue],
                              out=buf[:len(queue)])

@@ -96,7 +96,7 @@ class LabeledDataset(_Rows):
         self.y = np.asarray(y, dtype=int)
         self.m = m
         held = self.rows.held
-        if held.ndim != 2 or held.shape[0] < 1:
+        if held.ndim != 2 or 0 in held.shape:
             raise ContractError(f"X must be a nonempty matrix, got shape {held.shape}")
         if self.y.shape != (held.shape[0],):
             raise ContractError("y must have one label per row of X")
@@ -160,12 +160,11 @@ class BatchStream:
     cumulative task sizes: for every batch, the task of its first row
     and the task of its last row. The last-row tasks are the
     boundary_annotations, and task_end_batches comes from the same
-    ends. The batches are built when they are read, from the tasks'
-    held rows (see batchify), so the stream adds no rows of its own
-    beyond the last batch built. That batch is kept: reading
-    stream[i + 1] and then stream[i + 1] again, as the runner's loop
-    does when it passes X_next and then steps on it, gives the same
-    StreamBatch object.
+    ends. stream[i] builds batch i from the tasks' held rows each time
+    it is read (see batchify), and the stream keeps no batch, so it
+    holds no rows of its own. A caller that needs one batch twice, as
+    the runner's loop does when it passes X_next and then steps on it,
+    keeps what it read.
     """
 
     def __init__(self, tasks, b, m):
@@ -184,7 +183,6 @@ class BatchStream:
             self._ends, last_rows, side="right").tolist())
         self._task_end_batches = tuple(((self._ends - 1) // b + 1).tolist())
         self.annotation_reads = 0
-        self._last = None
 
     def __iter__(self):
         return (self[i] for i in range(self.T))
@@ -195,10 +193,7 @@ class BatchStream:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(self.T)[i]]
-        t = range(1, self.T + 1)[i]
-        if self._last is None or self._last.t != t:
-            self._last = self._build(t)
-        return self._last
+        return self._build(range(1, self.T + 1)[i])
 
     def _build(self, t):
         """Batch t (1-based): rows [(t - 1) b, t b) of the tasks in order.
@@ -294,11 +289,11 @@ def batchify(tasks, b, m):
     float64 rows: a batch inside one task reads its rows through the
     task's HeldRows, a row-slice view of float rows or its idx pixels
     divided by 255, and only a batch that straddles tasks is a
-    concatenated copy. So the stream holds no rows beyond the tasks'
-    and the last batch read. The final batch may be short and is
-    flagged. Targets are one-hot over the full class load m. A b that
-    is not an integer >= 1, an empty task list and a task without rows
-    (named with its classes) are each a ContractError.
+    concatenated copy. So the stream holds no rows beyond the tasks'.
+    The final batch may be short and is flagged. Targets are one-hot
+    over the full class load m. A b that is not an integer >= 1, an
+    empty task list and a task without rows (named with its classes)
+    are each a ContractError.
     """
     if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1:
         raise ContractError(f"batch size must be an integer >= 1, got {b!r}")
@@ -351,7 +346,8 @@ def load_idx(images_path, labels_path=None):
     stream batch, each baseline pool and each row block of the test
     store.
     When labels_path is omitted it is inferred by the usual
-    images-idx3 -> labels-idx1 naming convention.
+    images-idx3 -> labels-idx1 naming convention. A file with no images,
+    or with images of no pixels, is a FormatError naming it.
     """
     images_path = Path(images_path)
     if labels_path is None:
@@ -376,6 +372,8 @@ def load_idx(images_path, labels_path=None):
         )
     if count == 0:
         raise FormatError(f"{images_path}: item count is 0, no images")
+    if rows * cols == 0:
+        raise FormatError(f"{images_path}: images are {rows}x{cols}, no pixels")
     return LabeledDataset(
         X=HeldRows(images.reshape(count, rows * cols), pixels=True),
         y=labels.astype(int),
@@ -389,7 +387,9 @@ def load_csv_features(path, label_column=-1, delimiter=",", m=None):
     An optional single header row is detected by non-numeric cells in
     the first line. label_column may be an integer position (negative
     allowed) or a header name. The class load m is inferred as
-    max(label) + 1 unless given.
+    max(label) + 1 unless given. A table with no column besides the
+    label, and a label outside [0, m), are each a FormatError naming
+    the file (and the line of the first such label).
     """
     path = Path(path)
     with open(path, newline="") as f:
@@ -423,6 +423,8 @@ def load_csv_features(path, label_column=-1, delimiter=",", m=None):
             f"{path}: label column {label_idx} out of range for {width} columns"
         )
     label_idx = label_idx % width
+    if width == 1:
+        raise FormatError(f"{path}: no feature columns besides the label column")
     data = np.empty((len(rows), width))
     for i, (lineno, row) in enumerate(rows):
         if len(row) != width:
@@ -444,6 +446,11 @@ def load_csv_features(path, label_column=-1, delimiter=",", m=None):
     X = np.delete(data, label_idx, axis=1)
     if m is None:
         m = int(labels.max()) + 1
+    outside = (labels < 0) | (labels >= m)
+    if outside.any():
+        bad = int(np.flatnonzero(outside)[0])
+        raise FormatError(f"{path}:{rows[bad][0]}: label {labels[bad]} "
+                          f"outside the class load [0, {m})")
     return LabeledDataset(X=X, y=labels, m=m)
 
 

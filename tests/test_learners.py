@@ -1506,6 +1506,56 @@ class TestContinualModel:
         assert "projected covariance" in str(info.value)
         assert (info.value.batch_index, info.value.layer) == (1, 1)
 
+    @pytest.mark.parametrize("fast_k, batch, standardize", [
+        (None, 2, False), ("random_pick", 2, False), (None, 1, True)])
+    def test_failed_observe_commits_no_layer(self, monkeypatch, fast_k, batch,
+                                             standardize):
+        # A failure forced in layer 2 of the batch leaves layer 1 unstepped
+        # too, with no k-trace row, no fast-k draw and no z-scores kept, so
+        # a retry of the batch equals an uninterrupted run bit for bit.
+        from rvflstream import learners
+
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((4, 5, 3)) * 3 + 1
+        Y = np.eye(2)[rng.integers(0, 2, (4, 5))]
+
+        def build():
+            return self.small(L=3, standardize=standardize, style_kw={
+                "kind": "kf_bayes", "fast_k": fast_k})
+
+        def observe(model, batches):
+            for t in batches:
+                model.observe(X[t], Y[t], X[t + 1] if t + 1 < len(X) else None)
+
+        want = build()
+        observe(want, range(len(X)))
+        model = build()
+        observe(model, range(batch - 1))
+        states, rows = list(model.states), model.k_trace.rows()
+        step = learners._step
+
+        def failing(state, D_t, *args, **kwargs):
+            if D_t.layer == 2:
+                raise NumericalFailure("forced")
+            return step(state, D_t, *args, **kwargs)
+
+        monkeypatch.setattr(learners, "_step", failing)
+        with pytest.raises(NumericalFailure):
+            observe(model, [batch - 1])
+        assert len(model.states) == len(states)
+        assert all(got is kept for got, kept in zip(model.states, states))
+        assert model.k_trace.rows() == rows
+        if batch == 1:
+            assert model._norm is None
+        monkeypatch.setattr(learners, "_step", step)
+        observe(model, range(batch - 1, len(X)))
+
+        assert model.k_trace.rows() == want.k_trace.rows()
+        for got, kept in zip(model.states, want.states):
+            assert got.t == kept.t == len(X)
+            for name in ("theta", "q", "base", "rows"):
+                assert getattr(got, name).tobytes() == getattr(kept, name).tobytes()
+
     def test_predict_proba_shape(self):
         rng = np.random.default_rng(4)
         model = self.small()

@@ -664,12 +664,48 @@ class TestLogitsBufferReleasedBeforeTheBaselines:
         assert len(dead) == 1 and dead[0] and all(dead[0])
 
 
+class TestOneLogitsBuffer:
+    @pytest.mark.parametrize("eval_every, passes", [("batch", [3, 3, 3, 2]),
+                                                    ("task", [2])])
+    def test_every_pass_writes_into_one_buffer(self, tmp_path, monkeypatch,
+                                               eval_every, passes):
+        # Classes of 2, 2, 20 and 20 rows, and order seed 1 puts classes
+        # 0 and 1 first: the first task ends at batch 1 of 11, so a
+        # buffer sized by a task end would be too short for the passes
+        # after it.
+        from rvflstream import runner
+
+        rng = np.random.default_rng(0)
+        for name, y in (("train", np.repeat(np.arange(4), [2, 2, 20, 20])),
+                        ("test", np.repeat(np.arange(4), 2))):
+            np.savetxt(tmp_path / f"{name}.csv",
+                       np.column_stack([rng.standard_normal((len(y), 3)), y]),
+                       fmt="%.17g", delimiter=",")
+        probs, outs = runner._layer_probs, []
+
+        def watched_probs(store, heads, out=None):
+            outs.append(out)
+            return probs(store, heads, out=out)
+
+        monkeypatch.setattr(runner, "_layer_probs", watched_probs)
+        report = run_experiment(validate_config(base_tree(
+            dataset={"kind": "csv", "train": str(tmp_path / "train.csv"),
+                     "test": str(tmp_path / "test.csv")},
+            batch_size=4, eval_every=eval_every, seeds={"order": 1})))
+        assert report.resolved["task_end_batches"] == [1, 11]
+        assert [len(out) for out in outs] == passes
+        buf = outs[0].base
+        assert buf.shape == (passes[0], 2, 4, 8)
+        assert all(out.base is buf for out in outs)
+
+
 class TestQueuedEvaluations:
     def tree(self, tmp_path, eval_every, mode):
         # 48 train rows in batches of 5 over two tasks: T = 10 is not a
         # multiple of the queue's 3, and the task end at batch 5 falls
-        # with two requests queued. The test set has no class 0, which the
-        # first two batches see alone (see
+        # with two requests queued, so a pass holds requests on both
+        # sides of it. The test set has no class 0, which the first two
+        # batches see alone (see
         # test_batch_whose_seen_classes_have_no_test_rows_is_null), so
         # acc_seen starts at NaN. Its 24 rows are a multiple of 8, where
         # BLAS rounds the stacked heads as it rounds one set (see
@@ -725,8 +761,8 @@ class TestQueuedEvaluations:
         return trace, acc.R
 
     @pytest.mark.parametrize("mode", ["mean", "median"])
-    @pytest.mark.parametrize("eval_every, passes", [("batch", [3, 2, 3, 2]),
-                                                    ("task", [1, 1])])
+    @pytest.mark.parametrize("eval_every, passes", [("batch", [3, 3, 3, 1]),
+                                                    ("task", [2])])
     def test_trace_and_matrix_equal_an_immediate_replay(
             self, tmp_path, monkeypatch, eval_every, passes, mode):
         from rvflstream import runner
@@ -742,7 +778,8 @@ class TestQueuedEvaluations:
         report = run_experiment(config)
         assert report.resolved["T"] == 10
         assert report.resolved["task_end_batches"] == [5, 10]
-        # A task-end run scores one head set per pass.
+        # The queue is scored when it is full and at the stream's end,
+        # whatever the task ends.
         assert sets == passes
         trace, R = self.replay(config)
         assert report.trace.t == trace.t
@@ -1463,7 +1500,13 @@ class TestCli:
         ("csv", b"a,b,label\n", None, "header but no data rows"),
         ("csv", b"a,b,label\n1,2,0\n3,4,1\n", "target",
          "label column 'target' not found in header"),
-    ], ids=["short idx", "empty csv", "header-only csv", "missing label column"])
+        # Eight images of 0 x 5 pixels: a header and no payload.
+        ("idx", bytes.fromhex("00000803" "00000008" "00000000" "00000005"), None,
+         "images are 0x5, no pixels"),
+        ("csv", b"label\n0\n1\n", None,
+         "no feature columns besides the label column"),
+    ], ids=["short idx", "empty csv", "header-only csv", "missing label column",
+            "zero-width idx", "label-only csv"])
     def test_malformed_input_file_is_exit_2(self, tmp_path, capsys, kind, train,
                                             label_column, message):
         bad = tmp_path / "bad"
@@ -1484,6 +1527,21 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_test_label_outside_the_train_classes_is_exit_2(self, tmp_path,
+                                                             capsys):
+        (tmp_path / "train.csv").write_text("1,2,0\n3,4,1\n5,6,0\n7,8,1\n")
+        test = tmp_path / "test.csv"
+        test.write_text("1,2,0\n3,4,1\n5,6,2\n7,8,1\n")
+        p = self.write_cfg(tmp_path, base_tree(dataset={
+            "kind": "csv", "train": str(tmp_path / "train.csv"),
+            "test": str(test)}))
+        code = cli.main(["run", "--config", str(p),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {test}:3: label 2 outside the class load [0, 2)"]
         assert not (tmp_path / "out").exists()
 
     def test_test_set_without_a_tasks_classes_is_exit_2(self, tmp_path, capsys):

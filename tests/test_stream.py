@@ -54,6 +54,10 @@ class TestLabeledDataset:
         with pytest.raises(ContractError):
             LabeledDataset(X=np.ones((3, 2)), y=[0, 1], m=2)
 
+    def test_rejects_rows_without_features(self):
+        with pytest.raises(ContractError, match=r"nonempty matrix, got shape \(3, 0\)"):
+            LabeledDataset(X=np.ones((3, 0)), y=[0, 1, 0], m=2)
+
 
 class TestSplit:
     def test_partition_is_disjoint_and_complete(self):
@@ -400,10 +404,13 @@ class TestHeldPixels:
 
 
 class TestBatchStreamReads:
-    def test_rereading_a_batch_gives_the_same_object(self):
+    def test_rereading_a_batch_gives_equal_bytes(self):
         stream = batchify(random_tasks([5, 4]), 4, 2)
         nxt = stream[1]
-        assert stream[1] is nxt
+        again = stream[1]
+        assert again.t == nxt.t == 2
+        assert again.X.tobytes() == nxt.X.tobytes()
+        assert again.Y.tobytes() == nxt.Y.tobytes()
         assert [bt.t for bt in stream] == [1, 2, 3]
         assert stream[-1].t == 3
         assert [bt.t for bt in stream[1:]] == [2, 3]
