@@ -18,16 +18,16 @@ bit.
 
 Each mechanism is described once, in the docstring of its code:
 
-- SubLearnerState: what a layer carries between batches, eta_dag in
-  the deferred form E - A^T A, the forward term (D_next, k_next, V),
-  and how the complete rate eta is read from them.
-- _absorb: how a step absorbs D_t into eta_dag; _flush_due and
-  _carry_cap: when the carried rows are written into E.
+- SubLearnerState: what a layer carries between batches, its heads
+  and its rate.
+- _Rate: eta_dag in the deferred form E - A^T A, the forward term
+  (D_next, k_next, V), and how the complete rate eta is read from them
+  (_Rate.eta); _Rate.absorb and _carry_cap: how a step absorbs D_t
+  into eta_dag and when the carried rows are written into E.
 - _step: how every step moves the head q and forms theta from it.
 - _adaptive_pair and compute_adaptive_k: the adaptive k.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +61,8 @@ K_CLAMP_LO = 1e-6
 K_CLAMP_HI = 1e6
 
 # Most correction rows a carried layer holds before writing them into
-# its d x d base; _carry_cap lowers it to d // 4 for narrow layers.
+# its d x d base (_Rate); _carry_cap lowers it to d // 4 for narrow
+# layers.
 # A low-rank write of the d x d matrix is bound by memory traffic: at
 # d=1040 on a 2-vCPU x86_64 VM, writing eta - W^T W took 4.6 ms for 20
 # rows of W and 7.6 ms for 160. Per adaptive step at b=20, the carried
@@ -132,6 +133,122 @@ class RegStyle:
                 raise ContractError(f"kf_bayes requires a finite sigma > 0, got {self.sigma}")
 
 
+class _Rate:
+    """A layer's rate eta_dag and the forward term of the step that made it.
+
+    eta_dag, the pseudo-incomplete rate, accumulates the labeled batches
+    only. It is carried as base - rows^T rows: a d x d base E and an
+    r x d block A of correction rows not yet written into it. absorb
+    appends each batch's rows and writes E - A^T A into a fresh base on
+    a flush, so r never exceeds the cap R, and a rate is d^2 + R d
+    numbers, whatever t. R is _carry_cap(d), or 0 for kf at k = 1 under
+    theorem (_dense), whose every absorb flushes. eta_dag(t) builds
+    E - A^T A when rows are carried.
+
+    forward is the step's forward term, O(b * d), or None when it had
+    none: the triple (D_next, k_next, V) of the step's own copy of
+    D_next, the weight and V = D_next eta_dag (project), one layout for
+    every style. V serves two steps: the next absorb takes the rows of
+    its D_t from it when that D_t equals the stored D_next (cached), and
+    the complete rate's correction eta = eta_dag - W_f^T W_f,
+    W_f = sqrt(k_next) L^{-1} V, follows from it in O(b^2 d)
+    (forward_rows); a previous_complete step takes its projections from
+    that correction. The stored k_next is the next adaptive step's k_cur.
+
+    eta(t), the complete rate, also absorbs the k_next-weighted Gram of
+    the upcoming unlabeled batch: it is eta_dag without a forward term,
+    and otherwise one fresh d x d array E - [A; W_f]^T [A; W_f], built
+    on every read. Every correction here factors its b x b inner system
+    by Cholesky; one that is not positive definite means eta_dag has
+    lost positive definiteness, and the absorb or the read raises
+    NumericalFailure with the batch index t it was given. No method
+    writes into an array a rate holds.
+    """
+
+    def __init__(self, base, rows, cap):
+        self.base, self.rows, self.cap, self.forward = base, rows, cap, None
+
+    def project(self, X):
+        """X eta_dag: 2 n d^2 + 4 n r d flops for n rows of X and r carried rows."""
+        out = X @ self.base
+        if len(self.rows):
+            out -= (X @ self.rows.T) @ self.rows
+        return out
+
+    def cached(self, D):
+        """The V of the forward term when its D_next equals D by content, else None.
+
+        The stored block is the step's own copy, so a caller's array
+        changed in place since then no longer matches it.
+        """
+        if self.forward is None or not np.array_equal(self.forward[0], D):
+            return None
+        return self.forward[2]
+
+    def absorb(self, D, t, layer, absorb):
+        """Absorb D_t at batch t: the new rate and the projections of the step.
+
+        M = D_t eta_dag is the V of the forward term when its D_next
+        equals D_t (cached): the product made when D_t was the upcoming
+        batch serves both steps. Otherwise M is one projection
+        (project), 2 b d^2 + 4 b r d flops through r carried rows. The
+        correction rows W = L^{-1} M, with L L^T = S = I + M D_t^T,
+        follow from the b x b inner system, and the D_t rows on the new
+        eta_dag are the gain L^{-T} W = S^{-1} M, with no subtraction. W
+        is appended to A and no d x d matrix is written, except on a
+        flush: the new base E - A^T A is written once into a fresh
+        array, (r + b) d^2 flops, and no rows are carried.
+
+        A layer flushes once every R // b steps: layer l (0 for a bare
+        array) when t = l modulo R // b, so the layers of one model take
+        turns and no batch pays more than one flush while L * b <= R. A
+        batch that would carry more than R rows flushes too, which bounds
+        the rows for any mix of batch sizes. When R // b < 2 every step
+        flushes, which is the dense rank-b write. At R = 0, the dense
+        chain of kf at k = 1 under theorem (_step), every absorb is
+        woodbury_update(E, D_t, 1.0) on a base that carries no rows,
+        operation for operation, the chain the k = 1 contract pins bit
+        for bit; carried rows would round otherwise.
+
+        An inner system that is not positive definite raises
+        NumericalFailure (_correction_rows). A batch that is not
+        absorbed leaves eta_dag as it is, and its gain is M.
+
+        Returns (rate, M, gain, W): the new rate has no forward term
+        until the step sets one, and W is None when the batch is not
+        absorbed.
+        """
+        base, rows = self.base, self.rows
+        M = self.cached(D)
+        if M is None:
+            M = self.project(D)
+        gain, W = M, None
+        if absorb:
+            W, L_inv = _correction_rows(M, D, 1.0, t)
+            gain = L_inv.T @ W
+            rows = np.vstack([rows, W]) if len(rows) else W
+            period = max(1, self.cap // len(D))
+            if len(self.rows) + len(D) > self.cap or (t - (layer or 0)) % period == 0:
+                base, rows = _minus_gram(base, rows, t), rows[:0]
+        return _Rate(base, rows, self.cap), M, gain, W
+
+    def forward_rows(self, t):
+        """The rows W_f = sqrt(k_next) L^{-1} V of the complete rate's correction."""
+        D_next, k_next, V = self.forward
+        return _correction_rows(V, D_next, k_next, t)[0]
+
+    def eta_dag(self, t):
+        if len(self.rows) == 0:
+            return self.base
+        return _minus_gram(self.base, self.rows, t)
+
+    def eta(self, t):
+        """eta = (eta_dag^{-1} + k_next D_next^T D_next)^{-1}, or eta_dag."""
+        if self.forward is None:
+            return self.eta_dag(t)
+        return _minus_gram(self.base, np.vstack([self.rows, self.forward_rows(t)]), t)
+
+
 @dataclass
 class SubLearnerState:
     """Everything one layer's learner carries between batches.
@@ -140,50 +257,28 @@ class SubLearnerState:
     style, and theta the head the layer predicts with: q itself, except
     after a carried step that keeps a forward term (kf's or kf_bayes's
     with a D_next), where theta is q's forward correction. Both start as
-    one zero array (theta_{l,0} = theta_{l,1} = 0) and eta_dag at
-    (lam * I)^{-1}. t counts consumed batches.
+    one zero array (theta_{l,0} = theta_{l,1} = 0). t counts consumed
+    batches.
 
-    eta_dag, the pseudo-incomplete rate, accumulates the labeled batches
-    only. It is carried as base - rows^T rows: a d x d base E and an
-    r x d block A of correction rows not yet written into it. _absorb
-    appends each batch's rows and writes E - A^T A into a fresh base on
-    a flush (_flush_due), so r never exceeds R = _carry_cap(d), and a
-    state is d^2 + R d numbers beside its heads, whatever t. Reading
-    eta_dag builds E - A^T A when rows are carried.
-
-    A step stores only its forward term, O(b * d), or None when it had
-    none: the triple (D_next, k_next, V) of its own copy of D_next, the
-    weight and V = D_next eta_dag on the new eta_dag, one layout for
-    every style. V serves two steps: the next absorb takes the rows of
-    its D_t from it when that D_t equals the stored D_next
-    (_cached_rows), and the complete rate's correction
-    eta = eta_dag - W_f^T W_f, W_f = sqrt(k_next) L^{-1} V, follows from
-    it in O(b^2 d) (_forward_rows); a previous_complete step takes its
-    projections from that correction. The stored k_next is the next
-    adaptive step's k_cur.
-
-    eta, the complete rate, also absorbs the k_next-weighted Gram of the
-    upcoming unlabeled batch. It is None before the first step, eta_dag
-    when the latest step has no forward term, and otherwise built from
-    eta_dag and the forward term on every read, one fresh d x d array
-    E - [A; W_f]^T [A; W_f] (_complete_rate). Every correction here
-    factors its b x b inner system by Cholesky; one that is not
-    positive definite means eta_dag has lost positive definiteness, and
-    the step or the read raises NumericalFailure. No step writes into an
-    array an earlier state holds.
+    rate is the layer's _Rate: eta_dag, starting at (lam * I)^{-1} and
+    carried as E - A^T A, and the forward term of the latest step, so a
+    state is d^2 + R d numbers beside its heads. eta_dag and eta read it
+    at batch t; eta is None before the first step. No step writes into
+    an array an earlier state holds.
     """
 
     theta: np.ndarray
-    base: np.ndarray
+    rate: _Rate
     t: int
     lam: float
     style: RegStyle
-    rows: np.ndarray
     q: np.ndarray
-    _forward: tuple | None = None
 
     @classmethod
     def initial(cls, d, m, lam, style):
+        for name, value in (("d", d), ("m", m)):
+            if value < 1:
+                raise ContractError(f"{name} must be >= 1, got {value}")
         if not 0 < lam < np.inf:
             raise ContractError(f"lam must be positive and finite, got {lam}")
         # I / lam written in place: the same bytes as np.eye(d) / lam,
@@ -191,29 +286,16 @@ class SubLearnerState:
         base = np.zeros((d, d))
         np.fill_diagonal(base, 1.0 / lam)
         head = np.zeros((d, m))
-        return cls(
-            theta=head,
-            base=base,
-            t=0,
-            lam=float(lam),
-            style=style,
-            rows=np.empty((0, d)),
-            q=head,
-        )
+        rate = _Rate(base, np.empty((0, d)), 0 if _dense(style) else _carry_cap(d))
+        return cls(theta=head, rate=rate, t=0, lam=float(lam), style=style, q=head)
 
     @property
     def eta_dag(self):
-        if len(self.rows) == 0:
-            return self.base
-        return _minus_gram(self.base, self.rows, self.t)
+        return self.rate.eta_dag(self.t)
 
     @property
     def eta(self):
-        if self.t == 0:
-            return None
-        if self._forward is None:
-            return self.eta_dag
-        return _complete_rate(self)
+        return None if self.t == 0 else self.rate.eta(self.t)
 
     @property
     def d(self):
@@ -231,16 +313,13 @@ class AdaptiveKTrace:
         self.layer_count = layer_count
         self._rows = []
 
-    def record(self, layer, t, k_cur, k_next):
-        """Store the pair used at batch t for 1-based layer index.
+    def extend(self, rows):
+        """Store (layer, t, k_cur, k_next) rows, all or none.
 
+        Each row is the pair used at batch t by the 1-based layer index.
         k_next is 0 exactly once per layer, on the step that closed the
         stream; every other weight comes out of the clamp positive.
         """
-        self.extend([(layer, t, k_cur, k_next)])
-
-    def extend(self, rows):
-        """Store (layer, t, k_cur, k_next) rows as record does, all or none."""
         for layer, t, k_cur, k_next in rows:
             if not 1 <= layer <= self.layer_count:
                 raise ContractError(
@@ -297,120 +376,21 @@ def _carry_cap(d):
     return min(_CARRY_ROWS, d // 4)
 
 
-def _flush_due(t, layer, carried, b, d):
-    """Whether the absorb at batch t writes its layer's base.
-
-    ridge, kf at k = 0 (the fixed pair (0, 0), bit for bit ridge) and
-    kf_bayes carry at most R = _carry_cap(d) rows and flush once every
-    R // b steps: layer l (0 for a bare array) flushes when
-    t = l modulo R // b, so the layers of one model take turns and no
-    batch pays more than one flush while L * b <= R. A batch that would
-    carry more than R rows flushes too, which bounds the rows for any
-    mix of batch sizes. When R // b < 2 every step flushes, which is the
-    dense rank-b write. kf at k = 1 under theorem carries no rows, and
-    every one of its absorbs flushes (_absorb).
-    """
-    cap = _carry_cap(d)
-    period = max(1, cap // b)
-    return carried + b > cap or (t - (layer or 0)) % period == 0
-
-
-def _project(X, base, rows):
-    """X eta_dag for eta_dag = base - rows^T rows.
-
-    2 n d^2 + 4 n r d flops for n rows of X and r carried rows.
-    """
-    out = X @ base
-    if len(rows):
-        out -= (X @ rows.T) @ rows
-    return out
-
-
-def _cached_rows(state, D):
-    """The V = D eta_dag the previous step kept, or None.
-
-    It serves only when the state's stored D_next equals D by content.
-    The stored block is the step's own copy, so a caller's array
-    changed in place since then no longer matches it.
-    """
-    forward = state._forward
-    if forward is None or not np.array_equal(forward[0], D):
-        return None
-    return forward[2]
-
-
-def _absorb(state, D, DN, t, layer, absorb, carry):
-    """Absorb D_t into the carried eta_dag; the projections of the step.
-
-    eta_dag is E - A^T A (see SubLearnerState). M = D_t eta_dag on it is
-    the V the previous step kept when its D_next equals D_t
-    (_cached_rows): the product made when D_t was the upcoming batch
-    serves both steps. Otherwise M is one projection (_project),
-    2 b d^2 + 4 b r d flops through r carried rows. The correction rows
-    W = L^{-1} M, with L L^T = S = I + M D_t^T, follow from the b x b
-    inner system, and the D_t rows on the new eta_dag are the gain
-    L^{-T} W = S^{-1} M, with no subtraction. W is appended to A and no
-    d x d matrix is written, except on a flush: the new base E - A^T A
-    is written once into a fresh array, (r + b) d^2 flops, and no rows
-    are carried. With carry the flush comes when _flush_due says.
-    carry=False serves only the dense step of kf at k = 1 under theorem
-    (_step): every absorb flushes, which is woodbury_update(E, D_t, 1.0)
-    on a base that carries no rows, operation for operation, the chain
-    the k = 1 contract pins bit for bit; carried rows would round
-    otherwise. D_next, when given, is projected once on the new eta_dag.
-    An inner system that is not positive definite raises
-    NumericalFailure (_correction_rows). A batch that is not absorbed
-    leaves eta_dag as it is, and its gain is M.
-
-    Returns (base, rows, M, gain, W, V): W is None when the batch is not
-    absorbed, V = D_next eta_dag on the new eta_dag, None without D_next.
-    """
-    base, rows = state.base, state.rows
-    M = _cached_rows(state, D)
-    if M is None:
-        M = _project(D, base, rows)
-    gain, W = M, None
-    if absorb:
-        W, L_inv = _correction_rows(M, D, 1.0, t)
-        gain = L_inv.T @ W
-        rows = np.vstack([rows, W]) if len(rows) else W
-        if not carry or _flush_due(t, layer, len(state.rows), len(D), state.d):
-            base, rows = _minus_gram(base, rows, t), rows[:0]
-    V = None if DN is None else _project(DN, base, rows)
-    return base, rows, M, gain, W, V
-
-
-def _forward_rows(state):
-    """The rows W_f of the complete rate's correction.
-
-    eta = eta_dag - W_f^T W_f with W_f = sqrt(k_next) L^{-1} V, from the
-    forward term (D_next, k_next, V) the state's step kept. An inner
-    system that is not positive definite raises NumericalFailure with
-    the state's batch index.
-    """
-    D_next, k_next, V = state._forward
-    return _correction_rows(V, D_next, k_next, state.t)[0]
-
-
-def _complete_rate(state):
-    """eta = (eta_dag^{-1} + k_next D_next^T D_next)^{-1} of a forward term.
-
-    E - [A; W_f]^T [A; W_f] in one d x d write; NumericalFailure when the
-    forward term's inner system is not positive definite (_forward_rows).
-    """
-    return _minus_gram(state.base, np.vstack([state.rows, _forward_rows(state)]),
-                       state.t)
+def _dense(style):
+    """Whether style runs the dense chain: kf at k = 1 under theorem (_step)."""
+    return style.kind == "kf" and style.k == 1.0 and style.init_mode == "theorem"
 
 
 def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     """Advance one head on batch (D_t, Y_t).
 
-    The step absorbs D_t into eta_dag through _absorb (skipped at t == 1
-    in paper_strict mode, reproducing the literal listing where eta_dag
-    stays at eta_0), which returns the gain D_t eta_dag and
-    V = D_next eta_dag on the new eta_dag. It takes (k_cur, k_next) from
+    The step absorbs D_t into eta_dag through _Rate.absorb (skipped at
+    t == 1 in paper_strict mode, reproducing the literal listing where
+    eta_dag stays at eta_0), which returns the new rate and the gain
+    D_t eta_dag on it, and projects D_next on the new rate
+    (_Rate.project), V = D_next eta_dag. It takes (k_cur, k_next) from
     the fixed pair of ridge or kf or, when pair is None, the kf_bayes
-    step, adapts them from the absorb's projections (_adaptive_pair).
+    step, adapts them from those projections (_adaptive_pair).
 
     Every step moves one head, q (SubLearnerState), and every step but
     one is carried: ridge, kf and kf_bayes move q by the recursive least
@@ -422,10 +402,10 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     The one dense step is kf at k = 1 under theorem, the case the k = 1
     contract pins bit for bit to the literal pure-forward form
     q -= eta (G_next q - D_t^T Y_t), or q -= eta (-D_t^T Y_t) at the end
-    of the stream: its absorbs carry no rows (carry=False in _absorb),
-    eta is the complete rate _complete_rate writes as one d x d array,
-    and G_next the d x d Gram D_next^T D_next. No other step forms a
-    d x d Gram or multiplies a d x d rate by a head.
+    of the stream: its rate carries no rows (a cap of 0, _dense), eta is
+    the complete rate _Rate.eta writes as one d x d array, and G_next
+    the d x d Gram D_next^T D_next. No other step forms a d x d Gram or
+    multiplies a d x d rate by a head.
 
     theta is q, except after a carried step that keeps a forward term
     (kf or kf_bayes with D_next). There theta is the exact minimizer of
@@ -441,10 +421,10 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     k_next, the weight on G_t carried into this step.
 
     The forward term is skipped when D_next is None or k_next == 0, and
-    then D_next is not projected. Otherwise the new state keeps (its own
-    copy of D_next, k_next, V), with V the absorb's D_next eta_dag on
-    the new eta_dag, whichever the style (see SubLearnerState); a caller
-    that changes its D_next array afterwards changes no state.
+    then D_next is not projected. Otherwise the new rate keeps the
+    forward term (its own copy of D_next, k_next, V), whichever the
+    style (see _Rate); a caller that changes its D_next array afterwards
+    changes no state.
 
     A NumericalFailure raised on the way is stamped with the batch index
     and, when D_t is a FeatureBatch, with its layer.
@@ -457,26 +437,22 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     t = state.t + 1
     absorb = not (t == 1 and state.style.init_mode == "paper_strict")
     layer = getattr(D_t, "layer", None)
-    dense = (state.style.kind == "kf" and state.style.k == 1.0
-             and state.style.init_mode == "theorem")
+    dense = _dense(state.style)
     try:
-        base, rows, M, gain, W, V = _absorb(
-            state, D, None if pair == (0.0, 0.0) else DN, t, layer, absorb,
-            carry=not dense)
+        rate, M, gain, W = state.rate.absorb(D, t, layer, absorb)
+        V = None if DN is None or pair == (0.0, 0.0) else rate.project(DN)
         k_cur, k_next = pair or _adaptive_pair(state, M, gain, W, V, D, DN, rng)
-        forward = None if V is None else (DN.copy(), k_next, V)
-        new_state = dataclasses.replace(state, base=base, rows=rows, t=t,
-                                        _forward=forward)
+        if V is not None:
+            rate.forward = (DN.copy(), k_next, V)
         if dense:
             # k_cur = 1 leaves G_t out of the drift. eta is the complete
-            # rate, one d x d write (_complete_rate), or eta_dag at the
-            # end of the stream.
-            drift = -(D.T @ Y) if forward is None else (DN.T @ DN) @ q - D.T @ Y
-            q = q - new_state.eta @ drift
+            # rate, one d x d write, or eta_dag at the end of the stream.
+            drift = -(D.T @ Y) if V is None else (DN.T @ DN) @ q - D.T @ Y
+            q = q - rate.eta(t) @ drift
         elif absorb or pair is not None:
             q = q - gain.T @ (D @ q - Y)
         theta = q
-        if not dense and forward is not None:
+        if not dense and V is not None:
             S = np.eye(len(DN)) + k_next * (V @ DN.T)
             theta = q - k_next * (V.T @ _solve_inner(S, DN @ q))
         if not np.all(np.isfinite(theta)):
@@ -484,8 +460,7 @@ def _step(state, D_t, Y_t, D_next, pair=None, rng=None):
     except NumericalFailure as exc:
         exc.batch_index, exc.layer = t, layer
         raise
-    new_state.theta, new_state.q = theta, q
-    return new_state, (k_cur, k_next)
+    return SubLearnerState(theta, rate, t, state.lam, state.style, q), (k_cur, k_next)
 
 
 def step_ridge(state, D_t, Y_t):
@@ -600,15 +575,15 @@ def _adaptive_pair(state, M, gain, W, V, D, DN, rng):
 
     gain and V are D_t eta_dag and D_next eta_dag on the new eta_dag, M
     is D_t eta_dag on the previous one, and W the absorb's correction
-    rows (see _absorb). k_cur is the k_next the previous step stored
-    with its forward term; only a state without one, at the first step
-    or after a closing step, takes k_cur from the rule on D. Under
+    rows (see _Rate.absorb). k_cur is the k_next the previous step
+    stored with its forward term; only a rate without one, at the first
+    step or after a closing step, takes k_cur from the rule on D. Under
     k_source="previous_complete" the projections are taken on the
     previous complete rate instead, once one exists: M, and for D_next
-    V + (D_next W^T) W, less (D_next W_f^T) W_f when the state has a
-    forward term, with the correction rows W_f built from the V the
-    previous step kept (_forward_rows). k_next is 0 at the end of the
-    stream.
+    V + (D_next W^T) W, less (D_next W_f^T) W_f when the state's rate
+    has a forward term, with the correction rows W_f built from the V
+    the previous step kept (_Rate.forward_rows). k_next is 0 at the end
+    of the stream.
     """
     style = state.style
 
@@ -619,17 +594,18 @@ def _adaptive_pair(state, M, gain, W, V, D, DN, rng):
     # A previous complete rate exists from the second step on, and every
     # such step absorbs, so W is set.
     complete = style.k_source == "previous_complete" and state.t > 0
-    if state._forward is None:
+    forward = state.rate.forward
+    if forward is None:
         k_cur = clamped((M if complete else gain) @ D.T)
     else:
-        k_cur = state._forward[1]
+        k_cur = forward[1]
     if DN is None:
         return k_cur, 0.0
     P = V
     if complete:
         P = V + (DN @ W.T) @ W
-        if state._forward is not None:
-            W_f = _forward_rows(state)
+        if forward is not None:
+            W_f = state.rate.forward_rows(state.t)
             P -= (DN @ W_f.T) @ W_f
     return k_cur, clamped(P @ DN.T)
 

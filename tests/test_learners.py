@@ -9,6 +9,7 @@ drift term is assembled so those coefficients cancel structurally.
 
 import dataclasses
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rvflstream.learners import (
     _carry_cap,
     _layer_logits,
     _layer_probs,
+    _Rate,
     compute_adaptive_k,
     fit_baseline,
     step_kf,
@@ -115,12 +117,17 @@ class TestRegStyle:
          "lam must be positive and finite"),
         (lambda: SubLearnerState.initial(3, 2, np.inf, RegStyle(kind="ridge")),
          "lam must be positive and finite"),
+        (lambda: SubLearnerState.initial(-1, 2, 1.0, RegStyle(kind="ridge")),
+         r"d must be >= 1, got -1"),
+        (lambda: SubLearnerState.initial(3, 0, 1.0, RegStyle(kind="ridge")),
+         r"m must be >= 1, got 0"),
     ], ids=["kf k nan", "kf k inf", "kappa inf", "sigma inf", "lam inf",
-            "one layer lam inf", "state lam inf"])
+            "one layer lam inf", "state lam inf", "state d -1", "state m 0"])
     def test_non_finite_weight_or_lam_is_a_contract_error(self, build, message):
         # Caller errors, caught where they are made: a non-finite style
-        # weight would fail numerically at batch 1, and lam = inf would
-        # run to all-zero heads.
+        # weight would fail numerically at batch 1, lam = inf would run
+        # to all-zero heads, d = -1 would raise numpy's ValueError and
+        # m = 0 would build a head of no columns.
         with pytest.raises(ContractError, match=message):
             build()
 
@@ -138,8 +145,8 @@ class TestInitialState:
         # A pin: I / lam is written in place, with the bytes of
         # np.eye(d) / lam, which rounds 1 / lam the same way.
         state = fresh_state(d=37, m=2, lam=lam, kind="kf_bayes")
-        assert state.base.flags.c_contiguous
-        assert state.base.tobytes() == (np.eye(37) / lam).tobytes()
+        assert state.rate.base.flags.c_contiguous
+        assert state.rate.base.tobytes() == (np.eye(37) / lam).tobytes()
 
 
 class TestRidgeStep:
@@ -227,9 +234,9 @@ class TestForwardStep:
                 bayes, _ = step_kf_bayes(bayes, D, Y, None)
                 for other in (kf, bayes):
                     assert np.array_equal(ridge.theta, other.theta), (d, i + 1)
-                    assert np.array_equal(ridge.rows, other.rows), (d, i + 1)
-                    assert np.array_equal(ridge.base, other.base), (d, i + 1)
-                carried = max(carried, len(ridge.rows))
+                    assert np.array_equal(ridge.rate.rows, other.rate.rows), (d, i + 1)
+                    assert np.array_equal(ridge.rate.base, other.rate.base), (d, i + 1)
+                carried = max(carried, len(ridge.rate.rows))
             assert carried == most_carried, d
 
     def test_k_one_matches_pure_forward_form(self):
@@ -278,7 +285,7 @@ class TestForwardStep:
                 eta = woodbury_update(eta_dag, D_next, 1.0)
                 drift = (D_next.T @ D_next) @ theta - D.T @ Y
             theta = theta - eta @ drift
-            assert len(state.rows) == 0, f"step {i + 1}"
+            assert len(state.rate.rows) == 0, f"step {i + 1}"
             assert np.array_equal(state.eta_dag, eta_dag), f"step {i + 1}"
             assert np.array_equal(state.theta, theta), f"step {i + 1}"
             want = [] if D_next is None else [b]
@@ -368,9 +375,9 @@ class TestForwardLayout:
             else:
                 state, _ = step_kf_bayes(state, D, Y, D_next)
             if D_next is None or state.style.kind == "ridge" or style_kw.get("k") == 0.0:
-                assert state._forward is None, f"step {i + 1}"
+                assert state.rate.forward is None, f"step {i + 1}"
                 continue
-            stored, k_next, V = state._forward
+            stored, k_next, V = state.rate.forward
             assert np.array_equal(stored, D_next) and stored is not D_next
             assert k_next > 0
             assert _rel(V, D_next @ state.eta_dag) <= 1e-12, f"step {i + 1}"
@@ -816,14 +823,15 @@ class TestDeferredAbsorb:
             adaptive, pair = step_kf_bayes(adaptive, D, Y, D_next)
             theta, eta_dag, eta = _closed_form(stream, i, D_next, pair[1],
                                                init_mode)
-            if i > 0 and len(adaptive.rows) == 0:
+            rate, prev_rate = adaptive.rate, prev.rate
+            if i > 0 and len(rate.rows) == 0:
                 flushes += 1
-                assert np.array_equal(adaptive.base, adaptive.base.T)
+                assert np.array_equal(rate.base, rate.base.T)
             elif i > 0:
                 # Without a flush the base is kept and the rows appended.
-                assert adaptive.base is prev.base, f"step {i + 1}"
-                assert len(adaptive.rows) == len(prev.rows) + len(D)
-                assert np.array_equal(adaptive.rows[:len(prev.rows)], prev.rows)
+                assert rate.base is prev_rate.base, f"step {i + 1}"
+                assert len(rate.rows) == len(prev_rate.rows) + len(D)
+                assert np.array_equal(rate.rows[:len(prev_rate.rows)], prev_rate.rows)
             assert _rel(adaptive.theta, theta) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta_dag, eta_dag) <= 1e-9, f"step {i + 1}"
             assert _rel(adaptive.eta, eta) <= 1e-9, f"step {i + 1}"
@@ -842,23 +850,23 @@ class TestDeferredAbsorb:
         for i, (D, Y) in enumerate(stream[:-1]):
             state, _ = step_kf_bayes(state, D, Y, stream[i + 1][0])
             if i + 1 in (5, 7):
-                assert len(state.rows) > 0
-                kept.append((state, state.theta.copy(), state.rows.copy(),
+                assert len(state.rate.rows) > 0
+                kept.append((state, state.theta.copy(), state.rate.rows.copy(),
                              state.eta_dag.copy(), state.eta.copy(),
-                             [a.copy() for a in state._forward[::2]]))
-        assert state.t == 11 and len(state.rows) == 3 * b  # flushed at t=8
+                             [a.copy() for a in state.rate.forward[::2]]))
+        assert state.t == 11 and len(state.rate.rows) == 3 * b  # flushed at t=8
         branch, _ = step_kf_bayes(kept[0][0], *stream[5], stream[6][0])
         again, _ = step_kf_bayes(kept[0][0], *stream[5], stream[6][0])
         assert np.array_equal(branch.theta, again.theta)
         for st, theta, rows, eta_dag, eta, forward in kept:
             assert np.array_equal(st.theta, theta)
-            assert np.array_equal(st.rows, rows)
+            assert np.array_equal(st.rate.rows, rows)
             assert np.array_equal(st.eta_dag, eta_dag)
             assert np.array_equal(st.eta, eta)
             # The next absorb copied V, the cached D_next eta_dag, into
             # its own projections and left the stored D_next alone.
-            assert np.array_equal(st._forward[0], forward[0])
-            assert np.array_equal(st._forward[2], forward[1])
+            assert np.array_equal(st.rate.forward[0], forward[0])
+            assert np.array_equal(st.rate.forward[2], forward[1])
 
     def test_model_flushes_at_most_one_layer_per_observe(self, monkeypatch):
         from rvflstream import learners
@@ -909,11 +917,12 @@ class TestDeferredAbsorb:
                     peak = tracemalloc.get_traced_memory()[1] - before
                 finally:
                     tracemalloc.stop()
-                assert len(new.rows) == len(state.rows) + b, f"{kind} step {i + 1} flushed"
+                assert len(new.rate.rows) == len(state.rate.rows) + b, (
+                    f"{kind} step {i + 1} flushed")
                 if i == 1:
                     assert peak <= 0.5 * d * d * 8, (
                         f"{kind} peak {peak / (d * d * 8):.2f} x d^2")
-                assert peak - new.rows.nbytes <= 0.5 * d * d * 8, f"{kind} step {i + 1}"
+                assert peak - new.rate.rows.nbytes <= 0.5 * d * d * 8, f"{kind} step {i + 1}"
                 state = new
 
     def test_flush_step_memory_is_bounded(self):
@@ -926,10 +935,10 @@ class TestDeferredAbsorb:
         state = fresh_state(d=d, m=m, kind="kf_bayes")
         for i in range(period - 1):
             state, _ = step_kf_bayes(state, *stream[i], stream[i + 1][0])
-        assert len(state.rows) == (period - 1) * b
+        assert len(state.rate.rows) == (period - 1) * b
         state, peak = _traced_peak(
             lambda: step_kf_bayes(state, *stream[period - 1], stream[period][0])[0])
-        assert len(state.rows) == 0
+        assert len(state.rate.rows) == 0
         assert peak <= 2.0 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2"
 
     def test_eta_read_writes_one_dxd_array(self):
@@ -940,7 +949,7 @@ class TestDeferredAbsorb:
         state = fresh_state(d=d, m=m, kind="kf_bayes")
         for i in range(2):
             state, _ = step_kf_bayes(state, *stream[i], stream[i + 1][0])
-        assert len(state.rows) == 2 * b
+        assert len(state.rate.rows) == 2 * b
         eta, peak = _traced_peak(lambda: state.eta)
         assert np.array_equal(eta, eta.T)
         assert peak <= 1.5 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2"
@@ -958,9 +967,9 @@ class TestDeferredAbsorb:
         d, b = 300, 4
         rng = np.random.default_rng(10)
         rows = rng.standard_normal((6, d)) / np.sqrt(d)
+        rate = _Rate(-np.eye(d) + rows.T @ rows, rows, _carry_cap(d))
         state = dataclasses.replace(fresh_state(d=d, m=2, kind="kf_bayes"),
-                                    base=-np.eye(d) + rows.T @ rows, rows=rows,
-                                    t=1)
+                                    rate=rate, t=1)
         D = FeatureBatch(D=rng.standard_normal((b, d)), layer=2, t=2)
         with pytest.raises(NumericalFailure, match="not positive definite") as info:
             step_kf_bayes(state, D, np.zeros((b, 2)))
@@ -983,7 +992,7 @@ class TestDeferredAbsorb:
         for i, (D, Y) in enumerate(batches):
             D_next = batches[i + 1][0] if i + 1 < len(batches) else None
             state, _ = step_kf_bayes(state, D, Y, D_next)
-            assert len(state.rows) <= _carry_cap(d), f"step {i + 1}"
+            assert len(state.rate.rows) <= _carry_cap(d), f"step {i + 1}"
 
     def test_narrow_layer_writes_every_step(self, monkeypatch):
         # At d=32 a layer may carry 8 rows, fewer than b=20: every
@@ -1006,21 +1015,19 @@ class TestDeferredAbsorb:
             D_next = stream[i + 1][0] if i + 1 < T else None
             calls.clear()
             state, _ = step_kf_bayes(state, D, Y, D_next)
-            assert len(state.rows) == 0, f"step {i + 1}"
+            assert len(state.rate.rows) == 0, f"step {i + 1}"
             assert len(calls) == 1, f"step {i + 1}"
 
 
 def _count_projected_rows(monkeypatch):
     """Record the row count of every projection on a carried eta_dag."""
-    from rvflstream import learners
-
     counts = []
 
-    def counted(X, *args, _inner=learners._project):
+    def counted(rate, X, _inner=_Rate.project):
         counts.append(X.shape[0])
-        return _inner(X, *args)
+        return _inner(rate, X)
 
-    monkeypatch.setattr(learners, "_project", counted)
+    monkeypatch.setattr(_Rate, "project", counted)
     return counts
 
 
@@ -1065,8 +1072,6 @@ class TestCachedProjection:
         # d=150 carries up to 37 rows, so b=5 flushes every 7 steps: 30
         # steps span four flushes, after which the cached V was taken on
         # the carried form and the fresh product on the written base.
-        from rvflstream import learners
-
         rng = np.random.default_rng(79)
         d, m, b, T = 150, 3, 5, 30
         assert _carry_cap(d) == 37
@@ -1076,7 +1081,7 @@ class TestCachedProjection:
         thetas, pairs = self._run(stream, style_kw)
         # The first step projects D_t and then D_next on the new eta_dag.
         assert counts == [b, b] + [b] * (T - 2)
-        monkeypatch.setattr(learners, "_cached_rows", lambda state, D: None)
+        monkeypatch.setattr(_Rate, "cached", lambda rate, D: None)
         full_thetas, full_pairs = self._run(stream, style_kw)
         for i in range(T):
             assert _rel(thetas[i], full_thetas[i]) <= 1e-9, f"step {i + 1}"
@@ -1120,8 +1125,6 @@ class TestCachedProjection:
         # array changed in place after the step, both project D_t afresh;
         # the step then equals one from the same state with the cache
         # turned off, which keeps k_next as the step's k_cur, bit for bit.
-        from rvflstream import learners
-
         for style_kw in self.FORWARD_STYLES:
             rng = np.random.default_rng(86)
             d, m, b = 160, 3, 5
@@ -1139,13 +1142,13 @@ class TestCachedProjection:
                 counts = _count_projected_rows(patch)
                 got, got_pair = _forward_step(state, D_t, stream[2][1], stream[3][0])
                 assert counts == [b, b], style_kw
-                patch.setattr(learners, "_cached_rows", lambda state, D: None)
+                patch.setattr(_Rate, "cached", lambda rate, D: None)
                 want, want_pair = _forward_step(state, D_t, stream[2][1], stream[3][0])
             assert got_pair == want_pair
-            assert got_pair[0] == state._forward[1]
-            for name in ("theta", "q", "base", "rows"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
-            assert np.array_equal(got._forward[2], want._forward[2])
+            assert got_pair[0] == state.rate.forward[1]
+            for name in ("theta", "q", "rate.base", "rate.rows"):
+                assert np.array_equal(attrgetter(name)(got), attrgetter(name)(want)), name
+            assert np.array_equal(got.rate.forward[2], want.rate.forward[2])
 
     def test_equal_copy_of_the_next_batch_uses_the_cache(self, monkeypatch):
         for style_kw in self.FORWARD_STYLES:
@@ -1243,27 +1246,26 @@ class TestOneBlasPool:
 class TestKTrace:
     def test_rows_sorted_and_complete(self):
         trace = AdaptiveKTrace(2)
-        trace.record(2, 1, 0.5, 0.6)
-        trace.record(1, 1, 0.1, 0.2)
-        trace.record(1, 2, 0.3, 0.4)
+        trace.extend([(2, 1, 0.5, 0.6), (1, 1, 0.1, 0.2)])
+        trace.extend([(1, 2, 0.3, 0.4)])
         assert trace.rows() == [(1, 1, 0.1, 0.2), (1, 2, 0.5, 0.6),
                                 (2, 1, 0.3, 0.4)]
 
     def test_rejects_nonpositive(self):
         trace = AdaptiveKTrace(1)
         with pytest.raises(ContractError):
-            trace.record(1, 1, 0.0, 0.5)
+            trace.extend([(1, 1, 0.0, 0.5)])
 
     def test_rejects_nonfinite(self):
         trace = AdaptiveKTrace(1)
         with pytest.raises(NumericalFailure):
-            trace.record(1, 1, np.nan, 0.5)
+            trace.extend([(1, 1, np.nan, 0.5)])
 
     @pytest.mark.parametrize("layer", [0, -1, 4])
     def test_rejects_layer_outside_range(self, layer):
         trace = AdaptiveKTrace(3)
         with pytest.raises(ContractError, match="layer"):
-            trace.record(layer, 1, 0.5, 0.5)
+            trace.extend([(1, 1, 0.5, 0.5), (layer, 1, 0.5, 0.5)])
         assert trace.rows() == []
 
 
@@ -1553,8 +1555,8 @@ class TestContinualModel:
         assert model.k_trace.rows() == want.k_trace.rows()
         for got, kept in zip(model.states, want.states):
             assert got.t == kept.t == len(X)
-            for name in ("theta", "q", "base", "rows"):
-                assert getattr(got, name).tobytes() == getattr(kept, name).tobytes()
+            for name in ("theta", "q", "rate.base", "rate.rows"):
+                assert attrgetter(name)(got).tobytes() == attrgetter(name)(kept).tobytes()
 
     def test_predict_proba_shape(self):
         rng = np.random.default_rng(4)

@@ -1,6 +1,7 @@
-"""The README's library example runs as written, and its config block
-names the schema's keys."""
+"""The README's library example runs as written, its config block
+names the schema's keys, and the module attributes it names exist."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -30,3 +31,22 @@ def test_config_block_lists_the_schema_keys():
     assert list(tree["dataset"]) == list(SCHEMA["synthetic"])
     for section in ("split", "network", "style", "seeds"):
         assert list(tree[section]) == list(SCHEMA[section]), section
+
+
+def test_named_module_attributes_exist():
+    # Every backticked learners.X, solvers.X, runner.X, network.X,
+    # metrics.X or stream.X resolves by getattr, dotted parts included,
+    # so a README that names a deleted helper fails. A config key named
+    # by its section, such as network.standardize, is a key of that
+    # section of the schema instead.
+    names = re.findall(
+        r"`(learners|solvers|runner|network|metrics|stream)\.([A-Za-z_][\w.]*)`",
+        README.read_text())
+    assert len(names) >= 10
+    for module, path in names:
+        if path in SCHEMA.get(module, {}):
+            continue
+        obj = importlib.import_module(f"rvflstream.{module}")
+        for part in path.split("."):
+            assert hasattr(obj, part), f"{module}.{path}"
+            obj = getattr(obj, part)
